@@ -18,7 +18,6 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
     UnknownTarget,
-    WrongNodeClass,
 )
 from .model import (
     AsNode,
@@ -30,15 +29,12 @@ from .model import (
     MembershipEdge,
     Multigraph,
     NodeClass,
-    PeeringRelation,
-    PolicyLayer,
     Source,
     add_membership,
     build_graph,
-    degree,
     giant_component,
 )
-from .projection import apply_policy, multiplicity, project
+from .projection import multiplicity, project
 
 __version__ = "0.1.0"
 
@@ -59,19 +55,14 @@ __all__ = [
     "NoLocationData",
     "NodeClass",
     "NotColocated",
-    "PeeringRelation",
-    "PolicyLayer",
     "Source",
     "TooLarge",
     "Uncoverable",
     "UnknownEndpoint",
     "UnknownNode",
     "UnknownTarget",
-    "WrongNodeClass",
     "add_membership",
-    "apply_policy",
     "build_graph",
-    "degree",
     "giant_component",
     "multiplicity",
     "project",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -87,7 +86,6 @@ def _metric_table2(graph, args) -> MetricOutput:
         graph,
         sample_size=args.sample,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
     )
     rows = [
         (value, count, 100 * count / dist.total) for value, count in dist.values
@@ -144,17 +142,6 @@ _METRICS: dict[str, tuple[str, Callable]] = {
     "betweenness": ("betweenness centrality on a projection", _metric_betweenness),
     "clustering": ("clustering coefficient on a projection", _metric_clustering),
 }
-
-
-def _resolve_threads(flag_value: int | None) -> int:
-    """--threads flag wins, then IXPGRAPH_THREADS, then the machine's
-    available parallelism."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("IXPGRAPH_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _parse_asn_token(token: str) -> int:
@@ -329,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="table3 bucket: collapse multiplicities >= this value")
     p_metrics.add_argument("--sample", type=int, help="sample size of source ASes for table2")
     p_metrics.add_argument("--seed", type=int, default=42, help="sampling seed")
-    p_metrics.add_argument("--threads", type=int,
-                           help="worker processes for table2 (default: IXPGRAPH_THREADS or all cores)")
     p_metrics.add_argument("--json", action="store_true", help="JSON instead of CSV")
     p_metrics.set_defaults(func=lambda args: cmd_metrics(args, p_metrics))
 

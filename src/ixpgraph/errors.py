@@ -25,10 +25,6 @@ class Disconnected(IxpGraphError):
     """A node pair required to be reachable is not."""
 
 
-class WrongNodeClass(IxpGraphError):
-    """The multigraph is projected onto the wrong vertex class for this operation."""
-
-
 class NotColocated(IxpGraphError):
     """Two ASes share no IXP, so no remote-peering tunnel exists between them."""
 

@@ -1,7 +1,8 @@
 """Dataset parsing, IXP identity merging, and graph sanitization.
 
-Input files are UTF-8 CSV exports of IXP membership data, one per source
-(PeeringDB-style and PCH-style), sharing the header::
+Input files are UTF-8 CSV exports of IXP membership data (a leading
+byte-order mark is accepted), one per source (PeeringDB-style and
+PCH-style), sharing the header::
 
     source,ixp_key,ixp_name,ixp_prefixes,asn,member_ip,status,as_type,as_prefix_count
 
@@ -148,9 +149,11 @@ def _parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
         raise ValueError(f"row source {source_raw!r} in a {expected_source.value} file")
     if not ixp_key or not ixp_name:
         raise ValueError("ixp_key and ixp_name must be non-empty")
+    if not (asn_raw.isascii() and asn_raw.isdigit()):
+        raise ValueError(f"asn must be a decimal number, got {asn_raw!r}")
     asn = int(asn_raw)
-    if asn <= 0:
-        raise ValueError(f"asn must be positive, got {asn}")
+    if not 0 < asn <= model.MAX_ASN:
+        raise ValueError(f"asn must be in 1..{model.MAX_ASN}, got {asn}")
     pfx_count = None
     if pfx_count_raw:
         pfx_count = int(pfx_count_raw)
@@ -170,7 +173,7 @@ def _parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
 
 
 def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -8,7 +8,6 @@ degree-vs-prefix correlation, and generic centrality/clustering metrics.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import statistics
 from collections import Counter
@@ -155,133 +154,74 @@ def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> Ty
     return TypeShareTable(rows=tuple(rows))
 
 
-def _indexed_adjacency(graph: BipartiteGraph) -> tuple[list[set[int]], int]:
-    """Adjacency over integer node ids with ASes first (0..n_as-1), IXPs after.
-
-    The AS block is sorted by asn and the IXP block by ixp_id, so the
-    indexing is deterministic.
-    """
-    asns = sorted(graph.ases)
-    ixp_ids = sorted(graph.ixps)
-    as_index = {a: i for i, a in enumerate(asns)}
-    n_as = len(asns)
-    ixp_index = {x: n_as + i for i, x in enumerate(ixp_ids)}
-    adj: list[set[int]] = [set() for _ in range(n_as + len(ixp_ids))]
-    for ixp_id, asn in graph.edges:
-        ai, xi = as_index[asn], ixp_index[ixp_id]
-        adj[ai].add(xi)
-        adj[xi].add(ai)
-    return adj, n_as
-
-
-def _ixp_count_tally(adj: list[set[int]], n_as: int, source: int,
-                     counted: list[bool] | None) -> Counter:
-    """Level-synchronous BFS from one AS; tallies IXPs crossed per AS target.
-
-    In the bipartite graph every AS sits at an even distance and every IXP
-    at an odd one, so IXPs crossed is distance // 2. Each unordered pair is
-    tallied once: all targets when ``counted`` is None (full enumeration,
-    restricted to target > source), otherwise targets that are either not
-    in the counted source set or have a larger index.
-
-    Raises Disconnected if some AS is unreachable from the source.
-    """
-    tally: Counter = Counter()
-    seen = {source}
-    frontier = {source}
-    reached_as = 1
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = set().union(*(adj[v] for v in frontier))
-        nxt -= seen
-        seen |= nxt
-        frontier = nxt
-        if dist % 2 == 0 and nxt:
-            crossed = dist // 2
-            hits = 0
-            for t in nxt:
-                if t < n_as:
-                    reached_as += 1
-                    if counted is None:
-                        if t > source:
-                            hits += 1
-                    elif not counted[t] or t > source:
-                        hits += 1
-            if hits:
-                tally[crossed] += hits
-    if reached_as < n_as:
-        raise Disconnected(
-            f"{n_as - reached_as} AS nodes unreachable from source index {source}"
-        )
-    return tally
-
-
-_POOL_ADJ: list[set[int]] | None = None
-_POOL_ARGS: tuple[int, list[bool] | None] | None = None
-
-
-def _pool_init(adj, n_as, counted):
-    global _POOL_ADJ, _POOL_ARGS
-    _POOL_ADJ = adj
-    _POOL_ARGS = (n_as, counted)
-
-
-def _pool_tally(source: int) -> Counter:
-    n_as, counted = _POOL_ARGS
-    return _ixp_count_tally(_POOL_ADJ, n_as, source, counted)
-
-
 def shortest_path_ixp_counts(
     graph: BipartiteGraph,
     sample_size: int | None = None,
     seed: int = 42,
-    threads: int | None = None,
 ) -> Distribution:
     """Distribution of the number of IXPs crossed by AS-to-AS shortest paths.
 
     By default every unordered AS pair is enumerated exactly. With
-    ``sample_size`` set, BFS runs only from a seeded uniform sample of
-    source ASes and tallies each unordered pair touching the sample once;
+    ``sample_size`` set, only a seeded uniform sample of source ASes is
+    searched and each unordered pair touching the sample is tallied once;
     a sample covering all ASes reproduces the full enumeration exactly.
 
-    ``threads`` > 1 distributes the per-source searches over worker
-    processes; the aggregate is order-independent, so the result does not
-    depend on the worker count.
+    ASes are indexed in ASN order and each IXP holds its members as a
+    bitmask. Sources with the same IXP set see the same distances, so one
+    IXP-level BFS runs per such class: a target first reached through the
+    k-th IXP level crosses k IXPs, and each level's new ASes are counted
+    with a popcount scaled by the class size. A target inside the sample
+    is also a source and counts half from each end; one outside counts
+    once. Raises Disconnected if some AS is unreachable from a source.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    adj, n_as = _indexed_adjacency(graph)
+    asns = sorted(graph.ases)
+    n_as = len(asns)
     if n_as < 2:
         return Distribution.from_counts({})
-
     if sample_size is None or sample_size >= n_as:
-        sources = list(range(n_as))
-        counted = None
+        sources = range(n_as)
     else:
         if sample_size <= 0:
             raise ValueError("sample_size must be positive")
-        rng = random.Random(seed)
-        sources = sorted(rng.sample(range(n_as), sample_size))
-        counted = [False] * n_as
-        for s in sources:
-            counted[s] = True
+        sources = random.Random(seed).sample(range(n_as), sample_size)
 
-    tally: Counter = Counter()
-    if threads is not None and threads > 1 and len(sources) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=min(threads, len(sources)),
-            initializer=_pool_init,
-            initargs=(adj, n_as, counted),
-        ) as pool:
-            chunk = max(1, len(sources) // (4 * threads))
-            for part in pool.imap_unordered(_pool_tally, sources, chunksize=chunk):
-                tally.update(part)
-    else:
-        for s in sources:
-            tally.update(_ixp_count_tally(adj, n_as, s, counted))
-    return Distribution.from_counts(tally)
+    as_index = {a: i for i, a in enumerate(asns)}
+    ixp_ids = sorted(graph.ixps)
+    ixp_index = {x: i for i, x in enumerate(ixp_ids)}
+    members = [sum(1 << as_index[a] for a in graph.members(x)) for x in ixp_ids]
+    everyone = (1 << n_as) - 1
+    outside = everyone
+    classes: dict[frozenset, list[int]] = {}
+    for s in sources:
+        outside ^= 1 << s
+        entry = classes.setdefault(frozenset(graph.memberships(asns[s])), [0, asns[s]])
+        entry[0] += 1
+
+    # Counted doubled so that a half-weight target stays an integer.
+    doubled: Counter = Counter()
+    for signature, (size, asn) in classes.items():
+        frontier = [ixp_index[x] for x in signature]
+        unvisited = set(range(len(ixp_ids))).difference(frontier)
+        reached = 0
+        crossed = 0
+        while frontier:
+            crossed += 1
+            new = 0
+            for x in frontier:
+                new |= members[x]
+            new &= ~reached
+            reached |= new
+            doubled[crossed] += size * (new.bit_count() + (new & outside).bit_count())
+            frontier = [x for x in unvisited if members[x] & new]
+            unvisited.difference_update(frontier)
+        if reached != everyone:
+            raise Disconnected(
+                f"{n_as - reached.bit_count()} AS nodes unreachable from AS {asn}"
+            )
+        doubled[1] -= size  # each source reaches itself through its own IXPs
+    return Distribution.from_counts({k: c // 2 for k, c in doubled.items()})
 
 
 def multiplicity_distribution(mg: Multigraph) -> Distribution:
@@ -355,8 +295,8 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
 
 def _simple_graph(mg: Multigraph) -> nx.Graph:
     g = nx.Graph()
-    g.add_nodes_from(mg.nodes)
-    g.add_edges_from(mg.edges)
+    g.add_nodes_from(sorted(mg.nodes))
+    g.add_edges_from(sorted(mg.edges))
     return g
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Union
 from .errors import EmptyGraph, UnknownEndpoint, UnknownNode
 
 NodeId = Union[str, int]
+MAX_ASN = 2**32 - 1
 
 
 class AsType(str, Enum):
@@ -44,13 +45,6 @@ class NodeClass(str, Enum):
     AS = "AS"
 
 
-class PeeringRelation(str, Enum):
-    PEER_TO_PEER = "PeerToPeer"
-    CUSTOMER_TO_PROVIDER = "CustomerToProvider"
-    PROVIDER_TO_CUSTOMER = "ProviderToCustomer"
-    UNKNOWN = "Unknown"
-
-
 class Location(NamedTuple):
     country: str
     city: str
@@ -63,27 +57,18 @@ class AsNode:
     """An autonomous system vertex.
 
     ``prefix_count`` is the total number of announced IP prefixes; ``None``
-    means unknown. When the explicit ``prefixes`` list is given the count is
-    derived from it, and a conflicting explicit count is rejected.
+    means unknown.
     """
 
     asn: int
     as_type: AsType = AsType.UNKNOWN
     prefix_count: int | None = None
-    prefixes: list[str] | None = None
 
     def __post_init__(self):
-        if self.asn <= 0:
-            raise ValueError(f"asn must be positive, got {self.asn}")
+        if not 0 < self.asn <= MAX_ASN:
+            raise ValueError(f"asn must be in 1..{MAX_ASN}, got {self.asn}")
         if self.prefix_count is not None and self.prefix_count < 0:
             raise ValueError("prefix_count must be non-negative")
-        if self.prefixes is not None:
-            if self.prefix_count is None:
-                self.prefix_count = len(self.prefixes)
-            elif self.prefix_count != len(self.prefixes):
-                raise ValueError(
-                    f"prefix_count {self.prefix_count} != len(prefixes) {len(self.prefixes)}"
-                )
 
 
 @dataclass
@@ -197,46 +182,6 @@ class Multigraph:
         return sum(len(vias) for vias in self.edges.values())
 
 
-def policy_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-@dataclass
-class PolicyLayer:
-    """Peering-relation annotations over unordered AS pairs.
-
-    Each relation is stored once per pair under the (min, max) key;
-    directionality is carried by the enum value relative to that order.
-    """
-
-    relations: dict[tuple[int, int], PeeringRelation] = field(default_factory=dict)
-
-    def __post_init__(self):
-        normalized = {}
-        for (a, b), rel in self.relations.items():
-            if a == b:
-                raise ValueError(f"policy pair ({a}, {b}) is not a pair")
-            key = policy_key(a, b)
-            if key != (a, b):
-                # Flip the asymmetric relations along with the key order.
-                if rel is PeeringRelation.CUSTOMER_TO_PROVIDER:
-                    rel = PeeringRelation.PROVIDER_TO_CUSTOMER
-                elif rel is PeeringRelation.PROVIDER_TO_CUSTOMER:
-                    rel = PeeringRelation.CUSTOMER_TO_PROVIDER
-            if key in normalized and normalized[key] != rel:
-                raise ValueError(f"conflicting relations for pair {key}")
-            normalized[key] = rel
-        self.relations = normalized
-
-    def relation(self, a: int, b: int) -> PeeringRelation | None:
-        return self.relations.get(policy_key(a, b))
-
-
-def node_label(node_id: NodeId) -> str:
-    """Canonical string label of a vertex (ixp_id as-is, asn in decimal)."""
-    return node_id if isinstance(node_id, str) else str(node_id)
-
-
 def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGraph:
     """Add a membership edge; re-adding an existing (ixp_id, asn) pair merges
     the sources sets instead of duplicating.
@@ -259,14 +204,6 @@ def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGrap
         if existing.member_ip is None:
             existing.member_ip = edge.member_ip
     return graph
-
-
-def degree(graph: BipartiteGraph, node_id: NodeId) -> int:
-    """Number of incident membership edges: AS-member count for an IXP node,
-    IXP-membership count for an AS node."""
-    if isinstance(node_id, str):
-        return len(graph.members(node_id))
-    return len(graph.memberships(node_id))
 
 
 def _connected_components(graph: BipartiteGraph) -> list[set[NodeId]]:
@@ -313,7 +250,7 @@ def giant_component(graph: BipartiteGraph) -> GiantComponent:
 
     best = min(
         _connected_components(graph),
-        key=lambda c: (-len(c), -edge_count(c), min(node_label(v) for v in c)),
+        key=lambda c: (-len(c), -edge_count(c), min(str(v) for v in c)),
     )
     kept_ixps = {i: n for i, n in graph.ixps.items() if i in best}
     kept_ases = {a: n for a, n in graph.ases.items() if a in best}

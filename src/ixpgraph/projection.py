@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import EmptyGraph, UnknownNode, WrongNodeClass
-from .model import BipartiteGraph, Multigraph, NodeClass, PeeringRelation, PolicyLayer
+from .errors import EmptyGraph, UnknownNode
+from .model import BipartiteGraph, Multigraph, NodeClass
 
 
 def project(graph: BipartiteGraph, node_class: NodeClass) -> Multigraph:
@@ -47,28 +47,3 @@ def multiplicity(mg: Multigraph, u, v) -> int:
         return 0
     pair = (u, v) if u < v else (v, u)
     return len(mg.edges.get(pair, ()))
-
-
-def apply_policy(
-    mg: Multigraph, policy: PolicyLayer, keep_unknown: bool = False
-) -> tuple[Multigraph, int]:
-    """Filter an AS multigraph down to pairs with a peering relation.
-
-    By default only pairs with a confirmed relation (peer-to-peer or either
-    transit direction) survive; pairs that are absent from the layer or
-    explicitly Unknown are dropped. With ``keep_unknown`` those pairs are
-    retained as well. Returns the filtered multigraph and the number of
-    parallel edges dropped.
-    """
-    if mg.node_class is not NodeClass.AS:
-        raise WrongNodeClass("policy filtering applies to AS multigraphs only")
-    kept = {}
-    dropped = 0
-    for (a, b), vias in mg.edges.items():
-        rel = policy.relation(a, b)
-        confirmed = rel is not None and rel is not PeeringRelation.UNKNOWN
-        if confirmed or keep_unknown:
-            kept[(a, b)] = vias
-        else:
-            dropped += len(vias)
-    return Multigraph(node_class=NodeClass.AS, nodes=set(mg.nodes), edges=kept), dropped

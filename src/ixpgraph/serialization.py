@@ -10,6 +10,8 @@ diffable.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 from .errors import FormatError, UnknownEndpoint
 from .model import (
@@ -19,6 +21,7 @@ from .model import (
     IxpNode,
     IxpStatus,
     Location,
+    MAX_ASN,
     MembershipEdge,
     Multigraph,
     Source,
@@ -71,6 +74,18 @@ def graph_to_dict(graph: BipartiteGraph) -> dict:
     }
 
 
+def _ixp_id(value) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"ixp_id must be a string, got {value!r}")
+    return value
+
+
+def _asn(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_ASN:
+        raise FormatError(f"asn must be an integer in 1..{MAX_ASN}, got {value!r}")
+    return value
+
+
 def graph_from_dict(data: dict) -> BipartiteGraph:
     if not isinstance(data, dict):
         raise FormatError("graph document must be a JSON object")
@@ -83,9 +98,12 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
     try:
         ixps = {}
         for item in data["ixps"]:
+            ixp_id = _ixp_id(item["ixp_id"])
+            if ixp_id in ixps:
+                raise FormatError(f"duplicate IXP {ixp_id!r}")
             loc = item.get("location")
-            ixps[item["ixp_id"]] = IxpNode(
-                ixp_id=item["ixp_id"],
+            ixps[ixp_id] = IxpNode(
+                ixp_id=ixp_id,
                 names=list(item["names"]),
                 peering_prefixes=list(item.get("peering_prefixes", [])),
                 status=IxpStatus(item.get("status", "Active")),
@@ -98,20 +116,25 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
             )
         ases = {}
         for item in data["ases"]:
-            ases[item["asn"]] = AsNode(
-                asn=item["asn"],
+            asn = _asn(item["asn"])
+            if asn in ases:
+                raise FormatError(f"duplicate AS {asn}")
+            ases[asn] = AsNode(
+                asn=asn,
                 as_type=AsType(item.get("as_type", "Unknown")),
                 prefix_count=item.get("prefix_count"),
             )
         edges = {}
         for item in data["edges"]:
-            edge = MembershipEdge(
-                ixp_id=item["ixp_id"],
-                asn=item["asn"],
+            key = (_ixp_id(item["ixp_id"]), _asn(item["asn"]))
+            if key in edges:
+                raise FormatError(f"duplicate edge {key}")
+            edges[key] = MembershipEdge(
+                ixp_id=key[0],
+                asn=key[1],
                 member_ip=item.get("member_ip"),
                 sources=frozenset(Source(s) for s in item.get("sources", ["Other"])),
             )
-            edges[(edge.ixp_id, edge.asn)] = edge
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
     except FormatError:
         raise
@@ -124,8 +147,17 @@ def dumps_graph(graph: BipartiteGraph) -> str:
 
 
 def write_graph(graph: BipartiteGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_graph(graph))
+    """Write the graph atomically: a temp file in the target's directory is
+    renamed over the target, so a failed write leaves the old file intact."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(dumps_graph(graph))
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_graph(path) -> BipartiteGraph:

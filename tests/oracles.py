@@ -57,14 +57,17 @@ def bf_distance(adj: dict, source, target) -> int | None:
     return None
 
 
-def bf_ixp_count_distribution(graph: BipartiteGraph) -> Counter:
+def bf_ixp_count_distribution(graph: BipartiteGraph, sources: set[int] | None = None) -> Counter:
     """IXPs crossed per unordered AS pair, by per-pair BFS; asserts the
-    even-distance parity along the way."""
+    even-distance parity along the way. With ``sources`` (indices into the
+    sorted ASNs) only pairs with at least one end in that set are tallied."""
     adj = bf_adjacency(graph)
     asns = sorted(graph.ases)
     tally: Counter = Counter()
     for i, s in enumerate(asns):
-        for t in asns[i + 1:]:
+        for j, t in enumerate(asns[i + 1:], start=i + 1):
+            if sources is not None and i not in sources and j not in sources:
+                continue
             dist = bf_distance(adj, s, t)
             assert dist is not None, f"pair ({s}, {t}) unreachable"
             assert dist % 2 == 0, f"odd AS-AS distance {dist} for ({s}, {t})"

@@ -1,6 +1,10 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +12,13 @@ from ixpgraph import serialization
 from ixpgraph.cli import main
 from ixpgraph.model import AsNode, IxpNode, Location, MembershipEdge, build_graph
 
-from conftest import G0_TYPES, make_g0, sanitize_fixture_files, write_membership_csv
-
-
-@pytest.fixture(autouse=True)
-def serial_bfs(monkeypatch):
-    """Keep table2 single-process by default; dedicated tests opt out."""
-    monkeypatch.setenv("IXPGRAPH_THREADS", "1")
+from conftest import (
+    G0_TYPES,
+    make_g0,
+    paper_scale_graph,
+    sanitize_fixture_files,
+    write_membership_csv,
+)
 
 
 def run(capsys, *argv):
@@ -123,10 +127,33 @@ class TestMetrics:
         second = run(capsys, *args)
         assert first == second
 
-    def test_table2_threads_agree(self, g0_file, capsys):
-        serial = run(capsys, "metrics", str(g0_file), "table2", "--threads", "1")
-        parallel = run(capsys, "metrics", str(g0_file), "table2", "--threads", "2")
-        assert serial == parallel
+    def test_table2_threads_flag_rejected(self, g0_file):
+        with pytest.raises(SystemExit) as info:
+            main(["metrics", str(g0_file), "table2", "--threads", "2"])
+        assert info.value.code == 2
+
+    def test_table2_ignores_threads_env(self, g0_file, capsys, monkeypatch):
+        monkeypatch.setenv("IXPGRAPH_THREADS", "many")
+        code, out, _ = run(capsys, "metrics", str(g0_file), "table2")
+        assert code == 0
+        assert out == "ixps_crossed,count,percent\n1,5,83.3\n2,1,16.7\n"
+
+    def test_betweenness_independent_of_hash_seed(self, tmp_path):
+        # String IXP ids hash differently per interpreter; a graph of this
+        # shape gave seed-dependent last digits before insertion was sorted.
+        path = tmp_path / "g.json"
+        serialization.write_graph(paper_scale_graph(n_ixp=200, n_as=150), path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ixpgraph.cli", "metrics", str(path), "betweenness"],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_table3_ixp_csv(self, g0_file, capsys):
         _, out, _ = run(capsys, "metrics", str(g0_file), "table3", "--class", "ixp")
@@ -333,6 +360,42 @@ class TestExport:
         assert code == 1
 
 
+def _int_ixp_id(doc):
+    doc["ixps"][2]["ixp_id"] = 3
+    doc["edges"] = [{**e, "ixp_id": 3} if e["ixp_id"] == "X3" else e for e in doc["edges"]]
+
+
+def _asn_value(value):
+    def mutate(doc):
+        doc["ases"][0]["asn"] = value
+        doc["edges"] = [{**e, "asn": value} if e["asn"] == 1 else e for e in doc["edges"]]
+    return mutate
+
+
+class TestGraphValidation:
+    @pytest.mark.parametrize("mutate", [
+        _int_ixp_id,
+        _asn_value(True),
+        _asn_value("1"),
+        _asn_value(1.0),
+        _asn_value(0),
+        _asn_value(2**32),
+        lambda doc: doc["ixps"].append(dict(doc["ixps"][0])),
+        lambda doc: doc["ases"].append(dict(doc["ases"][0])),
+        lambda doc: doc["edges"].append(dict(doc["edges"][0])),
+    ], ids=["int-ixp-id", "bool-asn", "str-asn", "float-asn", "zero-asn",
+            "33-bit-asn", "duplicate-ixp", "duplicate-as", "duplicate-edge"])
+    def test_bad_document_is_one_line_error(self, tmp_path, capsys, mutate):
+        doc = serialization.graph_to_dict(make_g0())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "export", str(path), "--format", "edgelist")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestUsageErrors:
     def test_no_arguments(self):
         with pytest.raises(SystemExit) as info:
@@ -348,17 +411,3 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["metrics", str(g0_file), "degree-cdf", "--class", "router"])
         assert info.value.code == 2
-
-
-class TestThreadsEnv:
-    def test_env_override_used(self, g0_file, capsys, monkeypatch):
-        monkeypatch.setenv("IXPGRAPH_THREADS", "2")
-        code, out, _ = run(capsys, "metrics", str(g0_file), "table2")
-        assert code == 0
-        assert out == "ixps_crossed,count,percent\n1,5,83.3\n2,1,16.7\n"
-
-    def test_bad_env_value_is_domain_error(self, g0_file, capsys, monkeypatch):
-        monkeypatch.setenv("IXPGRAPH_THREADS", "many")
-        code, _, err = run(capsys, "metrics", str(g0_file), "table2")
-        assert code == 1
-        assert "error" in err

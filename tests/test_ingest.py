@@ -63,6 +63,8 @@ class TestParseDataset:
 
     @pytest.mark.parametrize("row", [
         "PDB,k1,Alpha,,0,,Active,,",                    # asn not positive
+        "PDB,k1,Alpha,,4294967296,,Active,,",           # asn above 32 bits
+        "PDB,k1,Alpha,,64_500,,Active,,",               # digit separator
         "PDB,k1,Alpha,not-a-cidr,64500,,Active,,",      # bad prefix
         "PDB,k1,Alpha,,64500,999.1.2.3,Active,,",       # bad member ip
         "PDB,k1,Alpha,,64500,,Sometimes,,",             # bad status
@@ -388,3 +390,12 @@ class TestBuildFromFiles:
         first = dumps_graph(build_from_files(pdb_path, pch_path).graph)
         second = dumps_graph(build_from_files(pdb_path, pch_path).graph)
         assert first == second
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        from ixpgraph.serialization import dumps_graph
+
+        pdb_path, pch_path = sanitize_fixture_files(tmp_path)
+        bom_path = tmp_path / "pdb_bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + pdb_path.read_bytes())
+        plain = dumps_graph(build_from_files(pdb_path, pch_path).graph)
+        assert dumps_graph(build_from_files(bom_path, pch_path).graph) == plain

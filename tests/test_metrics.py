@@ -174,6 +174,26 @@ class TestShortestPathIxpCounts:
             got = shortest_path_ixp_counts(graph)
             assert dict(got.values) == dict(expected)
 
+    def test_sampled_matches_oracle_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(5):
+            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25)).graph
+            n = len(graph.ases)
+            for k, seed in ((1, 0), (2, 5), (n // 2, 42), (n - 1, 7)):
+                if not 0 < k < n:
+                    continue
+                sources = set(random.Random(seed).sample(range(n), k))
+                expected = bf_ixp_count_distribution(graph, sources)
+                got = shortest_path_ixp_counts(graph, sample_size=k, seed=seed)
+                assert dict(got.values) == dict(expected)
+
+    def test_shared_ixp_set_class(self):
+        # ASes 1 and 2 share the IXP set {X1, X2}, as do 4 and 5 with {X3}.
+        graph = graph_of({1: ("X1", "X2"), 2: ("X1", "X2"), 3: ("X2", "X3"),
+                          4: ("X3",), 5: ("X3",)})
+        assert dict(bf_ixp_count_distribution(graph)) == {1: 6, 2: 4}
+        assert shortest_path_ixp_counts(graph).values == ((1, 6), (2, 4))
+
     def test_sample_covering_all_equals_full(self, g0):
         full = shortest_path_ixp_counts(g0)
         for seed in (0, 1, 42):
@@ -198,15 +218,24 @@ class TestShortestPathIxpCounts:
         with pytest.raises(Disconnected):
             shortest_path_ixp_counts(graph)
 
+    def test_two_components_raise_when_sampled(self):
+        graph = graph_of({1: ("X1",), 2: ("X1",), 3: ("X2",), 4: ("X2",)})
+        for seed in range(4):
+            with pytest.raises(Disconnected):
+                shortest_path_ixp_counts(graph, sample_size=1, seed=seed)
+
+    def test_as_without_membership_raises(self):
+        graph = graph_of({1: ("X1",), 2: ("X1",), 3: ()})
+        with pytest.raises(Disconnected):
+            shortest_path_ixp_counts(graph)
+        for seed in range(4):
+            with pytest.raises(Disconnected):
+                shortest_path_ixp_counts(graph, sample_size=1, seed=seed)
+
     def test_single_as_is_empty(self):
         graph = graph_of({1: ("X1",)})
         dist = shortest_path_ixp_counts(graph)
         assert dist.total == 0 and dist.values == ()
-
-    def test_threads_match_serial(self):
-        rng = random.Random(13)
-        graph = giant_component(random_bipartite(rng, max_ixps=10, max_ases=60)).graph
-        assert shortest_path_ixp_counts(graph, threads=2) == shortest_path_ixp_counts(graph)
 
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):

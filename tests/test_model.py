@@ -1,4 +1,4 @@
-"""Model types: validation, adjacency, degrees, giant component, policy."""
+"""Model types: validation, adjacency, degrees, giant component."""
 
 import pytest
 
@@ -10,14 +10,10 @@ from ixpgraph.model import (
     IxpNode,
     Location,
     MembershipEdge,
-    PeeringRelation,
-    PolicyLayer,
     Source,
     add_membership,
     build_graph,
-    degree,
     giant_component,
-    node_label,
 )
 
 from conftest import make_g0
@@ -40,14 +36,6 @@ class TestNodeValidation:
             AsNode(0)
         with pytest.raises(ValueError):
             AsNode(-7)
-
-    def test_prefix_count_derived_from_prefixes(self):
-        node = AsNode(1, prefixes=["10.0.0.0/8", "192.0.2.0/24"])
-        assert node.prefix_count == 2
-
-    def test_prefix_count_conflict_rejected(self):
-        with pytest.raises(ValueError):
-            AsNode(1, prefix_count=3, prefixes=["10.0.0.0/8"])
 
     def test_negative_prefix_count_rejected(self):
         with pytest.raises(ValueError):
@@ -145,26 +133,30 @@ class TestAddMembership:
 
 class TestDegree:
     def test_g0_values(self, g0):
-        assert degree(g0, "X1") == 3
-        assert degree(g0, 1) == 2
+        assert len(g0.members("X1")) == 3
+        assert len(g0.memberships(1)) == 2
 
     def test_isolated_vertex(self):
         graph = BipartiteGraph(ixps={"X1": IxpNode("X1", ["X1"])}, ases={1: AsNode(1)})
-        assert degree(graph, "X1") == 0
-        assert degree(graph, 1) == 0
+        assert len(graph.members("X1")) == 0
+        assert len(graph.memberships(1)) == 0
 
     def test_unknown_node(self, g0):
         with pytest.raises(UnknownNode):
-            degree(g0, "X9")
+            g0.members("X9")
+        with pytest.raises(UnknownNode):
+            g0.memberships(9)
 
     def test_degree_sum_identity(self, g0):
-        ixp_sum = sum(degree(g0, x) for x in g0.ixps)
-        as_sum = sum(degree(g0, a) for a in g0.ases)
+        ixp_sum = sum(len(g0.members(x)) for x in g0.ixps)
+        as_sum = sum(len(g0.memberships(a)) for a in g0.ases)
         assert ixp_sum == as_sum == g0.num_edges
 
     def test_matches_edge_scan_oracle(self, g0):
-        for node in list(g0.ixps) + list(g0.ases):
-            assert degree(g0, node) == bf_degree(g0, node)
+        for x in g0.ixps:
+            assert len(g0.members(x)) == bf_degree(g0, x)
+        for a in g0.ases:
+            assert len(g0.memberships(a)) == bf_degree(g0, a)
 
 
 class TestGiantComponent:
@@ -215,36 +207,6 @@ class TestGiantComponent:
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):
             giant_component(BipartiteGraph())
-
-
-class TestPolicyLayer:
-    def test_key_normalization_flips_direction(self):
-        layer = PolicyLayer({(2, 1): PeeringRelation.CUSTOMER_TO_PROVIDER})
-        assert layer.relation(1, 2) == PeeringRelation.PROVIDER_TO_CUSTOMER
-        assert layer.relation(2, 1) == PeeringRelation.PROVIDER_TO_CUSTOMER
-
-    def test_symmetric_relation_unchanged(self):
-        layer = PolicyLayer({(3, 1): PeeringRelation.PEER_TO_PEER})
-        assert layer.relations == {(1, 3): PeeringRelation.PEER_TO_PEER}
-
-    def test_conflicting_relations_rejected(self):
-        with pytest.raises(ValueError):
-            PolicyLayer({
-                (1, 2): PeeringRelation.PEER_TO_PEER,
-                (2, 1): PeeringRelation.CUSTOMER_TO_PROVIDER,
-            })
-
-    def test_self_pair_rejected(self):
-        with pytest.raises(ValueError):
-            PolicyLayer({(1, 1): PeeringRelation.PEER_TO_PEER})
-
-    def test_absent_pair_is_none(self):
-        assert PolicyLayer().relation(1, 2) is None
-
-
-def test_node_label():
-    assert node_label("X1") == "X1"
-    assert node_label(42) == "42"
 
 
 def test_enum_values_are_strings():

@@ -1,22 +1,20 @@
-"""Projections onto one vertex class and the policy filter."""
+"""Projections onto one vertex class."""
 
 import math
 import random
 
 import pytest
 
-from ixpgraph.errors import EmptyGraph, UnknownNode, WrongNodeClass
+from ixpgraph.errors import EmptyGraph, UnknownNode
 from ixpgraph.model import (
     AsNode,
     BipartiteGraph,
     IxpNode,
     MembershipEdge,
     NodeClass,
-    PeeringRelation,
-    PolicyLayer,
     build_graph,
 )
-from ixpgraph.projection import apply_policy, multiplicity, project
+from ixpgraph.projection import multiplicity, project
 
 from conftest import random_bipartite
 from oracles import bf_project
@@ -89,53 +87,6 @@ class TestMultiplicity:
             multiplicity(mg, "X1", "X9")
         with pytest.raises(UnknownNode):
             multiplicity(mg, "X9", "X1")
-
-
-class TestApplyPolicy:
-    def test_only_confirmed_pairs_survive(self, g0):
-        mg = project(g0, NodeClass.AS)
-        layer = PolicyLayer({(2, 3): PeeringRelation.PEER_TO_PEER})
-        filtered, dropped = apply_policy(mg, layer)
-        assert filtered.edges == {(2, 3): frozenset({"X1", "X2"})}
-        assert dropped == 4
-
-    def test_empty_policy_drops_everything(self, g0):
-        mg = project(g0, NodeClass.AS)
-        filtered, dropped = apply_policy(mg, PolicyLayer())
-        assert filtered.edges == {}
-        assert dropped == 6
-
-    def test_full_policy_is_identity(self, g0):
-        mg = project(g0, NodeClass.AS)
-        layer = PolicyLayer({pair: PeeringRelation.PEER_TO_PEER for pair in mg.edges})
-        filtered, dropped = apply_policy(mg, layer)
-        assert filtered.edges == mg.edges
-        assert dropped == 0
-
-    def test_explicit_unknown_dropped(self, g0):
-        mg = project(g0, NodeClass.AS)
-        layer = PolicyLayer({(2, 3): PeeringRelation.UNKNOWN})
-        filtered, dropped = apply_policy(mg, layer)
-        assert (2, 3) not in filtered.edges
-        assert dropped == 6
-
-    def test_keep_unknown_inversion(self, g0):
-        mg = project(g0, NodeClass.AS)
-        filtered, dropped = apply_policy(mg, PolicyLayer(), keep_unknown=True)
-        assert filtered.edges == mg.edges
-        assert dropped == 0
-
-    def test_wrong_class_rejected(self, g0):
-        mg = project(g0, NodeClass.IXP)
-        with pytest.raises(WrongNodeClass):
-            apply_policy(mg, PolicyLayer())
-
-    def test_never_increases_multiplicity(self, g0):
-        mg = project(g0, NodeClass.AS)
-        layer = PolicyLayer({(2, 3): PeeringRelation.PEER_TO_PEER})
-        filtered, _ = apply_policy(mg, layer)
-        for pair in filtered.edges:
-            assert multiplicity(filtered, *pair) <= multiplicity(mg, *pair)
 
 
 class TestProjectionIdentities:

@@ -76,6 +76,20 @@ class TestRoundTrip:
         write_graph(make_g0(), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.json"
+        write_graph(make_g0(), path)
+        before = path.read_bytes()
+
+        def boom(graph):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr("ixpgraph.serialization.dumps_graph", boom)
+        with pytest.raises(RuntimeError):
+            write_graph(build_graph([], [], []), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
     def test_trailing_newline(self):
         assert dumps_graph(make_g0()).endswith("}\n")
 
