@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-import networkx as nx
-
 from .errors import Disconnected, EmptyGraph, InsufficientData, NotColocated
 from .model import AsType, BipartiteGraph, Multigraph, NodeClass
 
@@ -248,16 +246,14 @@ def remote_peering_gain(graph: BipartiteGraph, a: int, b: int) -> int:
     """New neighbors AS ``a`` gains by tunneling through co-located AS ``b``.
 
     Counts the ASes present at b's IXPs that a cannot already reach at its
-    own IXPs, excluding a and b themselves. Asymmetric in (a, b).
+    own IXPs; a and b themselves never count, since sharing an IXP puts
+    both in a's reach. Asymmetric in (a, b).
     """
     if a == b:
         raise ValueError("remote peering needs two distinct ASes")
     if not (graph.memberships(a) & graph.memberships(b)):
         raise NotColocated(f"ASes {a} and {b} share no IXP")
-    gained = _reach(graph, b) - _reach(graph, a)
-    gained.discard(a)
-    gained.discard(b)
-    return len(gained)
+    return len(_reach(graph, b) - _reach(graph, a))
 
 
 def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
@@ -268,10 +264,7 @@ def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
         for b in reach[a]:
             if b == a:
                 continue
-            gained = reach[b] - reach[a]
-            gained.discard(a)
-            gained.discard(b)
-            tally[len(gained)] += 1
+            tally[len(reach[b] - reach[a])] += 1
     return Distribution.from_counts(tally)
 
 
@@ -293,27 +286,98 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
         raise InsufficientData(str(exc)) from None
 
 
-def _simple_graph(mg: Multigraph) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(sorted(mg.nodes))
-    g.add_edges_from(sorted(mg.edges))
-    return g
+def _adjacency(mg: Multigraph) -> tuple[list, list[int]]:
+    """Nodes in sorted order and, per node index, its neighbours as a
+    bitmask over those indices (parallel edges collapsed)."""
+    nodes = sorted(mg.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    nb = [0] * len(nodes)
+    for u, v in mg.edges:
+        i, j = index[u], index[v]
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+    return nodes, nb
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def betweenness_centrality(mg: Multigraph) -> dict:
     """Normalized betweenness centrality on the multigraph collapsed to
-    simple edges (normalization (n-1)(n-2)/2 for undirected graphs)."""
+    simple edges (normalization (n-1)(n-2)/2 for undirected graphs).
+
+    Brandes' algorithm (2001), with its floating-point operations in the
+    same order as networkx's ``betweenness_centrality``, so the values are
+    equal to the last bit: sources in sorted node order, a FIFO BFS that
+    visits neighbours in sorted order, path counts added in pop order and
+    dependencies accumulated in reverse pop order. The BFS runs level by
+    level on neighbour bitmasks; within a level, nodes keep FIFO pop order.
+    """
     if not mg.nodes:
         raise EmptyGraph("multigraph has no nodes")
-    return dict(nx.betweenness_centrality(_simple_graph(mg), normalized=True))
+    nodes, nb = _adjacency(mg)
+    n = len(nodes)
+    centrality = [0.0] * n
+    for s in range(n):
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        seen = 1 << s
+        levels = [([s], seen)]
+        while True:
+            level = levels[-1][0]
+            before = seen
+            nxt = []
+            for v in level:
+                new = nb[v] & ~seen
+                seen |= new
+                nxt += _bits(new)
+            if not nxt:
+                break
+            mask = seen ^ before
+            # A second pass, as sigma[w] takes its predecessors in pop order.
+            for v in level:
+                sv = sigma[v]
+                for w in _bits(nb[v] & mask):
+                    sigma[w] += sv
+            levels.append((nxt, mask))
+        delta = [0.0] * n
+        for d in range(len(levels) - 1, 0, -1):
+            previous = levels[d - 1][1]
+            for w in reversed(levels[d][0]):
+                coeff = (1 + delta[w]) / sigma[w]
+                for v in _bits(nb[w] & previous):
+                    delta[v] += sigma[v] * coeff
+                centrality[w] += delta[w]
+    if n >= 3:
+        scale = 1 / ((n - 1) * (n - 2))
+        centrality = [c * scale for c in centrality]
+    return dict(zip(nodes, centrality))
 
 
 def clustering_coefficient(mg: Multigraph) -> dict:
     """Local clustering coefficient on the multigraph collapsed to simple
-    edges."""
+    edges.
+
+    A node of degree d with t ordered pairs of adjacent neighbours (twice
+    its triangles) scores t / (d(d-1)); a node in no triangle scores the
+    int 0, as networkx's ``clustering`` does.
+    """
     if not mg.nodes:
         raise EmptyGraph("multigraph has no nodes")
-    return dict(nx.clustering(_simple_graph(mg)))
+    nodes, nb = _adjacency(mg)
+    out = {}
+    for v, mask in zip(nodes, nb):
+        t = sum((mask & nb[w]).bit_count() for w in _bits(mask))
+        d = mask.bit_count()
+        out[v] = 0 if t == 0 else t / (d * (d - 1))
+    return out
 
 
 __all__ = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import metrics
 from .errors import NoLocationData, TooLarge, Uncoverable, UnknownNode, UnknownTarget
@@ -213,41 +213,28 @@ def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     """
     if asn not in graph.ases:
         raise UnknownNode(f"unknown AS {asn}")
-    partners = set()
-    for ixp_id in graph.memberships(asn):
-        partners |= graph.members(ixp_id)
-    partners.discard(asn)
+    partners = metrics._reach(graph, asn) - {asn}
     ranked = [(b, metrics.remote_peering_gain(graph, asn, b)) for b in sorted(partners)]
     ranked.sort(key=lambda bg: (-bg[1], bg[0]))
     return ranked
 
 
-def site_selection_score(
-    graph: BipartiteGraph,
-    location: tuple[str, str],
-    ixp_locations: Mapping[str, tuple[str, str]] | None = None,
-    score_fn: Callable[[int], float] | None = None,
-) -> float:
+def site_selection_score(graph: BipartiteGraph, location: tuple[str, str]) -> float:
     """Attractiveness of a location for a new IXP site.
 
     An AS is attributed to the location when it has a membership at any
     IXP there (matched on country and city, case-insensitively). Each
     attributed AS contributes 1 / (1 + degree), so a location scores high
     when it hosts many ASes that are still poorly connected elsewhere.
-    The contribution function is pluggable via ``score_fn``.
     """
-    if score_fn is None:
-        score_fn = lambda deg: 1.0 / (1.0 + deg)
-
     def norm(loc: tuple[str, str]) -> tuple[str, str]:
         return (loc[0].casefold(), loc[1].casefold())
 
-    if ixp_locations is None:
-        ixp_locations = {
-            ixp_id: (node.location.country, node.location.city)
-            for ixp_id, node in graph.ixps.items()
-            if node.location is not None
-        }
+    ixp_locations = {
+        ixp_id: (node.location.country, node.location.city)
+        for ixp_id, node in graph.ixps.items()
+        if node.location is not None
+    }
     if not ixp_locations:
         raise NoLocationData("no IXP has location data")
 
@@ -256,4 +243,4 @@ def site_selection_score(
     attributed: set[int] = set()
     for ixp_id in local_ixps:
         attributed |= graph.members(ixp_id)
-    return float(sum(score_fn(len(graph.memberships(a))) for a in sorted(attributed)))
+    return float(sum(1.0 / (1.0 + len(graph.memberships(a))) for a in sorted(attributed)))

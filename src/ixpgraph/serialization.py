@@ -23,11 +23,11 @@ from .model import (
     Location,
     MAX_ASN,
     MembershipEdge,
-    Multigraph,
     Source,
 )
 
 FORMAT_VERSION = 1
+_NUMBER = (int, float, type(None))
 
 
 def _location_to_dict(location: Location | None):
@@ -74,10 +74,21 @@ def graph_to_dict(graph: BipartiteGraph) -> dict:
     }
 
 
-def _ixp_id(value) -> str:
-    if not isinstance(value, str):
-        raise FormatError(f"ixp_id must be a string, got {value!r}")
+def _typed(name: str, value, kinds, what: str):
+    """``value`` when it is an instance of ``kinds`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise FormatError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _strings(name: str, value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FormatError(f"{name} must be a list of strings, got {value!r}")
+    return list(value)
+
+
+def _ixp_id(value) -> str:
+    return _typed("ixp_id", value, str, "a string")
 
 
 def _asn(value) -> int:
@@ -104,14 +115,14 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
             loc = item.get("location")
             ixps[ixp_id] = IxpNode(
                 ixp_id=ixp_id,
-                names=list(item["names"]),
-                peering_prefixes=list(item.get("peering_prefixes", [])),
+                names=_strings("names", item["names"]),
+                peering_prefixes=_strings("peering_prefixes", item.get("peering_prefixes", [])),
                 status=IxpStatus(item.get("status", "Active")),
                 location=None if loc is None else Location(
-                    country=loc["country"],
-                    city=loc["city"],
-                    lat=loc.get("lat"),
-                    lon=loc.get("lon"),
+                    country=_typed("country", loc["country"], str, "a string"),
+                    city=_typed("city", loc["city"], str, "a string"),
+                    lat=_typed("lat", loc.get("lat"), _NUMBER, "a number or null"),
+                    lon=_typed("lon", loc.get("lon"), _NUMBER, "a number or null"),
                 ),
             )
         ases = {}
@@ -122,7 +133,8 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
             ases[asn] = AsNode(
                 asn=asn,
                 as_type=AsType(item.get("as_type", "Unknown")),
-                prefix_count=item.get("prefix_count"),
+                prefix_count=_typed("prefix_count", item.get("prefix_count"),
+                                    (int, type(None)), "an integer or null"),
             )
         edges = {}
         for item in data["edges"]:
@@ -132,7 +144,8 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
             edges[key] = MembershipEdge(
                 ixp_id=key[0],
                 asn=key[1],
-                member_ip=item.get("member_ip"),
+                member_ip=_typed("member_ip", item.get("member_ip"),
+                                 (str, type(None)), "a string or null"),
                 sources=frozenset(Source(s) for s in item.get("sources", ["Other"])),
             )
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
@@ -172,10 +185,4 @@ def read_graph(path) -> BipartiteGraph:
 def membership_edgelist(graph: BipartiteGraph) -> str:
     """Bipartite edges as TSV lines "ixp_id<TAB>asn", sorted."""
     lines = [f"{ixp_id}\t{asn}" for ixp_id, asn in sorted(graph.edges)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def projection_edgelist(mg: Multigraph) -> str:
-    """Projection edges as TSV lines "u<TAB>v<TAB>multiplicity", sorted."""
-    lines = [f"{u}\t{v}\t{len(vias)}" for (u, v), vias in sorted(mg.edges.items())]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's own adjacency caches and search
 code: everything is recomputed from the raw edge list with the most naive
-algorithm available, so agreement with the package is meaningful.
+algorithm available, so agreement with the package is meaningful. The
+centrality and clustering oracles are networkx's own implementations,
+which the package's kernels must match value for value.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 
-from ixpgraph.model import BipartiteGraph, NodeClass
+import networkx as nx
+
+from ixpgraph.model import BipartiteGraph, Multigraph, NodeClass
 
 
 def bf_adjacency(graph: BipartiteGraph) -> dict:
@@ -87,3 +91,18 @@ def bf_gain(graph: BipartiteGraph, a: int, b: int) -> int:
 
 def harmonic(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
+
+
+def _simple_graph(mg: Multigraph) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(sorted(mg.nodes))
+    g.add_edges_from(sorted(mg.edges))
+    return g
+
+
+def nx_betweenness(mg: Multigraph) -> dict:
+    return dict(nx.betweenness_centrality(_simple_graph(mg), normalized=True))
+
+
+def nx_clustering(mg: Multigraph) -> dict:
+    return dict(nx.clustering(_simple_graph(mg)))

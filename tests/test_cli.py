@@ -27,6 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env(**extra) -> dict:
+    """The environment for a CLI subprocess that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
 @pytest.fixture
 def typed_g0_file(tmp_path):
     path = tmp_path / "g0_typed.json"
@@ -139,15 +146,13 @@ class TestMetrics:
         assert out == "ixps_crossed,count,percent\n1,5,83.3\n2,1,16.7\n"
 
     def test_betweenness_independent_of_hash_seed(self, tmp_path):
-        # String IXP ids hash differently per interpreter; a graph of this
-        # shape gave seed-dependent last digits before insertion was sorted.
+        # String IXP ids hash differently per interpreter; on a graph of this
+        # shape, any set-order dependence shows in the last digits.
         path = tmp_path / "g.json"
         serialization.write_graph(paper_scale_graph(n_ixp=200, n_as=150), path)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+            env = subprocess_env(PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "ixpgraph.cli", "metrics", str(path), "betweenness"],
                 env=env, capture_output=True, check=True,
@@ -372,6 +377,40 @@ def _asn_value(value):
     return mutate
 
 
+class TestWithoutNetworkx:
+    # A None entry in sys.modules makes every import of networkx fail.
+    PRELUDE = ("import sys; sys.modules['networkx'] = None; "
+               "from ixpgraph.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def cli(self, *argv) -> str:
+        proc = subprocess.run([sys.executable, "-c", self.PRELUDE, *argv],
+                              env=subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_commands_need_no_networkx(self, tmp_path, g0_file, capsys):
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        built = tmp_path / "built.json"
+        self.cli("build", str(pdb), str(pch), str(built))
+        assert self.cli("export", str(built), "--format", "json") == built.read_text(encoding="utf-8")
+        assert self.cli("place", str(g0_file), "tunnels", "--as", "1")
+        for which in ("betweenness", "clustering"):
+            for node_class in ("ixp", "as"):
+                argv = ("metrics", str(g0_file), which, "--class", node_class)
+                assert self.cli(*argv) == run(capsys, *argv)[1]
+
+
+def _set(section, key, value):
+    def mutate(doc):
+        doc[section][0][key] = value
+    return mutate
+
+
+def _location(**fields):
+    return _set("ixps", "location", {"country": "GR", "city": "Athens", "lat": None,
+                                     "lon": None, **fields})
+
+
 class TestGraphValidation:
     @pytest.mark.parametrize("mutate", [
         _int_ixp_id,
@@ -383,8 +422,19 @@ class TestGraphValidation:
         lambda doc: doc["ixps"].append(dict(doc["ixps"][0])),
         lambda doc: doc["ases"].append(dict(doc["ases"][0])),
         lambda doc: doc["edges"].append(dict(doc["edges"][0])),
+        _set("ixps", "names", "Alpha"),
+        _set("ixps", "names", ["Alpha", 2]),
+        _set("ixps", "peering_prefixes", ["192.0.2.0/24", 24]),
+        _set("ases", "prefix_count", True),
+        _set("edges", "member_ip", 5),
+        _location(country=7),
+        _location(city=None),
+        _location(lat="north"),
+        _location(lon=True),
     ], ids=["int-ixp-id", "bool-asn", "str-asn", "float-asn", "zero-asn",
-            "33-bit-asn", "duplicate-ixp", "duplicate-as", "duplicate-edge"])
+            "33-bit-asn", "duplicate-ixp", "duplicate-as", "duplicate-edge",
+            "str-names", "int-name", "int-prefix", "bool-prefix-count",
+            "int-member-ip", "int-country", "null-city", "str-lat", "bool-lon"])
     def test_bad_document_is_one_line_error(self, tmp_path, capsys, mutate):
         doc = serialization.graph_to_dict(make_g0())
         mutate(doc)

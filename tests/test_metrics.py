@@ -42,7 +42,7 @@ from ixpgraph.model import (
 from ixpgraph.projection import project
 
 from conftest import make_g0, random_bipartite
-from oracles import bf_gain, bf_ixp_count_distribution
+from oracles import bf_gain, bf_ixp_count_distribution, nx_betweenness, nx_clustering
 
 
 def graph_of(memberships: dict[int, tuple[str, ...]],
@@ -378,6 +378,31 @@ class TestCentralityAndClustering:
     def test_g0_as_clustering(self, g0):
         values = clustering_coefficient(project(g0, NodeClass.AS))
         assert values == {1: 1.0, 2: pytest.approx(2 / 3), 3: pytest.approx(2 / 3), 4: 1.0}
+
+    SMALL = [
+        {1: ("X1",)},                                   # one node per class
+        {1: ("X1",), 2: ("X1",)},                       # two, joined
+        {1: ("X1",), 2: ("X2",)},                       # two, apart
+        {1: ("X1", "X2"), 2: ("X2", "X3")},             # three on a path
+        {1: ("X1",), 2: ("X1",), 3: ("X1",)},           # triangle
+        {1: ("X1",), 2: ("X1",), 3: ("X2",)},           # pair plus isolated
+        {1: ("X1", "X2"), 2: ("X2",), 3: ("X3", "X4"), 4: ("X4",)},  # two components
+    ]
+
+    @staticmethod
+    def assert_exact(values, expected):
+        assert list(values.items()) == list(expected.items())
+        assert [type(v) for v in values.values()] == [type(v) for v in expected.values()]
+
+    @pytest.mark.parametrize("node_class", list(NodeClass))
+    def test_kernels_equal_networkx(self, node_class):
+        rng = random.Random(2001)
+        graphs = [graph_of(m) for m in self.SMALL]
+        graphs += [random_bipartite(rng, max_ixps=25, max_ases=40) for _ in range(60)]
+        for graph in graphs:
+            mg = project(graph, node_class)
+            self.assert_exact(betweenness_centrality(mg), nx_betweenness(mg))
+            self.assert_exact(clustering_coefficient(mg), nx_clustering(mg))
 
     def test_empty_multigraph(self):
         from ixpgraph.model import Multigraph

@@ -15,14 +15,11 @@ from ixpgraph.model import (
     Source,
     build_graph,
 )
-from ixpgraph.projection import project
-from ixpgraph.model import NodeClass
 from ixpgraph.serialization import (
     dumps_graph,
     graph_from_dict,
     graph_to_dict,
     membership_edgelist,
-    projection_edgelist,
     read_graph,
     write_graph,
 )
@@ -147,7 +144,3 @@ class TestEdgelists:
         from ixpgraph.model import BipartiteGraph
 
         assert membership_edgelist(BipartiteGraph()) == ""
-
-    def test_projection_edgelist(self, g0):
-        text = projection_edgelist(project(g0, NodeClass.IXP))
-        assert text == "X1\tX2\t2\nX1\tX3\t1\n"
