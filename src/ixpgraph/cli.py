@@ -41,11 +41,19 @@ def _require_types(graph: BipartiteGraph) -> None:
         )
 
 
-def _metric_degree_cdf(graph, args) -> MetricOutput:
-    dist = metrics.degree_distribution(graph, _CLASS[args.node_class])
+def _cdf_output(column: str, dist: metrics.Distribution) -> MetricOutput:
     cdf = dict(dist.cdf())
     rows = [(value, count, cdf[value]) for value, count in dist.values]
-    return MetricOutput(("degree", "count", "cdf"), rows)
+    return MetricOutput((column, "count", "cdf"), rows)
+
+
+def _percent_output(column: str, pairs, total: int) -> MetricOutput:
+    rows = [(value, count, 100 * count / total) for value, count in pairs]
+    return MetricOutput((column, "count", "percent"), rows, frozenset({"percent"}))
+
+
+def _metric_degree_cdf(graph, args) -> MetricOutput:
+    return _cdf_output("degree", metrics.degree_distribution(graph, _CLASS[args.node_class]))
 
 
 def _metric_member_types(graph, args) -> MetricOutput:
@@ -60,10 +68,7 @@ def _metric_member_types(graph, args) -> MetricOutput:
 
 def _metric_member_types_cdf(graph, args) -> MetricOutput:
     _require_types(graph)
-    dist = metrics.type_fraction_distribution(graph, _TYPE[args.as_type])
-    cdf = dict(dist.cdf())
-    rows = [(value, count, cdf[value]) for value, count in dist.values]
-    return MetricOutput(("fraction", "count", "cdf"), rows)
+    return _cdf_output("fraction", metrics.type_fraction_distribution(graph, _TYPE[args.as_type]))
 
 
 def _metric_table1(graph, args) -> MetricOutput:
@@ -82,36 +87,18 @@ def _metric_table1(graph, args) -> MetricOutput:
 
 
 def _metric_table2(graph, args) -> MetricOutput:
-    dist = metrics.shortest_path_ixp_counts(
-        graph,
-        sample_size=args.sample,
-        seed=args.seed,
-    )
-    rows = [
-        (value, count, 100 * count / dist.total) for value, count in dist.values
-    ]
-    return MetricOutput(
-        ("ixps_crossed", "count", "percent"), rows, percent_columns=frozenset({"percent"})
-    )
+    dist = metrics.shortest_path_ixp_counts(graph, sample_size=args.sample, seed=args.seed)
+    return _percent_output("ixps_crossed", dist.values, dist.total)
 
 
 def _metric_table3(graph, args) -> MetricOutput:
     mg = projection.project(graph, _CLASS[args.node_class])
     dist = metrics.multiplicity_distribution(mg)
-    rows = [
-        (label, count, 100 * count / dist.total)
-        for label, count in dist.bucket_tail(args.tail)
-    ]
-    return MetricOutput(
-        ("multiplicity", "count", "percent"), rows, percent_columns=frozenset({"percent"})
-    )
+    return _percent_output("multiplicity", dist.bucket_tail(args.tail), dist.total)
 
 
 def _metric_gain_cdf(graph, args) -> MetricOutput:
-    dist = metrics.remote_peering_gain_cdf(graph)
-    cdf = dict(dist.cdf())
-    rows = [(value, count, cdf[value]) for value, count in dist.values]
-    return MetricOutput(("gain", "count", "cdf"), rows)
+    return _cdf_output("gain", metrics.remote_peering_gain_cdf(graph))
 
 
 def _metric_correlation(graph, args) -> MetricOutput:

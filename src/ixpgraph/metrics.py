@@ -12,6 +12,8 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InsufficientData, NotColocated
@@ -152,6 +154,27 @@ def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> Ty
     return TypeShareTable(rows=tuple(rows))
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _as_index(graph: BipartiteGraph) -> tuple[list[int], dict[str, int], list[int]]:
+    """ASNs in sorted order, each IXP's members as a bitmask over those
+    indices, and each AS's reach mask: the OR of its IXPs' member masks,
+    which holds the AS itself unless it has no membership."""
+    asns = sorted(graph.ases)
+    index = {a: i for i, a in enumerate(asns)}
+    members = {x: sum(1 << index[a] for a in graph.members(x)) for x in graph.ixps}
+    reach = [reduce(or_, map(members.get, graph.memberships(a)), 0) for a in asns]
+    return asns, members, reach
+
+
 def shortest_path_ixp_counts(
     graph: BipartiteGraph,
     sample_size: int | None = None,
@@ -164,17 +187,17 @@ def shortest_path_ixp_counts(
     searched and each unordered pair touching the sample is tallied once;
     a sample covering all ASes reproduces the full enumeration exactly.
 
-    ASes are indexed in ASN order and each IXP holds its members as a
-    bitmask. Sources with the same IXP set see the same distances, so one
-    IXP-level BFS runs per such class: a target first reached through the
-    k-th IXP level crosses k IXPs, and each level's new ASes are counted
-    with a popcount scaled by the class size. A target inside the sample
-    is also a source and counts half from each end; one outside counts
-    once. Raises Disconnected if some AS is unreachable from a source.
+    On the masks of ``_as_index``, a source's reach mask is its first IXP
+    level and each next level is the unreached members of the IXPs touching
+    the last, so sources with one reach mask share one BFS: a target first
+    reached at level k crosses k IXPs, and each level's new ASes are
+    counted with a popcount scaled by the class size. A target inside the
+    sample is also a source and counts half from each end; one outside
+    counts once. Raises Disconnected if some AS is unreachable from a source.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    asns = sorted(graph.ases)
+    asns, members, reach = _as_index(graph)
     n_as = len(asns)
     if n_as < 2:
         return Distribution.from_counts({})
@@ -185,35 +208,31 @@ def shortest_path_ixp_counts(
             raise ValueError("sample_size must be positive")
         sources = random.Random(seed).sample(range(n_as), sample_size)
 
-    as_index = {a: i for i, a in enumerate(asns)}
-    ixp_ids = sorted(graph.ixps)
-    ixp_index = {x: i for i, x in enumerate(ixp_ids)}
-    members = [sum(1 << as_index[a] for a in graph.members(x)) for x in ixp_ids]
-    everyone = (1 << n_as) - 1
-    outside = everyone
-    classes: dict[frozenset, list[int]] = {}
+    outside = everyone = (1 << n_as) - 1
+    classes: dict[int, list[int]] = {}
     for s in sources:
         outside ^= 1 << s
-        entry = classes.setdefault(frozenset(graph.memberships(asns[s])), [0, asns[s]])
+        entry = classes.setdefault(reach[s], [0, asns[s]])
         entry[0] += 1
 
     # Counted doubled so that a half-weight target stays an integer.
     doubled: Counter = Counter()
-    for signature, (size, asn) in classes.items():
-        frontier = [ixp_index[x] for x in signature]
-        unvisited = set(range(len(ixp_ids))).difference(frontier)
-        reached = 0
-        crossed = 0
-        while frontier:
+    for new, (size, asn) in classes.items():
+        unvisited = list(members.values())
+        reached = crossed = 0
+        while new:
             crossed += 1
-            new = 0
-            for x in frontier:
-                new |= members[x]
-            new &= ~reached
             reached |= new
             doubled[crossed] += size * (new.bit_count() + (new & outside).bit_count())
-            frontier = [x for x in unvisited if members[x] & new]
-            unvisited.difference_update(frontier)
+            following = 0
+            rest = []
+            for mask in unvisited:
+                if mask & new:
+                    following |= mask
+                else:
+                    rest.append(mask)
+            unvisited = rest
+            new = following & ~reached
         if reached != everyone:
             raise Disconnected(
                 f"{n_as - reached.bit_count()} AS nodes unreachable from AS {asn}"
@@ -234,14 +253,6 @@ def multiplicity_distribution(mg: Multigraph) -> Distribution:
     return Distribution.from_counts(counts)
 
 
-def _reach(graph: BipartiteGraph, asn: int) -> set[int]:
-    """All ASes present at any of the given AS's IXPs (itself included)."""
-    out: set[int] = set()
-    for ixp_id in graph.memberships(asn):
-        out |= graph.members(ixp_id)
-    return out
-
-
 def remote_peering_gain(graph: BipartiteGraph, a: int, b: int) -> int:
     """New neighbors AS ``a`` gains by tunneling through co-located AS ``b``.
 
@@ -253,18 +264,25 @@ def remote_peering_gain(graph: BipartiteGraph, a: int, b: int) -> int:
         raise ValueError("remote peering needs two distinct ASes")
     if not (graph.memberships(a) & graph.memberships(b)):
         raise NotColocated(f"ASes {a} and {b} share no IXP")
-    return len(_reach(graph, b) - _reach(graph, a))
+    reach_a, reach_b = (set().union(*map(graph.members, graph.memberships(x))) for x in (a, b))
+    return len(reach_b - reach_a)
+
+
+def _partner_gains(reach: list[int], i: int) -> tuple[list[int], list[int]]:
+    """The ASes co-located with AS i (the set bits j != i of ``reach[i]``)
+    and the gain of i through each: ``(reach[j] & ~reach[i]).bit_count()``,
+    which is ``remote_peering_gain`` of the two ASNs."""
+    partners = _bits(reach[i] & ~(1 << i))
+    missing = ~reach[i]
+    return partners, [(reach[j] & missing).bit_count() for j in partners]
 
 
 def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
     """Gain distribution over all ordered co-located AS pairs."""
-    reach = {asn: _reach(graph, asn) for asn in graph.ases}
+    _, _, reach = _as_index(graph)
     tally: Counter = Counter()
-    for a in graph.ases:
-        for b in reach[a]:
-            if b == a:
-                continue
-            tally[len(reach[b] - reach[a])] += 1
+    for i in range(len(reach)):
+        tally.update(_partner_gains(reach, i)[1])
     return Distribution.from_counts(tally)
 
 
@@ -297,16 +315,6 @@ def _adjacency(mg: Multigraph) -> tuple[list, list[int]]:
         nb[i] |= 1 << j
         nb[j] |= 1 << i
     return nodes, nb
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def betweenness_centrality(mg: Multigraph) -> dict:

@@ -45,11 +45,22 @@ class NodeClass(str, Enum):
     AS = "AS"
 
 
-class Location(NamedTuple):
+@dataclass(frozen=True)
+class Location:
+    """An IXP's metro; ``lat`` and ``lon``, when known, are finite degrees
+    in [-90, 90] and [-180, 180]."""
+
     country: str
     city: str
     lat: float | None = None
     lon: float | None = None
+
+    def __post_init__(self):
+        for name, value, limit in (("lat", self.lat, 90), ("lon", self.lon, 180)):
+            # NaN and the infinities fail this range test too.
+            if value is not None and not -limit <= value <= limit:
+                raise ValueError(f"{name} must be a finite number in "
+                                 f"[-{limit}, {limit}], got {value!r}")
 
 
 @dataclass

@@ -213,10 +213,9 @@ def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     """
     if asn not in graph.ases:
         raise UnknownNode(f"unknown AS {asn}")
-    partners = metrics._reach(graph, asn) - {asn}
-    ranked = [(b, metrics.remote_peering_gain(graph, asn, b)) for b in sorted(partners)]
-    ranked.sort(key=lambda bg: (-bg[1], bg[0]))
-    return ranked
+    asns, _, reach = metrics._as_index(graph)
+    partners, gains = metrics._partner_gains(reach, asns.index(asn))
+    return sorted(zip([asns[j] for j in partners], gains), key=lambda bg: (-bg[1], bg[0]))
 
 
 def site_selection_score(graph: BipartiteGraph, location: tuple[str, str]) -> float:

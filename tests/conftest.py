@@ -74,6 +74,21 @@ def random_bipartite(rng: random.Random, max_ixps: int = 50,
     )
 
 
+def gain_test_graphs(seed: int = 11, count: int = 60) -> list[BipartiteGraph]:
+    """Small random graphs for the remote-peering oracles, led by one with
+    an AS without memberships (8), an IXP with a single member (X3) and
+    several components."""
+    memberships = {1: ("X1",), 2: ("X1",), 3: ("X1", "X2"), 4: ("X2",), 5: ("X3",),
+                   6: ("X4",), 7: ("X4",), 8: ()}
+    fixed = build_graph(
+        [IxpNode(x, [x]) for x in ("X1", "X2", "X3", "X4")],
+        [AsNode(a) for a in memberships],
+        [MembershipEdge(x, a) for a, xs in memberships.items() for x in xs],
+    )
+    rng = random.Random(seed)
+    return [fixed] + [random_bipartite(rng, max_ixps=12, max_ases=40) for _ in range(count - 1)]
+
+
 @pytest.fixture
 def g0_file(tmp_path):
     """G0 written as a canonical graph file, for CLI-level tests."""

@@ -89,6 +89,20 @@ def bf_gain(graph: BipartiteGraph, a: int, b: int) -> int:
     return len(gained)
 
 
+def bf_gain_cdf(graph: BipartiteGraph) -> Counter:
+    """Gain tally over all ordered co-located AS pairs, pair by pair with
+    ``bf_gain``; co-location is read off the raw edge list."""
+    ixps_of: dict = {a: set() for a in graph.ases}
+    for x, a in graph.edges:
+        ixps_of[a].add(x)
+    tally: Counter = Counter()
+    for a in graph.ases:
+        for b in graph.ases:
+            if a != b and ixps_of[a] & ixps_of[b]:
+                tally[bf_gain(graph, a, b)] += 1
+    return tally
+
+
 def harmonic(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
 

@@ -394,6 +394,9 @@ class TestWithoutNetworkx:
         self.cli("build", str(pdb), str(pch), str(built))
         assert self.cli("export", str(built), "--format", "json") == built.read_text(encoding="utf-8")
         assert self.cli("place", str(g0_file), "tunnels", "--as", "1")
+        for which in ("gain-cdf", "table2"):
+            argv = ("metrics", str(g0_file), which)
+            assert self.cli(*argv) == run(capsys, *argv)[1]
         for which in ("betweenness", "clustering"):
             for node_class in ("ixp", "as"):
                 argv = ("metrics", str(g0_file), which, "--class", node_class)
@@ -431,10 +434,15 @@ class TestGraphValidation:
         _location(city=None),
         _location(lat="north"),
         _location(lon=True),
+        _location(lat=float("nan")),
+        _location(lon=float("inf")),
+        _location(lat=-90.5),
+        _location(lon=999.5),
     ], ids=["int-ixp-id", "bool-asn", "str-asn", "float-asn", "zero-asn",
             "33-bit-asn", "duplicate-ixp", "duplicate-as", "duplicate-edge",
             "str-names", "int-name", "int-prefix", "bool-prefix-count",
-            "int-member-ip", "int-country", "null-city", "str-lat", "bool-lon"])
+            "int-member-ip", "int-country", "null-city", "str-lat", "bool-lon",
+            "nan-lat", "inf-lon", "south-of-pole-lat", "out-of-range-lon"])
     def test_bad_document_is_one_line_error(self, tmp_path, capsys, mutate):
         doc = serialization.graph_to_dict(make_g0())
         mutate(doc)

@@ -296,6 +296,23 @@ class TestSanitize:
         assert graph.num_edges == 2
         assert DiscardReason.IP_INCONSISTENT not in report.reasons
 
+    def test_ixp_without_prefix_drops_rows_with_ip(self, tmp_path):
+        # No peering prefix in either source: stage 2 finds no LAN that
+        # holds a member IP, so every row that reports one is dropped.
+        pdb = parse(tmp_path, [
+            "PDB,k1,Alpha,,64500,192.0.2.1,Active,,",
+            "PDB,k1,Alpha,,64501,,Active,,",
+            "PDB,k1,Alpha,,64502,,Active,,",
+        ])
+        pch = parse(tmp_path, ["PCH,7,ALPHA,,64501,2001:db8::1,Active,,"],
+                    Source.PCH, "pch.csv")
+        identities = merge_ixp_lists(pdb.records, pch.records)
+        assert [i.peering_prefixes for i in identities.values()] == [()]
+        graph, report = sanitize(pdb.records + pch.records, identities)
+        assert report.reasons[DiscardReason.IP_INCONSISTENT] == ReasonTally(0, 2)
+        assert sorted(graph.edges) == [("IXP0001", 64501), ("IXP0001", 64502)]
+        assert all(edge.member_ip is None for edge in graph.edges.values())
+
     def test_report_dict_shape(self, tmp_path):
         _, report = self.run_fixture(tmp_path)
         data = report.to_dict()
@@ -340,6 +357,18 @@ class TestAttachAttributes:
                         encoding="utf-8")
         graph, _ = attach_attributes(graph, locations_path=locs)
         assert graph.ixps["IXP0001"].location.lat is None
+
+    def test_bad_coordinates_warned(self, tmp_path):
+        graph = self.build(tmp_path)
+        locs = tmp_path / "locs.csv"
+        locs.write_text("ixp_id,country,city,lat,lon\n"
+                        "IXP0001,DE,Frankfurt,nan,8.68\n"
+                        "IXP0001,DE,Frankfurt,50.1,inf\n"
+                        "IXP0001,DE,Frankfurt,50.1,999.5\n"
+                        "IXP0001,DE,Frankfurt,-90.5,8.68\n", encoding="utf-8")
+        graph, warnings = attach_attributes(graph, locations_path=locs)
+        assert warnings == 4
+        assert graph.ixps["IXP0001"].location is None
 
     def test_unknown_rows_warned(self, tmp_path):
         graph = self.build(tmp_path)

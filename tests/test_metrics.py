@@ -41,8 +41,14 @@ from ixpgraph.model import (
 )
 from ixpgraph.projection import project
 
-from conftest import make_g0, random_bipartite
-from oracles import bf_gain, bf_ixp_count_distribution, nx_betweenness, nx_clustering
+from conftest import gain_test_graphs, make_g0, random_bipartite
+from oracles import (
+    bf_gain,
+    bf_gain_cdf,
+    bf_ixp_count_distribution,
+    nx_betweenness,
+    nx_clustering,
+)
 
 
 def graph_of(memberships: dict[int, tuple[str, ...]],
@@ -308,6 +314,19 @@ class TestRemotePeeringGainCdf:
                     continue
                 expected[bf_gain(g0, a, b)] += 1
         assert dict(remote_peering_gain_cdf(g0).values) == dict(expected)
+
+    def test_matches_oracle_on_random_graphs(self):
+        graphs = gain_test_graphs()
+        # The cases the masks must get right: an AS with no membership (its
+        # reach mask lacks its own bit), a single-member IXP, no pairs at all.
+        assert any(not g.memberships(a) for g in graphs for a in g.ases)
+        assert any(len(g.members(x)) == 1 for g in graphs for x in g.ixps)
+        assert any(remote_peering_gain_cdf(g).total == 0 for g in graphs)
+        for graph in graphs:
+            expected = bf_gain_cdf(graph)
+            dist = remote_peering_gain_cdf(graph)
+            assert dict(dist.values) == dict(expected)
+            assert dist.total == sum(expected.values())
 
     def test_single_shared_ixp_all_zero(self):
         graph = graph_of({1: ("X1",), 2: ("X1",), 3: ("X1",)})

@@ -61,6 +61,18 @@ class TestNodeValidation:
         loc = Location("DE", "Frankfurt")
         assert loc.lat is None and loc.lon is None
 
+    def test_location_bounds_accepted(self):
+        assert Location("AQ", "Pole", -90, 180.0).lat == -90
+        assert Location("NO", "North", 90.0, -180).lon == -180
+
+    @pytest.mark.parametrize("lat, lon", [
+        (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0),
+        (0.0, float("-inf")), (90.5, 0.0), (-91, 0.0), (0.0, 999.5), (0.0, -180.01),
+    ])
+    def test_location_coordinates_finite_and_in_range(self, lat, lon):
+        with pytest.raises(ValueError):
+            Location("DE", "Frankfurt", lat, lon)
+
 
 class TestBipartiteGraph:
     def test_edge_with_missing_endpoint_rejected(self):

@@ -30,8 +30,8 @@ from ixpgraph.placement import (
     site_selection_score,
 )
 
-from conftest import make_g0
-from oracles import harmonic
+from conftest import gain_test_graphs, make_g0
+from oracles import bf_gain, harmonic
 
 
 def instance_of(candidates: dict[str, set[int]],
@@ -289,6 +289,14 @@ class TestRankTunnels:
         for a in g0.ases:
             for b, gain in rank_tunnels(g0, a):
                 assert gain == remote_peering_gain(g0, a, b)
+
+    def test_matches_oracle_on_random_graphs(self):
+        for graph in gain_test_graphs():
+            for a in graph.ases:
+                partners = {b for x, b in graph.edges if (x, a) in graph.edges} - {a}
+                expected = sorted(((b, bf_gain(graph, a, b)) for b in partners),
+                                  key=lambda bg: (-bg[1], bg[0]))
+                assert rank_tunnels(graph, a) == expected
 
     def test_sorted_by_gain_then_asn(self):
         graph = build_graph(
