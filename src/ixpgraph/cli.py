@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-from . import ingest, metrics, placement, projection, serialization
+from . import ingest, metrics, placement, serialization
 from .errors import InsufficientData, IxpGraphError
 from .model import AsType, BipartiteGraph, NodeClass
 
@@ -92,8 +92,7 @@ def _metric_table2(graph, args) -> MetricOutput:
 
 
 def _metric_table3(graph, args) -> MetricOutput:
-    mg = projection.project(graph, _CLASS[args.node_class])
-    dist = metrics.multiplicity_distribution(mg)
+    dist = metrics.multiplicity_distribution(graph, _CLASS[args.node_class])
     return _percent_output("multiplicity", dist.bucket_tail(args.tail), dist.total)
 
 
@@ -105,16 +104,11 @@ def _metric_correlation(graph, args) -> MetricOutput:
     return MetricOutput(("correlation",), [(metrics.degree_prefix_correlation(graph),)])
 
 
-def _metric_betweenness(graph, args) -> MetricOutput:
-    mg = projection.project(graph, _CLASS[args.node_class])
-    values = metrics.betweenness_centrality(mg)
-    return MetricOutput(("node", "value"), [(n, values[n]) for n in sorted(values)])
-
-
-def _metric_clustering(graph, args) -> MetricOutput:
-    mg = projection.project(graph, _CLASS[args.node_class])
-    values = metrics.clustering_coefficient(mg)
-    return MetricOutput(("node", "value"), [(n, values[n]) for n in sorted(values)])
+def _metric_node_values(graph, args) -> MetricOutput:
+    kernel = {"betweenness": metrics.betweenness_centrality,
+              "clustering": metrics.clustering_coefficient}[args.which]
+    values = kernel(graph, _CLASS[args.node_class])
+    return MetricOutput(("node", "value"), sorted(values.items()))
 
 
 _METRICS: dict[str, tuple[str, Callable]] = {
@@ -126,8 +120,8 @@ _METRICS: dict[str, tuple[str, Callable]] = {
     "table3": ("edge-multiplicity shares over node pairs of one class", _metric_table3),
     "gain-cdf": ("remote-peering gain distribution over co-located AS pairs", _metric_gain_cdf),
     "correlation": ("Pearson correlation of AS degree vs announced prefixes", _metric_correlation),
-    "betweenness": ("betweenness centrality on a projection", _metric_betweenness),
-    "clustering": ("clustering coefficient on a projection", _metric_clustering),
+    "betweenness": ("betweenness centrality on a projection", _metric_node_values),
+    "clustering": ("clustering coefficient on a projection", _metric_node_values),
 }
 
 

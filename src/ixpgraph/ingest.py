@@ -318,7 +318,8 @@ def sanitize(
     source, with their edges; (2) drop edges whose member_ip falls outside
     every peering prefix of the unified IXP; (3) collapse duplicate
     (ixp, asn) edges across sources, merging their sources sets; (4) keep
-    only the giant component. Every step is tallied in the report.
+    only the giant component. Every step is tallied in the report, and a
+    node under the step that drops its last edge.
     """
     key_to_uid = {}
     for uid, ident in identities.items():
@@ -336,12 +337,15 @@ def sanitize(
     if parse_errors:
         report.reasons[DiscardReason.PARSE_ERROR] = ReasonTally(nodes=0, edges=parse_errors)
 
+    def vertices(rows: list[MembershipRecord]) -> set:
+        return {r.asn for r in rows} | {key_to_uid[(r.source, r.ixp_key)] for r in rows}
+
     # (1) inactive / not-approved IXPs
     bad_uids = {uid for uid, ident in identities.items() if ident.status is not IxpStatus.ACTIVE}
     stage1 = [r for r in records if key_to_uid[(r.source, r.ixp_key)] not in bad_uids]
     if bad_uids:
         report.reasons[DiscardReason.INACTIVE_IXP] = ReasonTally(
-            nodes=len(bad_uids), edges=len(records) - len(stage1)
+            len(bad_uids | (vertices(records) - vertices(stage1))), len(records) - len(stage1)
         )
 
     # (2) member IPs outside the unified IXP's peering LAN
@@ -360,7 +364,7 @@ def sanitize(
     stage2 = [r for r in stage1 if ip_consistent(r)]
     if len(stage2) < len(stage1):
         report.reasons[DiscardReason.IP_INCONSISTENT] = ReasonTally(
-            nodes=0, edges=len(stage1) - len(stage2)
+            nodes=len(vertices(stage1) - vertices(stage2)), edges=len(stage1) - len(stage2)
         )
 
     # (3) duplicate collapse across sources
@@ -412,11 +416,12 @@ def sanitize(
 
     graph = BipartiteGraph(ixps=ixp_nodes, ases=as_nodes, edges=edges)
 
-    # (4) giant component
+    # (4) giant component; nodes isolated at (1) or (2) are tallied there
     giant = model.giant_component(graph)
-    if giant.discarded_nodes or giant.discarded_edges:
+    nodes = report.nodes_total_pre - report.nodes_discarded - giant.graph.num_nodes
+    if nodes or giant.discarded_edges:
         report.reasons[DiscardReason.NOT_IN_GIANT_COMPONENT] = ReasonTally(
-            nodes=giant.discarded_nodes, edges=giant.discarded_edges
+            nodes=nodes, edges=giant.discarded_edges
         )
     return giant.graph, report
 

@@ -13,11 +13,12 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InsufficientData, NotColocated
-from .model import AsType, BipartiteGraph, Multigraph, NodeClass
+from .model import AsType, BipartiteGraph, NodeClass
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,14 @@ def degree_distribution(graph: BipartiteGraph, node_class: NodeClass) -> Distrib
     return Distribution.from_counts(Counter(degrees))
 
 
+def _type_fractions(graph: BipartiteGraph, asns) -> TypeFractions:
+    """Content, enterprise and ISP shares among ``asns``; 0.0 each if empty."""
+    counts = Counter(graph.ases[a].as_type for a in asns)
+    total = len(asns)
+    return TypeFractions(*(counts[t] / total if total else 0.0
+                           for t in (AsType.CONTENT, AsType.ENTERPRISE, AsType.ISP)))
+
+
 def member_type_fractions(graph: BipartiteGraph) -> dict[str, TypeFractions]:
     """Per-IXP fractions of members that are content, enterprise, or ISP ASes.
 
@@ -101,20 +110,7 @@ def member_type_fractions(graph: BipartiteGraph) -> dict[str, TypeFractions]:
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    out = {}
-    for ixp_id in graph.ixps:
-        members = graph.members(ixp_id)
-        total = len(members)
-        if total == 0:
-            out[ixp_id] = TypeFractions(0.0, 0.0, 0.0)
-            continue
-        counts = Counter(graph.ases[a].as_type for a in members)
-        out[ixp_id] = TypeFractions(
-            content=counts[AsType.CONTENT] / total,
-            enterprise=counts[AsType.ENTERPRISE] / total,
-            isp=counts[AsType.ISP] / total,
-        )
-    return out
+    return {x: _type_fractions(graph, graph.members(x)) for x in graph.ixps}
 
 
 def type_fraction_distribution(graph: BipartiteGraph, as_type: AsType) -> Distribution:
@@ -141,16 +137,7 @@ def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> Ty
         else:
             subset = [a for a in graph.ases if len(graph.memberships(a)) > t]
             label = f"ASes with degree >{t}"
-        total = len(subset)
-        counts = Counter(graph.ases[a].as_type for a in subset)
-        rows.append(
-            TypeShareRow(
-                label=label,
-                content=counts[AsType.CONTENT] / total if total else 0.0,
-                enterprise=counts[AsType.ENTERPRISE] / total if total else 0.0,
-                isp=counts[AsType.ISP] / total if total else 0.0,
-            )
-        )
+        rows.append(TypeShareRow(label, *_type_fractions(graph, subset)))
     return TypeShareTable(rows=tuple(rows))
 
 
@@ -164,15 +151,21 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _as_index(graph: BipartiteGraph) -> tuple[list[int], dict[str, int], list[int]]:
-    """ASNs in sorted order, each IXP's members as a bitmask over those
-    indices, and each AS's reach mask: the OR of its IXPs' member masks,
-    which holds the AS itself unless it has no membership."""
-    asns = sorted(graph.ases)
-    index = {a: i for i, a in enumerate(asns)}
-    members = {x: sum(1 << index[a] for a in graph.members(x)) for x in graph.ixps}
-    reach = [reduce(or_, map(members.get, graph.memberships(a)), 0) for a in asns]
-    return asns, members, reach
+def _index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, list[int]]:
+    """The nodes of ``node_class`` in sorted order, each other-class node's
+    neighbours as a bitmask over those indices, and each node's reach mask:
+    the OR of its neighbours' masks, which holds the node itself unless it
+    has no neighbour. Node i's projection neighbours are ``reach[i] & ~(1 << i)``."""
+    if node_class is NodeClass.IXP:
+        nodes, others = sorted(graph.ixps), graph.ases
+        of_node, of_other = graph.members, graph.memberships
+    else:
+        nodes, others = sorted(graph.ases), graph.ixps
+        of_node, of_other = graph.memberships, graph.members
+    index = {v: i for i, v in enumerate(nodes)}
+    masks = {o: sum(1 << index[v] for v in of_other(o)) for o in others}
+    reach = [reduce(or_, map(masks.get, of_node(v)), 0) for v in nodes]
+    return nodes, masks, reach
 
 
 def shortest_path_ixp_counts(
@@ -187,7 +180,7 @@ def shortest_path_ixp_counts(
     searched and each unordered pair touching the sample is tallied once;
     a sample covering all ASes reproduces the full enumeration exactly.
 
-    On the masks of ``_as_index``, a source's reach mask is its first IXP
+    On the AS-class masks of ``_index``, a source's reach mask is its first IXP
     level and each next level is the unreached members of the IXPs touching
     the last, so sources with one reach mask share one BFS: a target first
     reached at level k crosses k IXPs, and each level's new ASes are
@@ -197,7 +190,7 @@ def shortest_path_ixp_counts(
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    asns, members, reach = _as_index(graph)
+    asns, members, reach = _index(graph, NodeClass.AS)
     n_as = len(asns)
     if n_as < 2:
         return Distribution.from_counts({})
@@ -241,16 +234,23 @@ def shortest_path_ixp_counts(
     return Distribution.from_counts({k: c // 2 for k, c in doubled.items()})
 
 
-def multiplicity_distribution(mg: Multigraph) -> Distribution:
-    """Edge-multiplicity histogram over all unordered node pairs of the
-    class, multiplicity-0 pairs included."""
-    n = len(mg.nodes)
-    total_pairs = n * (n - 1) // 2
-    counts = Counter(len(vias) for vias in mg.edges.values())
-    zero = total_pairs - sum(counts.values())
-    if zero:
-        counts[0] = zero
-    return Distribution.from_counts(counts)
+def multiplicity_distribution(graph: BipartiteGraph, node_class: NodeClass) -> Distribution:
+    """Edge-multiplicity histogram of the projection onto ``node_class`` over
+    all unordered node pairs of the class, multiplicity-0 pairs included.
+    Each node tallies its partners over its neighbours' member lists, so
+    every pair is counted from both ends and the tallies are halved."""
+    if graph.num_nodes == 0:
+        raise EmptyGraph("graph has no vertices")
+    nodes, masks, _ = _index(graph, node_class)
+    lists: list[list[list[int]]] = [[] for _ in nodes]  # per node, its neighbours' member bits
+    for members in map(_bits, masks.values()):
+        for i in members:
+            lists[i].append(members)
+    doubled: Counter = Counter()
+    for i, own in enumerate(lists):
+        doubled.update(m for j, m in Counter(chain.from_iterable(own)).items() if j != i)
+    doubled[0] = len(nodes) * (len(nodes) - 1) - sum(doubled.values())
+    return Distribution.from_counts({m: c // 2 for m, c in doubled.items()})
 
 
 def remote_peering_gain(graph: BipartiteGraph, a: int, b: int) -> int:
@@ -279,7 +279,7 @@ def _partner_gains(reach: list[int], i: int) -> tuple[list[int], list[int]]:
 
 def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
     """Gain distribution over all ordered co-located AS pairs."""
-    _, _, reach = _as_index(graph)
+    _, _, reach = _index(graph, NodeClass.AS)
     tally: Counter = Counter()
     for i in range(len(reach)):
         tally.update(_partner_gains(reach, i)[1])
@@ -304,22 +304,9 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
         raise InsufficientData(str(exc)) from None
 
 
-def _adjacency(mg: Multigraph) -> tuple[list, list[int]]:
-    """Nodes in sorted order and, per node index, its neighbours as a
-    bitmask over those indices (parallel edges collapsed)."""
-    nodes = sorted(mg.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    nb = [0] * len(nodes)
-    for u, v in mg.edges:
-        i, j = index[u], index[v]
-        nb[i] |= 1 << j
-        nb[j] |= 1 << i
-    return nodes, nb
-
-
-def betweenness_centrality(mg: Multigraph) -> dict:
-    """Normalized betweenness centrality on the multigraph collapsed to
-    simple edges (normalization (n-1)(n-2)/2 for undirected graphs).
+def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict:
+    """Normalized betweenness centrality on the simple projection onto
+    ``node_class`` (normalization (n-1)(n-2)/2 for undirected graphs).
 
     Brandes' algorithm (2001), with its floating-point operations in the
     same order as networkx's ``betweenness_centrality``, so the values are
@@ -328,9 +315,10 @@ def betweenness_centrality(mg: Multigraph) -> dict:
     dependencies accumulated in reverse pop order. The BFS runs level by
     level on neighbour bitmasks; within a level, nodes keep FIFO pop order.
     """
-    if not mg.nodes:
-        raise EmptyGraph("multigraph has no nodes")
-    nodes, nb = _adjacency(mg)
+    nodes, _, reach = _index(graph, node_class)
+    if not nodes:
+        raise EmptyGraph("projection has no nodes")
+    nb = [r & ~(1 << i) for i, r in enumerate(reach)]
     n = len(nodes)
     centrality = [0.0] * n
     for s in range(n):
@@ -369,17 +357,17 @@ def betweenness_centrality(mg: Multigraph) -> dict:
     return dict(zip(nodes, centrality))
 
 
-def clustering_coefficient(mg: Multigraph) -> dict:
-    """Local clustering coefficient on the multigraph collapsed to simple
-    edges.
+def clustering_coefficient(graph: BipartiteGraph, node_class: NodeClass) -> dict:
+    """Local clustering coefficient on the simple projection onto ``node_class``.
 
     A node of degree d with t ordered pairs of adjacent neighbours (twice
     its triangles) scores t / (d(d-1)); a node in no triangle scores the
     int 0, as networkx's ``clustering`` does.
     """
-    if not mg.nodes:
-        raise EmptyGraph("multigraph has no nodes")
-    nodes, nb = _adjacency(mg)
+    nodes, _, reach = _index(graph, node_class)
+    if not nodes:
+        raise EmptyGraph("projection has no nodes")
+    nb = [r & ~(1 << i) for i, r in enumerate(reach)]
     out = {}
     for v, mask in zip(nodes, nb):
         t = sum((mask & nb[w]).bit_count() for w in _bits(mask))

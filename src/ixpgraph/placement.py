@@ -8,13 +8,14 @@ exhaustive oracle for small instances, so solution quality is checkable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import metrics
 from .errors import NoLocationData, TooLarge, Uncoverable, UnknownNode, UnknownTarget
-from .model import BipartiteGraph
+from .model import BipartiteGraph, NodeClass
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
@@ -38,10 +39,10 @@ class CoverageInstance:
         for asn in self.universe:
             if asn not in self.weight:
                 raise ValueError(f"universe element {asn} has no weight")
-        if any(c <= 0 for c in self.cost.values()):
-            raise ValueError("costs must be positive")
-        if any(w <= 0 for w in self.weight.values()):
-            raise ValueError("weights must be positive")
+        if not all(0 < c < math.inf for c in self.cost.values()):
+            raise ValueError("costs must be finite and positive")
+        if not all(0 < w < math.inf for w in self.weight.values()):
+            raise ValueError("weights must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def budgeted_max_coverage(instance: CoverageInstance, budget: float) -> Placemen
     scheme). A budget too small for any candidate yields an empty
     solution.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be finite and positive")
 
     chosen = []
     covered: set[int] = set()
@@ -213,7 +214,7 @@ def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     """
     if asn not in graph.ases:
         raise UnknownNode(f"unknown AS {asn}")
-    asns, _, reach = metrics._as_index(graph)
+    asns, _, reach = metrics._index(graph, NodeClass.AS)
     partners, gains = metrics._partner_gains(reach, asns.index(asn))
     return sorted(zip([asns[j] for j in partners], gains), key=lambda bg: (-bg[1], bg[0]))
 

@@ -79,8 +79,8 @@ def test_criterion_1_g0_fixture_suite(criterion):
         paths = metrics.shortest_path_ixp_counts(g0)
         assert paths.values == ((1, 5), (2, 1)) and paths.total == 6
 
-        assert metrics.multiplicity_distribution(ixp_mg).values == ((0, 1), (1, 1), (2, 1))
-        assert metrics.multiplicity_distribution(as_mg).values == ((0, 1), (1, 4), (2, 1))
+        assert metrics.multiplicity_distribution(g0, NodeClass.IXP).values == ((0, 1), (1, 1), (2, 1))
+        assert metrics.multiplicity_distribution(g0, NodeClass.AS).values == ((0, 1), (1, 4), (2, 1))
 
         assert metrics.remote_peering_gain(g0, 1, 2) == 1
         assert metrics.remote_peering_gain(g0, 4, 2) == 1
@@ -264,7 +264,7 @@ def test_criterion_7_snapshot_reproduction(criterion):
         two_share = 100.0 * dict(paths.values).get(2, 0) / paths.total
         assert abs(two_share - 83.3) <= 3.0
 
-        mult = metrics.multiplicity_distribution(projection.project(graph, NodeClass.IXP))
+        mult = metrics.multiplicity_distribution(graph, NodeClass.IXP)
         zero_share = 100.0 * dict(mult.values).get(0, 0) / mult.total
         assert abs(zero_share - 80.2) <= 3.0
 

@@ -8,9 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from ixpgraph import serialization
+from ixpgraph import projection, serialization
 from ixpgraph.cli import main
-from ixpgraph.model import AsNode, IxpNode, Location, MembershipEdge, build_graph
+from ixpgraph.model import (
+    AsNode,
+    BipartiteGraph,
+    IxpNode,
+    Location,
+    MembershipEdge,
+    build_graph,
+)
 
 from conftest import (
     G0_TYPES,
@@ -228,6 +235,28 @@ class TestMetrics:
         assert lines[1] == "1,1.0"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("which", ["table3", "betweenness", "clustering"])
+    @pytest.mark.parametrize("node_class", ["ixp", "as"])
+    def test_projection_metric_on_empty_graph(self, tmp_path, capsys, which, node_class):
+        path = tmp_path / "empty.json"
+        serialization.write_graph(BipartiteGraph(), path)
+        code, out, err = run(capsys, "metrics", str(path), which, "--class", node_class)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_projection_metrics_never_project(self, g0_file, capsys, monkeypatch):
+        # The CLI reads both projections off the bitmask index; the
+        # materialized multigraph is library-only.
+        def refuse(*args, **kwargs):
+            raise AssertionError("projection.project called")
+
+        monkeypatch.setattr(projection, "project", refuse)
+        for which in ("table3", "betweenness", "clustering"):
+            for node_class in ("ixp", "as"):
+                code, out, _ = run(capsys, "metrics", str(g0_file), which, "--class", node_class)
+                assert code == 0 and out
+
     def test_unknown_metric(self, g0_file, capsys):
         code, _, err = run(capsys, "metrics", str(g0_file), "entropy")
         assert code == 1
@@ -293,6 +322,22 @@ class TestPlace:
                         "--weights", str(weights))
         # A4's weight makes X2 the heaviest single pick.
         assert json.loads(out)["chosen"] == ["X2"]
+
+    @pytest.mark.parametrize("flag, value", [("--costs", "nan"), ("--weights", "inf"),
+                                             ("--budget", "nan")])
+    def test_non_finite_value_is_one_line_error(self, g0_file, tmp_path, capsys, flag, value):
+        argv = ["place", str(g0_file), "budget", "--targets", "all", "--budget", "1"]
+        if flag == "--budget":
+            argv[-1] = value
+        else:
+            path = tmp_path / "values.csv"
+            header, key = ("ixp_id,cost", "X1") if flag == "--costs" else ("asn,weight", "4")
+            path.write_text(f"{header}\n{key},{value}\n", encoding="utf-8")
+            argv += [flag, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_tunnels(self, g0_file, capsys):
         code, out, _ = run(capsys, "place", str(g0_file), "tunnels", "--as", "A1")
@@ -397,7 +442,7 @@ class TestWithoutNetworkx:
         for which in ("gain-cdf", "table2"):
             argv = ("metrics", str(g0_file), which)
             assert self.cli(*argv) == run(capsys, *argv)[1]
-        for which in ("betweenness", "clustering"):
+        for which in ("table3", "betweenness", "clustering"):
             for node_class in ("ixp", "as"):
                 argv = ("metrics", str(g0_file), which, "--class", node_class)
                 assert self.cli(*argv) == run(capsys, *argv)[1]

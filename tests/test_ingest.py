@@ -309,9 +309,30 @@ class TestSanitize:
         identities = merge_ixp_lists(pdb.records, pch.records)
         assert [i.peering_prefixes for i in identities.values()] == [()]
         graph, report = sanitize(pdb.records + pch.records, identities)
-        assert report.reasons[DiscardReason.IP_INCONSISTENT] == ReasonTally(0, 2)
+        # AS 64500 loses its only row here, so stage 2 counts it as well.
+        assert report.reasons[DiscardReason.IP_INCONSISTENT] == ReasonTally(1, 2)
+        assert DiscardReason.NOT_IN_GIANT_COMPONENT not in report.reasons
         assert sorted(graph.edges) == [("IXP0001", 64501), ("IXP0001", 64502)]
         assert all(edge.member_ip is None for edge in graph.edges.values())
+
+    def test_node_tallied_at_stage_that_drops_its_last_edge(self, tmp_path):
+        pdb = parse(tmp_path, [
+            "PDB,a,Alpha,192.0.2.0/24,64502,,Active,,",
+            "PDB,a,Alpha,192.0.2.0/24,64503,,Active,,",
+            "PDB,b,Beta,,64500,198.51.100.1,Active,,",  # only row, no LAN for its IP
+            "PDB,b,Beta,,64502,,Active,,",
+            "PDB,c,Gamma,203.0.113.0/24,64501,203.0.113.1,Inactive,,",  # only row
+            "PDB,d,Delta,,64504,192.0.2.9,Active,,",  # Delta and 64504 both lose it
+        ])
+        graph, report = sanitize(pdb.records, merge_ixp_lists(pdb.records, []))
+        assert report.reasons == {
+            DiscardReason.INACTIVE_IXP: ReasonTally(2, 1),
+            DiscardReason.IP_INCONSISTENT: ReasonTally(3, 2),
+        }
+        assert report.nodes_total_pre == 9 and report.nodes_discarded == 5
+        assert sorted(graph.ixps) == ["IXP0001", "IXP0002"]
+        assert sorted(graph.ases) == [64502, 64503]
+        assert graph.num_edges == 3
 
     def test_report_dict_shape(self, tmp_path):
         _, report = self.run_fixture(tmp_path)

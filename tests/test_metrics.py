@@ -46,6 +46,7 @@ from oracles import (
     bf_gain,
     bf_gain_cdf,
     bf_ixp_count_distribution,
+    bf_project,
     nx_betweenness,
     nx_clustering,
 )
@@ -250,12 +251,12 @@ class TestShortestPathIxpCounts:
 
 class TestMultiplicityDistribution:
     def test_g0_ixp_pairs(self, g0):
-        dist = multiplicity_distribution(project(g0, NodeClass.IXP))
+        dist = multiplicity_distribution(g0, NodeClass.IXP)
         assert dist.values == ((0, 1), (1, 1), (2, 1))
         assert dist.total == 3
 
     def test_g0_as_pairs(self, g0):
-        dist = multiplicity_distribution(project(g0, NodeClass.AS))
+        dist = multiplicity_distribution(g0, NodeClass.AS)
         assert dist.values == ((0, 1), (1, 4), (2, 1))
         assert dist.total == 6
 
@@ -263,12 +264,29 @@ class TestMultiplicityDistribution:
         rng = random.Random(3)
         graph = random_bipartite(rng, max_ixps=12, max_ases=40)
         for node_class, size in ((NodeClass.IXP, len(graph.ixps)), (NodeClass.AS, len(graph.ases))):
-            dist = multiplicity_distribution(project(graph, node_class))
+            dist = multiplicity_distribution(graph, node_class)
             assert dist.total == math.comb(size, 2)
+
+    @pytest.mark.parametrize("node_class", list(NodeClass))
+    def test_matches_oracle_on_random_graphs(self, node_class):
+        graphs = gain_test_graphs()
+        # An IXP without members, so the IXP class has a node with no
+        # neighbour too (AS 8 of the first graph is one for the AS class).
+        graphs.append(build_graph([IxpNode(x, [x]) for x in ("X1", "X2", "X3")],
+                                  [AsNode(1), AsNode(2)],
+                                  [MembershipEdge("X1", 1), MembershipEdge("X2", 1)]))
+        for graph in graphs:
+            pairs = bf_project(graph, node_class)
+            n = len(graph.ixps if node_class is NodeClass.IXP else graph.ases)
+            counts = Counter(len(vias) for vias in pairs.values())
+            counts[0] = math.comb(n, 2) - len(pairs)
+            expected = Distribution.from_counts(counts)
+            dist = multiplicity_distribution(graph, node_class)
+            assert dist == expected and repr(dist) == repr(expected)
 
     def test_single_node_projection(self):
         graph = graph_of({1: ("X1",)})
-        dist = multiplicity_distribution(project(graph, NodeClass.IXP))
+        dist = multiplicity_distribution(graph, NodeClass.IXP)
         assert dist.total == 0
 
 
@@ -381,21 +399,21 @@ class TestDegreePrefixCorrelation:
 class TestCentralityAndClustering:
     def test_betweenness_path_graph(self, g0):
         # The G0 IXP projection is the path X3 - X1 - X2.
-        values = betweenness_centrality(project(g0, NodeClass.IXP))
+        values = betweenness_centrality(g0, NodeClass.IXP)
         assert values == {"X1": 1.0, "X2": 0.0, "X3": 0.0}
 
     def test_clustering_triangle(self):
         graph = graph_of({1: ("X1",), 2: ("X1",), 3: ("X1",)})
-        values = clustering_coefficient(project(graph, NodeClass.AS))
+        values = clustering_coefficient(graph, NodeClass.AS)
         assert values == {1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_clustering_star_center(self):
         graph = graph_of({1: ("X1", "X2", "X3"), 2: ("X1",), 3: ("X2",), 4: ("X3",)})
-        values = clustering_coefficient(project(graph, NodeClass.AS))
+        values = clustering_coefficient(graph, NodeClass.AS)
         assert values[1] == 0.0
 
     def test_g0_as_clustering(self, g0):
-        values = clustering_coefficient(project(g0, NodeClass.AS))
+        values = clustering_coefficient(g0, NodeClass.AS)
         assert values == {1: 1.0, 2: pytest.approx(2 / 3), 3: pytest.approx(2 / 3), 4: 1.0}
 
     SMALL = [
@@ -420,13 +438,19 @@ class TestCentralityAndClustering:
         graphs += [random_bipartite(rng, max_ixps=25, max_ases=40) for _ in range(60)]
         for graph in graphs:
             mg = project(graph, node_class)
-            self.assert_exact(betweenness_centrality(mg), nx_betweenness(mg))
-            self.assert_exact(clustering_coefficient(mg), nx_clustering(mg))
+            self.assert_exact(betweenness_centrality(graph, node_class), nx_betweenness(mg))
+            self.assert_exact(clustering_coefficient(graph, node_class), nx_clustering(mg))
 
-    def test_empty_multigraph(self):
-        from ixpgraph.model import Multigraph
+    def test_empty_graph(self):
+        for kernel in (betweenness_centrality, clustering_coefficient, multiplicity_distribution):
+            for node_class in NodeClass:
+                with pytest.raises(EmptyGraph):
+                    kernel(BipartiteGraph(), node_class)
 
-        with pytest.raises(EmptyGraph):
-            betweenness_centrality(Multigraph(node_class=NodeClass.IXP))
-        with pytest.raises(EmptyGraph):
-            clustering_coefficient(Multigraph(node_class=NodeClass.IXP))
+    def test_class_without_nodes(self):
+        # IXPs but no AS: the AS projection has no node and no pair.
+        graph = BipartiteGraph(ixps={"X1": IxpNode("X1", ["X1"])})
+        assert multiplicity_distribution(graph, NodeClass.AS).total == 0
+        for kernel in (betweenness_centrality, clustering_coefficient):
+            with pytest.raises(EmptyGraph):
+                kernel(graph, NodeClass.AS)
