@@ -73,7 +73,7 @@ def _metric_member_types_cdf(graph, args) -> MetricOutput:
 
 def _metric_table1(graph, args) -> MetricOutput:
     _require_types(graph)
-    thresholds = [int(t) for t in args.thresholds.split(",") if t.strip()]
+    thresholds = [ingest._parse_decimal(t.strip()) for t in args.thresholds.split(",") if t.strip()]
     table = metrics.type_share_by_degree(graph, thresholds)
     rows = [
         (row.label, 100 * row.content, 100 * row.enterprise, 100 * row.isp)
@@ -126,10 +126,11 @@ _METRICS: dict[str, tuple[str, Callable]] = {
 
 
 def _parse_asn_token(token: str) -> int:
-    match = re.fullmatch(r"(?:AS|A)?(\d+)", token.strip(), re.IGNORECASE)
-    if match is None:
-        raise ValueError(f"not an AS number: {token!r}")
-    return int(match.group(1))
+    """An AS number, optionally A- or AS-prefixed in any case."""
+    try:
+        return ingest._parse_asn(re.sub(r"^(?:AS|A)", "", token.strip(), flags=re.IGNORECASE))
+    except ValueError:
+        raise ValueError(f"not an AS number: {token!r}") from None
 
 
 def _parse_targets(spec: str, graph: BipartiteGraph) -> list[int]:
@@ -147,14 +148,18 @@ def _parse_targets(spec: str, graph: BipartiteGraph) -> list[int]:
     return [_parse_asn_token(t) for t in tokens]
 
 
-def _read_map_file(path, expected_header, key_parse, value_parse) -> dict:
+def _read_map_file(path, expected_header, key_parse) -> dict:
+    """A two-column CSV mapping parsed keys to decimal values."""
     out = {}
     for row in ingest._read_csv(path, expected_header):
         if not any(f.strip() for f in row):
             continue
         if len(row) != 2:
             raise ValueError(f"{path}: expected 2 columns, got {len(row)}")
-        out[key_parse(row[0].strip())] = value_parse(row[1].strip())
+        try:
+            out[key_parse(row[0].strip())] = ingest._parse_decimal(row[1].strip(), real=True)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return out
 
 
@@ -234,9 +239,9 @@ def cmd_place(args) -> int:
     targets = _parse_targets(args.targets, graph)
     costs = weights = None
     if args.costs:
-        costs = _read_map_file(args.costs, ["ixp_id", "cost"], str, float)
+        costs = _read_map_file(args.costs, ["ixp_id", "cost"], str)
     if args.weights:
-        weights = _read_map_file(args.weights, ["asn", "weight"], _parse_asn_token, float)
+        weights = _read_map_file(args.weights, ["asn", "weight"], _parse_asn_token)
     instance = placement.build_instance(graph, targets, costs, weights)
     if args.problem == "cover":
         solution = placement.greedy_set_cover(instance)

@@ -138,7 +138,29 @@ def _parse_prefixes(raw: str) -> list[str]:
     return prefixes
 
 
-def _parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
+_INTEGER = re.compile(r"-?[0-9]+")
+_REAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
+
+def _parse_decimal(raw: str, real: bool = False) -> int | float:
+    """A plain decimal number: ASCII digits with an optional leading '-',
+    and one '.' fraction where ``real``. Unlike ``int()`` and ``float()`` it
+    takes no '_' separator, no other script's digits, no exponent, no
+    surrounding space and no 'nan' or 'inf'."""
+    if (_REAL if real else _INTEGER).fullmatch(raw) is None:
+        raise ValueError(f"not a decimal number: {raw!r}")
+    return float(raw) if real else int(raw)
+
+
+def _parse_asn(raw: str) -> int:
+    asn = _parse_decimal(raw)
+    if not 0 < asn <= model.MAX_ASN:
+        raise ValueError(f"asn must be in 1..{model.MAX_ASN}, got {asn}")
+    return asn
+
+
+def _parse_row(row: list[str], expected_source: Source,
+               prefix_lists: dict[str, list[str]]) -> MembershipRecord:
     if len(row) != len(DATASET_HEADER):
         raise ValueError(f"expected {len(DATASET_HEADER)} fields, got {len(row)}")
     (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
@@ -149,21 +171,20 @@ def _parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
         raise ValueError(f"row source {source_raw!r} in a {expected_source.value} file")
     if not ixp_key or not ixp_name:
         raise ValueError("ixp_key and ixp_name must be non-empty")
-    if not (asn_raw.isascii() and asn_raw.isdigit()):
-        raise ValueError(f"asn must be a decimal number, got {asn_raw!r}")
-    asn = int(asn_raw)
-    if not 0 < asn <= model.MAX_ASN:
-        raise ValueError(f"asn must be in 1..{model.MAX_ASN}, got {asn}")
+    asn = _parse_asn(asn_raw)
     pfx_count = None
     if pfx_count_raw:
-        pfx_count = int(pfx_count_raw)
+        pfx_count = _parse_decimal(pfx_count_raw)
         if pfx_count < 0:
             raise ValueError("as_prefix_count must be non-negative")
+    prefixes = prefix_lists.get(prefixes_raw)
+    if prefixes is None:
+        prefixes = prefix_lists[prefixes_raw] = _parse_prefixes(prefixes_raw)
     return MembershipRecord(
         source=source,
         ixp_key=ixp_key,
         ixp_name=ixp_name,
-        ixp_prefixes=_parse_prefixes(prefixes_raw),
+        ixp_prefixes=list(prefixes),
         asn=asn,
         member_ip=str(ipaddress.ip_address(ip_raw)) if ip_raw else None,
         status=IxpStatus(status_raw),
@@ -173,26 +194,32 @@ def _parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
 
 
 def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
+    """The rows after the header. A row the reader cannot split (a field
+    over the csv module's size limit, say) ends the file with a
+    ``FormatError``: the reader cannot resume after it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
-        if [h.strip().lower() for h in header] != expected_header:
-            raise FormatError(f"{path}: unrecognized header {','.join(header)!r}")
-        yield from reader
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
+            if [h.strip().lower() for h in header] != expected_header:
+                raise FormatError(f"{path}: unrecognized header {','.join(header)!r}")
+            yield from reader
+        except csv.Error as exc:
+            raise FormatError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def parse_dataset(path, source: Source) -> ParseResult:
     """Parse one membership CSV; malformed rows are counted, not fatal."""
     records = []
     errors = 0
+    prefix_lists: dict[str, list[str]] = {}  # raw ixp_prefixes -> canonical list
     for row in _read_csv(path, DATASET_HEADER):
         if not any(f.strip() for f in row):
             continue
         try:
-            records.append(_parse_row(row, source))
+            records.append(_parse_row(row, source, prefix_lists))
         except ValueError:
             errors += 1
     return ParseResult(records=records, parse_errors=errors)
@@ -224,16 +251,6 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _prefixes_overlap(nets_a, nets_b) -> bool:
-    for pa in nets_a:
-        for pb in nets_b:
-            if pa.version != pb.version:
-                continue
-            if pa == pb or pa.subnet_of(pb) or pb.subnet_of(pa):
-                return True
-    return False
-
-
 def merge_ixp_lists(
     pdb: Sequence[MembershipRecord], pch: Sequence[MembershipRecord]
 ) -> dict[str, IxpIdentity]:
@@ -244,16 +261,29 @@ def merge_ixp_lists(
     closure of those matches. Unified ids are "IXP" plus a zero-padded
     sequence number, assigned in lexicographic order of each group's
     smallest source key, so the numbering is reproducible.
+
+    Prefixes are matched by lookup, not pairwise. Each distinct prefix is
+    keyed as (version, network address as int, length); two prefixes are
+    equal or nested exactly when one's key is among the other's supernet
+    keys (itself included), so each key looks up at most 33 (IPv4) or 129
+    (IPv6) keys, and the merge is linear in prefixes times prefix length.
     """
     names: dict[tuple[Source, str], set[str]] = {}
-    prefixes: dict[tuple[Source, str], set] = {}
+    prefixes: dict[tuple[Source, str], set[tuple[int, int, int]]] = {}
     statuses: dict[tuple[Source, str], IxpStatus] = {}
+    prefix_keys: dict[str, tuple[int, int, int]] = {}
+    prefix_text: dict[tuple[int, int, int], str] = {}
     for record in list(pdb) + list(pch):
         key = (record.source, record.ixp_key)
         names.setdefault(key, set()).add(record.ixp_name)
-        prefixes.setdefault(key, set()).update(
-            ipaddress.ip_network(p) for p in record.ixp_prefixes
-        )
+        held = prefixes.setdefault(key, set())
+        for prefix in record.ixp_prefixes:
+            pkey = prefix_keys.get(prefix)
+            if pkey is None:
+                net = ipaddress.ip_network(prefix)
+                pkey = prefix_keys[prefix] = (net.version, int(net.network_address), net.prefixlen)
+                prefix_text[pkey] = str(net)
+            held.add(pkey)
         if key not in statuses or _STATUS_SEVERITY[record.status] > _STATUS_SEVERITY[statuses[key]]:
             statuses[key] = record.status
 
@@ -268,14 +298,16 @@ def merge_ixp_lists(
         for other in group[1:]:
             uf.union(group[0], other)
 
-    for i, ka in enumerate(keys):
-        if not prefixes[ka]:
-            continue
-        for kb in keys[i + 1:]:
-            if uf.find(ka) == uf.find(kb):
-                continue
-            if _prefixes_overlap(prefixes[ka], prefixes[kb]):
-                uf.union(ka, kb)
+    holders: dict[tuple[int, int, int], list] = {}
+    for key in keys:
+        for pkey in prefixes[key]:
+            holders.setdefault(pkey, []).append(key)
+    for (version, address, length), group in holders.items():
+        bits = 32 if version == 4 else 128
+        for outer in range(length + 1):
+            host = bits - outer
+            for other in holders.get((version, address >> host << host, outer), ()):
+                uf.union(group[0], other)
 
     groups: dict = {}
     for key in keys:
@@ -287,16 +319,13 @@ def merge_ixp_lists(
     for seq, group in enumerate(ordered, start=1):
         ixp_id = f"IXP{seq:0{width}d}"
         group_names = sorted(set().union(*(names[k] for k in group)))
-        group_nets = sorted(
-            set().union(*(prefixes[k] for k in group)),
-            key=lambda n: (n.version, int(n.network_address), n.prefixlen),
-        )
+        group_nets = sorted(set().union(*(prefixes[k] for k in group)))
         status = max((statuses[k] for k in group), key=_STATUS_SEVERITY.get)
         identities[ixp_id] = IxpIdentity(
             ixp_id=ixp_id,
             source_keys=frozenset(group),
             names=tuple(group_names),
-            peering_prefixes=tuple(str(n) for n in group_nets),
+            peering_prefixes=tuple(prefix_text[n] for n in group_nets),
             status=status,
         )
     return identities
@@ -446,7 +475,7 @@ def attach_attributes(
             if not any(f.strip() for f in row):
                 continue
             try:
-                asn = int(row[0].strip())
+                asn = _parse_asn(row[0].strip())
                 as_type = AsType(row[1].strip())
             except (ValueError, IndexError):
                 warnings += 1
@@ -465,8 +494,8 @@ def attach_attributes(
                 location = Location(
                     country=country,
                     city=city,
-                    lat=float(lat_raw) if lat_raw else None,
-                    lon=float(lon_raw) if lon_raw else None,
+                    lat=_parse_decimal(lat_raw, real=True) if lat_raw else None,
+                    lon=_parse_decimal(lon_raw, real=True) if lon_raw else None,
                 )
             except ValueError:
                 warnings += 1

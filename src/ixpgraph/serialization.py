@@ -179,6 +179,8 @@ def read_graph(path) -> BipartiteGraph:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
     return graph_from_dict(data)
 
 

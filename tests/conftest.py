@@ -3,18 +3,22 @@ fixtures, and a paper-scale synthetic graph."""
 
 from __future__ import annotations
 
+import ipaddress
 import random
 
 import pytest
 
 from ixpgraph import serialization
 
+from ixpgraph.ingest import MembershipRecord
 from ixpgraph.model import (
     AsNode,
     AsType,
     BipartiteGraph,
     IxpNode,
+    IxpStatus,
     MembershipEdge,
+    Source,
     build_graph,
     giant_component,
 )
@@ -87,6 +91,51 @@ def gain_test_graphs(seed: int = 11, count: int = 60) -> list[BipartiteGraph]:
     )
     rng = random.Random(seed)
     return [fixed] + [random_bipartite(rng, max_ixps=12, max_ases=40) for _ in range(count - 1)]
+
+
+# Prefix material for the merge tests: few base addresses and many lengths,
+# so equal, nested and disjoint prefixes of both versions (/0, /32 and
+# /128 included) all turn up often.
+MERGE_BASES = {
+    4: ["0.0.0.0", "10.0.0.0", "10.0.1.128", "10.1.0.0", "192.0.2.7", "255.255.255.255"],
+    6: ["::", "2001:db8::", "2001:db8:0:1::", "2001:db8:1::1", "fe80::", "ffff::"],
+}
+MERGE_LENGTHS = {4: [0, 1, 8, 16, 23, 24, 25, 31, 32], 6: [0, 1, 32, 48, 63, 64, 127, 128]}
+MERGE_NAMES = ["Metro One", "metro-one", "METRO  ONE", "Metro Two", "metro_two", "Lone IX"]
+
+
+def _merge_prefix(rng: random.Random) -> str:
+    version = rng.choice((4, 6))
+    base, length = rng.choice(MERGE_BASES[version]), rng.choice(MERGE_LENGTHS[version])
+    return str(ipaddress.ip_network(f"{base}/{length}", strict=False))
+
+
+def merge_test_lists(seed: int = 5, count: int = 300) -> list[tuple[list, list]]:
+    """Random (pdb, pch) record lists for the IXP merge. A source key has one
+    to three records, each with zero to two prefixes and a name that is
+    either shared in some spelling or the key's own; some keys hold no
+    prefix at all."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        lists: dict = {Source.PDB: [], Source.PCH: []}
+        for k in range(rng.randint(1, 12)):
+            source = rng.choice((Source.PDB, Source.PCH))
+            bare = rng.random() < 0.15
+            for _ in range(rng.randint(1, 3)):
+                shared = rng.random() < 0.3
+                lists[source].append(MembershipRecord(
+                    source=source,
+                    ixp_key=f"k{k}",
+                    ixp_name=rng.choice(MERGE_NAMES) if shared else f"IX {source.value} {k}",
+                    ixp_prefixes=[] if bare else [
+                        _merge_prefix(rng) for _ in range(rng.randint(0, 2))],
+                    asn=rng.randint(1, 50),
+                    member_ip=None,
+                    status=rng.choice(list(IxpStatus)),
+                ))
+        cases.append((lists[Source.PDB], lists[Source.PCH]))
+    return cases
 
 
 @pytest.fixture

@@ -9,10 +9,18 @@ which the package's kernels must match value for value.
 
 from __future__ import annotations
 
+import ipaddress
 from collections import Counter, deque
 
 import networkx as nx
 
+from ixpgraph.ingest import (
+    _STATUS_SEVERITY,
+    IxpIdentity,
+    _source_key_str,
+    _UnionFind,
+    normalize_ixp_name,
+)
 from ixpgraph.model import BipartiteGraph, Multigraph, NodeClass
 
 
@@ -101,6 +109,70 @@ def bf_gain_cdf(graph: BipartiteGraph) -> Counter:
             if a != b and ixps_of[a] & ixps_of[b]:
                 tally[bf_gain(graph, a, b)] += 1
     return tally
+
+
+def _prefixes_overlap(nets_a, nets_b) -> bool:
+    for pa in nets_a:
+        for pb in nets_b:
+            if pa.version != pb.version:
+                continue
+            if pa == pb or pa.subnet_of(pb) or pb.subnet_of(pa):
+                return True
+    return False
+
+
+def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
+    """``ingest.merge_ixp_lists`` by comparing every pair of source keys'
+    prefix sets with ``ipaddress``'s own ``subnet_of``."""
+    names: dict = {}
+    prefixes: dict = {}
+    statuses: dict = {}
+    for record in list(pdb) + list(pch):
+        key = (record.source, record.ixp_key)
+        names.setdefault(key, set()).add(record.ixp_name)
+        prefixes.setdefault(key, set()).update(
+            ipaddress.ip_network(p) for p in record.ixp_prefixes
+        )
+        if key not in statuses or _STATUS_SEVERITY[record.status] > _STATUS_SEVERITY[statuses[key]]:
+            statuses[key] = record.status
+
+    keys = sorted(names, key=_source_key_str)
+    uf = _UnionFind(keys)
+
+    by_norm_name: dict = {}
+    for key in keys:
+        for name in names[key]:
+            by_norm_name.setdefault(normalize_ixp_name(name), []).append(key)
+    for group in by_norm_name.values():
+        for other in group[1:]:
+            uf.union(group[0], other)
+
+    for i, ka in enumerate(keys):
+        for kb in keys[i + 1:]:
+            if _prefixes_overlap(prefixes[ka], prefixes[kb]):
+                uf.union(ka, kb)
+
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(uf.find(key), []).append(key)
+    ordered = sorted(groups.values(), key=lambda g: _source_key_str(g[0]))
+
+    width = max(4, len(str(len(ordered))))
+    identities = {}
+    for seq, group in enumerate(ordered, start=1):
+        ixp_id = f"IXP{seq:0{width}d}"
+        group_nets = sorted(
+            set().union(*(prefixes[k] for k in group)),
+            key=lambda n: (n.version, int(n.network_address), n.prefixlen),
+        )
+        identities[ixp_id] = IxpIdentity(
+            ixp_id=ixp_id,
+            source_keys=frozenset(group),
+            names=tuple(sorted(set().union(*(names[k] for k in group)))),
+            peering_prefixes=tuple(str(n) for n in group_nets),
+            status=max((statuses[k] for k in group), key=_STATUS_SEVERITY.get),
+        )
+    return identities
 
 
 def harmonic(n: int) -> float:

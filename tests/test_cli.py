@@ -374,6 +374,32 @@ class TestPlace:
         assert code == 1
         assert "one" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("cover", "--targets", "AS\u0663"),
+        ("cover", "--targets", "1_0"),
+        ("cover", "--targets", "-5"),
+        ("tunnels", "--as", "A\u0663"),
+    ], ids=["non-ascii-target", "separator-target", "negative-target", "non-ascii-as"])
+    def test_lax_asn_token_is_one_line_error(self, g0_file, capsys, argv):
+        code, out, err = run(capsys, "place", str(g0_file), *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: not an AS number") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, row", [
+        ("--costs", "X1,1_0"), ("--costs", "X1,\u0663"), ("--costs", "X1,1e1"),
+        ("--weights", "\u0664,10"), ("--weights", "4,1_0"),
+    ])
+    def test_lax_map_file_number_is_one_line_error(self, g0_file, tmp_path, capsys, flag, row):
+        path = tmp_path / "values.csv"
+        header = "ixp_id,cost" if flag == "--costs" else "asn,weight"
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        code, out, err = run(capsys, "place", str(g0_file), "cover", "--targets", "all",
+                             flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_missing_budget_is_usage_error(self, g0_file, capsys):
         with pytest.raises(SystemExit) as info:
             main(["place", str(g0_file), "budget", "--targets", "all"])
@@ -499,6 +525,41 @@ class TestGraphValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestFatalInputs:
+    """Inputs the readers cannot get past end the run: exit 1, one stderr
+    line, no output and no new file."""
+
+    @pytest.mark.parametrize("case", ["oversized-membership-field", "oversized-as-types-field",
+                                      "oversized-costs-field", "deep-json-graph"])
+    def test_one_line_error_and_no_file(self, tmp_path, g0_file, case):
+        big = "x" * 140_000
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        built = tmp_path / "built.json"
+        if case == "oversized-membership-field":
+            pdb = write_membership_csv(tmp_path / "big.csv",
+                                       [f"PDB,k1,{big},192.0.2.0/24,64500,,Active,,"])
+            argv = ["build", str(pdb), str(pch), str(built)]
+        elif case == "oversized-as-types-field":
+            types = tmp_path / "types.csv"
+            types.write_text(f"asn,as_type\n65001,ISP\n65002,{big}\n", encoding="utf-8")
+            argv = ["build", str(pdb), str(pch), str(built), "--as-types", str(types)]
+        elif case == "oversized-costs-field":
+            costs = tmp_path / "costs.csv"
+            costs.write_text(f"ixp_id,cost\n{big},1\n", encoding="utf-8")
+            argv = ["place", str(g0_file), "cover", "--targets", "all", "--costs", str(costs)]
+        else:
+            deep = tmp_path / "deep.json"
+            deep.write_text("[" * 100_000, encoding="utf-8")
+            argv = ["metrics", str(deep), "degree-cdf"]
+        before = sorted(tmp_path.iterdir())
+        proc = subprocess.run([sys.executable, "-m", "ixpgraph.cli", *argv],
+                              env=subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestUsageErrors:
     def test_no_arguments(self):
         with pytest.raises(SystemExit) as info:
@@ -509,6 +570,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_lax_threshold_is_one_line_error(self, typed_g0_file, capsys):
+        code, out, err = run(capsys, "metrics", str(typed_g0_file), "table1",
+                             "--thresholds", "0,1_0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_class_choice(self, g0_file):
         with pytest.raises(SystemExit) as info:

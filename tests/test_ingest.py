@@ -18,7 +18,8 @@ from ixpgraph.ingest import (
 )
 from ixpgraph.model import AsType, IxpStatus, Source
 
-from conftest import sanitize_fixture_files, write_membership_csv
+from conftest import merge_test_lists, sanitize_fixture_files, write_membership_csv
+from oracles import bf_merge_ixp_lists
 
 
 def parse(tmp_path, rows, source=Source.PDB, name="data.csv"):
@@ -74,6 +75,10 @@ class TestParseDataset:
         "PDB,k1,,,64500,,Active,,",                     # empty name
         "PCH,k1,Alpha,,64500,,Active,,",                # wrong source
         "PDB,k1,Alpha,,64500,,Active",                  # short row
+        "PDB,k1,Alpha,,64500,,Active,,1_000",           # separator in count
+        "PDB,k1,Alpha,,64500,,Active,,\u0663",          # Arabic-Indic digit count
+        "PDB,k1,Alpha,,64500,,Active,,1e3",             # exponent in count
+        "PDB,k1,Alpha,,\u0666\u0664\u0665\u0660\u0660,,Active,,",  # Arabic-Indic asn
     ])
     def test_malformed_rows(self, tmp_path, row):
         result = parse(tmp_path, [row])
@@ -104,6 +109,23 @@ class TestParseDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             parse_dataset(tmp_path / "nope.csv", Source.PDB)
+
+    def test_oversized_field_is_format_error(self, tmp_path):
+        path = write_membership_csv(tmp_path / "big.csv", [
+            "PDB,k1,Alpha,,64500,,Active,,",
+            "PDB,k1," + "x" * 140_000 + ",,64501,,Active,,",
+        ])
+        with pytest.raises(FormatError, match=r"big\.csv, line 3: field larger than field limit"):
+            parse_dataset(path, Source.PDB)
+
+    def test_prefix_lists_are_not_shared(self, tmp_path):
+        result = parse(tmp_path, [
+            "PDB,k1,Alpha,192.0.2.0/24,64500,,Active,,",
+            "PDB,k1,Alpha,192.0.2.0/24,64501,,Active,,",
+        ])
+        first, second = result.records
+        assert first.ixp_prefixes == second.ixp_prefixes
+        assert first.ixp_prefixes is not second.ixp_prefixes
 
 
 class TestNormalizeIxpName:
@@ -211,6 +233,10 @@ class TestMergeIxpLists:
             tmp_path, ["PDB,a,Alpha,10.0.0.0/24,64500,,Active,,"], [])
         ident = merge_ixp_lists(pdb, pch)["IXP0001"]
         assert isinstance(ident, IxpIdentity)
+
+    def test_matches_pairwise_oracle_on_random_lists(self):
+        for case, (pdb, pch) in enumerate(merge_test_lists()):
+            assert merge_ixp_lists(pdb, pch) == bf_merge_ixp_lists(pdb, pch), f"case {case}"
 
 
 class TestSanitize:
@@ -390,6 +416,41 @@ class TestAttachAttributes:
         graph, warnings = attach_attributes(graph, locations_path=locs)
         assert warnings == 4
         assert graph.ixps["IXP0001"].location is None
+
+    def test_lax_numbers_warned(self, tmp_path):
+        graph = self.build(tmp_path)
+        types = tmp_path / "types.csv"
+        types.write_text("asn,as_type\n64_500,Content\n\u0666\u0664\u0665\u0660\u0660,ISP\n"
+                         "+64500,ISP\n64500.0,ISP\n", encoding="utf-8")
+        locs = tmp_path / "locs.csv"
+        locs.write_text("ixp_id,country,city,lat,lon\n"
+                        "IXP0001,DE,Frankfurt,1_0.5,8.68\n"
+                        "IXP0001,DE,Frankfurt,\u0663,8.68\n"
+                        "IXP0001,DE,Frankfurt,1e1,8.68\n"
+                        "IXP0001,DE,Frankfurt,50.1,.5\n"
+                        "IXP0001,DE,Frankfurt,50.1,8.\n", encoding="utf-8")
+        graph, warnings = attach_attributes(graph, as_types_path=types, locations_path=locs)
+        assert warnings == 9
+        assert graph.ixps["IXP0001"].location is None
+        assert graph.ases[64500].as_type is AsType.UNKNOWN
+
+    def test_negative_coordinates_attached(self, tmp_path):
+        graph = self.build(tmp_path)
+        locs = tmp_path / "locs.csv"
+        locs.write_text("ixp_id,country,city,lat,lon\nIXP0001,AU,Sydney,-33.87,151\n",
+                        encoding="utf-8")
+        graph, warnings = attach_attributes(graph, locations_path=locs)
+        assert warnings == 0
+        assert (graph.ixps["IXP0001"].location.lat, graph.ixps["IXP0001"].location.lon) == (-33.87, 151.0)
+
+    @pytest.mark.parametrize("kind", ["as_types_path", "locations_path"])
+    def test_oversized_field_is_format_error(self, tmp_path, kind):
+        graph = self.build(tmp_path)
+        path = tmp_path / "attrs.csv"
+        header = "asn,as_type" if kind == "as_types_path" else "ixp_id,country,city,lat,lon"
+        path.write_text(f"{header}\n\"{'x' * 140_000}\",ISP\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"attrs\.csv, line 2"):
+            attach_attributes(graph, **{kind: path})
 
     def test_unknown_rows_warned(self, tmp_path):
         graph = self.build(tmp_path)

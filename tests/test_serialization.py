@@ -101,6 +101,12 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             read_graph(path)
 
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(FormatError, match="nested too deeply"):
+            read_graph(path)
+
     def test_wrong_version(self):
         data = graph_to_dict(make_g0())
         data["version"] = 99
