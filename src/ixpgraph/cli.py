@@ -86,14 +86,25 @@ def _metric_table1(graph, args) -> MetricOutput:
     )
 
 
+def _decimal_flag(flag: str, raw: str, real: bool = False) -> int | float:
+    """A numeric flag's value, as strict as a numeric CSV field."""
+    try:
+        return ingest._parse_decimal(raw, real)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _metric_table2(graph, args) -> MetricOutput:
-    dist = metrics.shortest_path_ixp_counts(graph, sample_size=args.sample, seed=args.seed)
+    sample = None if args.sample is None else _decimal_flag("--sample", args.sample)
+    seed = _decimal_flag("--seed", args.seed)
+    dist = metrics.shortest_path_ixp_counts(graph, sample_size=sample, seed=seed)
     return _percent_output("ixps_crossed", dist.values, dist.total)
 
 
 def _metric_table3(graph, args) -> MetricOutput:
+    tail = _decimal_flag("--tail", args.tail)
     dist = metrics.multiplicity_distribution(graph, _CLASS[args.node_class])
-    return _percent_output("multiplicity", dist.bucket_tail(args.tail), dist.total)
+    return _percent_output("multiplicity", dist.bucket_tail(tail), dist.total)
 
 
 def _metric_gain_cdf(graph, args) -> MetricOutput:
@@ -246,7 +257,8 @@ def cmd_place(args) -> int:
     if args.problem == "cover":
         solution = placement.greedy_set_cover(instance)
     else:
-        solution = placement.budgeted_max_coverage(instance, args.budget)
+        budget = _decimal_flag("--budget", args.budget, real=True)
+        solution = placement.budgeted_max_coverage(instance, budget)
     _print_json(
         {
             "chosen": list(solution.chosen),
@@ -298,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="AS type for member-types-cdf")
     p_metrics.add_argument("--thresholds", default="0,20,30",
                            help="comma list of degree thresholds for table1")
-    p_metrics.add_argument("--tail", type=int, default=5,
+    p_metrics.add_argument("--tail", default="5",
                            help="table3 bucket: collapse multiplicities >= this value")
-    p_metrics.add_argument("--sample", type=int, help="sample size of source ASes for table2")
-    p_metrics.add_argument("--seed", type=int, default=42, help="sampling seed")
+    p_metrics.add_argument("--sample", help="sample size of source ASes for table2")
+    p_metrics.add_argument("--seed", default="42", help="sampling seed")
     p_metrics.add_argument("--json", action="store_true", help="JSON instead of CSV")
     p_metrics.set_defaults(func=lambda args: cmd_metrics(args, p_metrics))
 
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help='"all", comma list of AS numbers, or @file')
         p.add_argument("--costs", help="ixp_id,cost CSV (default: all 1.0)")
         p.add_argument("--weights", help="asn,weight CSV (default: all 1.0)")
-    p_budget.add_argument("--budget", type=float, required=True, help="total cost budget")
+    p_budget.add_argument("--budget", required=True, help="total cost budget")
 
     p_tunnels = place_sub.add_parser("tunnels", help="rank remote-peering resellers")
     p_tunnels.add_argument("--as", dest="asn", required=True, help="AS to rank tunnels for")

@@ -13,7 +13,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress, count
 from operator import or_
 from typing import Iterable, NamedTuple
 
@@ -149,6 +149,9 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes
 
 
 def _index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, list[int]]:
@@ -308,12 +311,20 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
     """Normalized betweenness centrality on the simple projection onto
     ``node_class`` (normalization (n-1)(n-2)/2 for undirected graphs).
 
-    Brandes' algorithm (2001), with its floating-point operations in the
-    same order as networkx's ``betweenness_centrality``, so the values are
-    equal to the last bit: sources in sorted node order, a FIFO BFS that
-    visits neighbours in sorted order, path counts added in pop order and
-    dependencies accumulated in reverse pop order. The BFS runs level by
-    level on neighbour bitmasks; within a level, nodes keep FIFO pop order.
+    Brandes' algorithm (2001), equal to networkx's ``betweenness_centrality``
+    to the last bit: sources in sorted node order, a level-by-level BFS on
+    neighbour bitmasks that keeps FIFO pop order, and dependencies
+    accumulated in reverse pop order.
+
+    Path counts are exact ints pulled per node: with the previous level
+    grouped into one bitmask per count c, w gets
+    ``sum(c * (nb[w] & mask_c).bit_count())``. networkx adds the same
+    integers as floats, exact below 2**53 in any order; once a level's
+    predecessors' counts sum to 2**53 or more, that level and every deeper
+    one add floats in pop order as networkx does, since its sums may round.
+    The dependency pass skips the step onto the source, which writes only
+    ``delta[s]``, and adds ``coeff`` as is where every predecessor has one
+    path (``1.0 * coeff`` is exact).
     """
     nodes, _, reach = _index(graph, node_class)
     if not nodes:
@@ -322,10 +333,11 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
     n = len(nodes)
     centrality = [0.0] * n
     for s in range(n):
-        sigma = [0.0] * n
-        sigma[s] = 1.0
+        sigma = [0] * n
+        sigma[s] = 1
         seen = 1 << s
         levels = [([s], seen)]
+        exact = True
         while True:
             level = levels[-1][0]
             before = seen
@@ -337,19 +349,38 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
             if not nxt:
                 break
             mask = seen ^ before
-            # A second pass, as sigma[w] takes its predecessors in pop order.
-            for v in level:
-                sv = sigma[v]
-                for w in _bits(nb[v] & mask):
-                    sigma[w] += sv
+            if exact:
+                groups: dict[int, int] = {}
+                for v in level:
+                    groups[sigma[v]] = groups.get(sigma[v], 0) | 1 << v
+                exact = sum(c * m.bit_count() for c, m in groups.items()) < 1 << 53
+            if exact:
+                for w in nxt:
+                    sigma[w] = sum(c * (nb[w] & m).bit_count() for c, m in groups.items())
+            else:
+                for v in level:
+                    sv = float(sigma[v])
+                    for w in _bits(nb[v] & mask):
+                        sigma[w] += sv
             levels.append((nxt, mask))
+        sigma = list(map(float, sigma))
         delta = [0.0] * n
         for d in range(len(levels) - 1, 0, -1):
-            previous = levels[d - 1][1]
+            level, previous = levels[d - 1]
+            if d == 1:
+                previous = 0  # no step onto the source
+            ones = all(sigma[v] == 1.0 for v in level)
             for w in reversed(levels[d][0]):
                 coeff = (1 + delta[w]) / sigma[w]
-                for v in _bits(nb[w] & previous):
-                    delta[v] += sigma[v] * coeff
+                # One 0/1 byte per bit, low bit first: compress() picks the
+                # predecessors at C speed, with no list and no per-bit int ops.
+                flags = bin(nb[w] & previous)[:1:-1].encode().translate(_BIT_FLAGS)
+                if ones:
+                    for v in compress(count(), flags):
+                        delta[v] += coeff
+                else:
+                    for v in compress(count(), flags):
+                        delta[v] += sigma[v] * coeff
                 centrality[w] += delta[w]
     if n >= 3:
         scale = 1 / ((n - 1) * (n - 2))

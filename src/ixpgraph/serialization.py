@@ -137,16 +137,21 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                                     (int, type(None)), "an integer or null"),
             )
         edges = {}
+        source_sets: dict[tuple[str, ...], frozenset] = {}  # a few distinct lists
         for item in data["edges"]:
             key = (_ixp_id(item["ixp_id"]), _asn(item["asn"]))
             if key in edges:
                 raise FormatError(f"duplicate edge {key}")
+            names = tuple(_strings("sources", item.get("sources", ["Other"])))
+            sources = source_sets.get(names)
+            if sources is None:
+                sources = source_sets[names] = frozenset(map(Source, names))
             edges[key] = MembershipEdge(
                 ixp_id=key[0],
                 asn=key[1],
                 member_ip=_typed("member_ip", item.get("member_ip"),
                                  (str, type(None)), "a string or null"),
-                sources=frozenset(Source(s) for s in item.get("sources", ["Other"])),
+                sources=sources,
             )
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
     except FormatError:

@@ -178,18 +178,18 @@ def sanitize_fixture_files(dirpath):
     return pdb, pch
 
 
-def paper_scale_graph(seed: int = 42, n_ixp: int = 500,
-                      n_as: int = 4700) -> BipartiteGraph:
+def paper_scale_graph(seed: int = 42, n_ixp: int = 500, n_as: int = 4700,
+                      max_degree: int = 350) -> BipartiteGraph:
     """Synthetic graph matched to the published dataset's scale: about 500
     IXPs, 4,700 ASes, 15,000 membership edges, with roughly 43% of ASes at
-    degree 1 and a heavy-tailed remainder."""
+    degree 1 and a heavy-tailed remainder, capped at ``max_degree``."""
     rng = random.Random(seed)
     degrees = []
     for _ in range(n_as):
         if rng.random() < 0.43:
             degrees.append(1)
         else:
-            degrees.append(min(2 + int(rng.paretovariate(1.35)), 350))
+            degrees.append(min(2 + int(rng.paretovariate(1.35)), max_degree))
     # Zipf-ish popularity so a few IXPs are very large, as in the data.
     weights = [1.0 / (i + 1) ** 0.8 for i in range(n_ixp)]
     ixp_ids = [f"IXP{i:04d}" for i in range(1, n_ixp + 1)]

@@ -578,6 +578,19 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("metrics", "table3", "--tail", "٣"),
+        ("metrics", "table2", "--sample", "1_0"),
+        ("metrics", "table2", "--seed", "٤"),
+        ("place", "budget", "--targets", "all", "--budget", "1_0"),
+    ], ids=["tail", "sample", "seed", "budget"])
+    def test_lax_numeric_flag_is_one_line_error(self, g0_file, capsys, argv):
+        command, *rest = argv
+        code, out, err = run(capsys, command, str(g0_file), *rest)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {rest[-2]}: ") and err.count("\n") == 1
+
     def test_bad_class_choice(self, g0_file):
         with pytest.raises(SystemExit) as info:
             main(["metrics", str(g0_file), "degree-cdf", "--class", "router"])

@@ -41,7 +41,7 @@ from ixpgraph.model import (
 )
 from ixpgraph.projection import project
 
-from conftest import gain_test_graphs, make_g0, random_bipartite
+from conftest import gain_test_graphs, make_g0, paper_scale_graph, random_bipartite
 from oracles import (
     bf_gain,
     bf_gain_cdf,
@@ -440,6 +440,29 @@ class TestCentralityAndClustering:
             mg = project(graph, node_class)
             self.assert_exact(betweenness_centrality(graph, node_class), nx_betweenness(mg))
             self.assert_exact(clustering_coefficient(graph, node_class), nx_clustering(mg))
+
+    def test_betweenness_past_2_53_paths_equals_networkx(self):
+        # 60 layers of 3 IXPs, consecutive layers fully joined through one AS
+        # per IXP pair: path counts grow as powers of 3, and past 2**53
+        # networkx's float sums round (powers of 2 would stay exact).
+        layers = [[f"L{k:02d}X{i}" for i in range(3)] for k in range(60)]
+        memberships = {}
+        for upper, lower in zip(layers, layers[1:]):
+            for a in upper:
+                for b in lower:
+                    memberships[len(memberships) + 1] = (a, b)
+        graph = graph_of(memberships)
+        assert (len(graph.ixps), len(graph.ases)) == (180, 531)
+        expected = nx_betweenness(project(graph, NodeClass.IXP))
+        self.assert_exact(betweenness_centrality(graph, NodeClass.IXP), expected)
+
+    def test_betweenness_at_paper_density_equals_networkx(self):
+        # The paper-scale shape at 200 IXPs, its degree cap scaled with it
+        # (350 of 500): every BFS has depth 2 and path counts reach 159.
+        # Uncapped, one AS joins every IXP and the projection is complete.
+        graph = paper_scale_graph(n_ixp=200, n_as=1400, max_degree=140)
+        expected = nx_betweenness(project(graph, NodeClass.IXP))
+        self.assert_exact(betweenness_centrality(graph, NodeClass.IXP), expected)
 
     def test_empty_graph(self):
         for kernel in (betweenness_centrality, clustering_coefficient, multiplicity_distribution):

@@ -134,6 +134,15 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             graph_from_dict(data)
 
+    @pytest.mark.parametrize("sources", [{"PDB": 1}, "PDB", ["PDB", 1]],
+                             ids=["object", "string", "non-string-item"])
+    def test_sources_not_a_list_of_strings(self, sources):
+        data = graph_to_dict(make_g0())
+        data["edges"][0]["sources"] = sources
+        with pytest.raises(FormatError) as info:
+            graph_from_dict(data)
+        assert "\n" not in str(info.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_graph(tmp_path / "nope.json")
