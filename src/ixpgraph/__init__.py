@@ -12,8 +12,6 @@ from .errors import (
     InsufficientData,
     IxpGraphError,
     NoLocationData,
-    NotColocated,
-    TooLarge,
     Uncoverable,
     UnknownEndpoint,
     UnknownNode,
@@ -27,14 +25,12 @@ from .model import (
     IxpStatus,
     Location,
     MembershipEdge,
-    Multigraph,
     NodeClass,
     Source,
     add_membership,
     build_graph,
     giant_component,
 )
-from .projection import multiplicity, project
 
 __version__ = "0.1.0"
 
@@ -51,12 +47,9 @@ __all__ = [
     "IxpStatus",
     "Location",
     "MembershipEdge",
-    "Multigraph",
     "NoLocationData",
     "NodeClass",
-    "NotColocated",
     "Source",
-    "TooLarge",
     "Uncoverable",
     "UnknownEndpoint",
     "UnknownNode",
@@ -64,7 +57,5 @@ __all__ = [
     "add_membership",
     "build_graph",
     "giant_component",
-    "multiplicity",
-    "project",
     "__version__",
 ]

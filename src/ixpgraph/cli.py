@@ -73,8 +73,7 @@ def _metric_member_types_cdf(graph, args) -> MetricOutput:
 
 def _metric_table1(graph, args) -> MetricOutput:
     _require_types(graph)
-    thresholds = [ingest._parse_decimal(t.strip()) for t in args.thresholds.split(",") if t.strip()]
-    table = metrics.type_share_by_degree(graph, thresholds)
+    table = metrics.type_share_by_degree(graph, args.thresholds)
     rows = [
         (row.label, 100 * row.content, 100 * row.enterprise, 100 * row.isp)
         for row in table.rows
@@ -86,25 +85,14 @@ def _metric_table1(graph, args) -> MetricOutput:
     )
 
 
-def _decimal_flag(flag: str, raw: str, real: bool = False) -> int | float:
-    """A numeric flag's value, as strict as a numeric CSV field."""
-    try:
-        return ingest._parse_decimal(raw, real)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def _metric_table2(graph, args) -> MetricOutput:
-    sample = None if args.sample is None else _decimal_flag("--sample", args.sample)
-    seed = _decimal_flag("--seed", args.seed)
-    dist = metrics.shortest_path_ixp_counts(graph, sample_size=sample, seed=seed)
+    dist = metrics.shortest_path_ixp_counts(graph, sample_size=args.sample, seed=args.seed)
     return _percent_output("ixps_crossed", dist.values, dist.total)
 
 
 def _metric_table3(graph, args) -> MetricOutput:
-    tail = _decimal_flag("--tail", args.tail)
     dist = metrics.multiplicity_distribution(graph, _CLASS[args.node_class])
-    return _percent_output("multiplicity", dist.bucket_tail(tail), dist.total)
+    return _percent_output("multiplicity", dist.bucket_tail(args.tail), dist.total)
 
 
 def _metric_gain_cdf(graph, args) -> MetricOutput:
@@ -134,6 +122,14 @@ _METRICS: dict[str, tuple[str, Callable]] = {
     "betweenness": ("betweenness centrality on a projection", _metric_node_values),
     "clustering": ("clustering coefficient on a projection", _metric_node_values),
 }
+
+
+def _decimal_flag(flag: str, raw: str, real: bool = False) -> int | float:
+    """A numeric flag's value, as strict as a numeric CSV field."""
+    try:
+        return ingest._parse_decimal(raw, real)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_asn_token(token: str) -> int:
@@ -231,12 +227,22 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
         print(f"error: unknown metric {args.which!r}; available metrics:\n{known}",
               file=sys.stderr)
         return 1
+    # Numeric flags are parsed before the graph loads, so a bad value is
+    # reported at once, and ahead of a bad graph file.
+    args.thresholds = [_decimal_flag("--thresholds", t.strip())
+                       for t in args.thresholds.split(",") if t.strip()]
+    args.tail = _decimal_flag("--tail", args.tail)
+    args.seed = _decimal_flag("--seed", args.seed)
+    if args.sample is not None:
+        args.sample = _decimal_flag("--sample", args.sample)
     graph = serialization.read_graph(args.graph)
     _print_metric(entry[1](graph, args), args.json)
     return 0
 
 
 def cmd_place(args) -> int:
+    if args.problem == "budget":  # parsed before the graph loads, as in cmd_metrics
+        budget = _decimal_flag("--budget", args.budget, real=True)
     graph = serialization.read_graph(args.graph)
     if args.problem == "tunnels":
         ranked = placement.rank_tunnels(graph, _parse_asn_token(args.asn))
@@ -257,7 +263,6 @@ def cmd_place(args) -> int:
     if args.problem == "cover":
         solution = placement.greedy_set_cover(instance)
     else:
-        budget = _decimal_flag("--budget", args.budget, real=True)
         solution = placement.budgeted_max_coverage(instance, budget)
     _print_json(
         {

@@ -25,10 +25,6 @@ class Disconnected(IxpGraphError):
     """A node pair required to be reachable is not."""
 
 
-class NotColocated(IxpGraphError):
-    """Two ASes share no IXP, so no remote-peering tunnel exists between them."""
-
-
 class InsufficientData(IxpGraphError):
     """Not enough (or degenerate) data points for a statistic."""
 
@@ -54,7 +50,3 @@ class Uncoverable(IxpGraphError):
             "universe not coverable; uncovered: "
             + ", ".join(str(x) for x in sorted(self.residue))
         )
-
-
-class TooLarge(IxpGraphError):
-    """The instance exceeds the exhaustive solver's enumeration guard."""

@@ -12,13 +12,12 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, compress, count
-from operator import or_
 from typing import Iterable, NamedTuple
 
-from .errors import Disconnected, EmptyGraph, InsufficientData, NotColocated
+from .errors import Disconnected, EmptyGraph, InsufficientData
 from .model import AsType, BipartiteGraph, NodeClass
+from .projection import bits, index, partner_gains
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,6 @@ class Distribution:
     def from_counts(cls, counts: dict) -> "Distribution":
         items = tuple(sorted((v, c) for v, c in counts.items() if c))
         return cls(values=items, total=sum(c for _, c in items))
-
-    def fraction(self, value) -> float:
-        for v, c in self.values:
-            if v == value:
-                return c / self.total if self.total else 0.0
-        return 0.0
 
     def cdf(self) -> list[tuple[float, float]]:
         """Running cumulative fractions, one entry per distinct value."""
@@ -116,8 +109,8 @@ def member_type_fractions(graph: BipartiteGraph) -> dict[str, TypeFractions]:
 def type_fraction_distribution(graph: BipartiteGraph, as_type: AsType) -> Distribution:
     """Distribution over IXPs of the member fraction of one AS type."""
     fractions = member_type_fractions(graph)
-    index = {AsType.CONTENT: 0, AsType.ENTERPRISE: 1, AsType.ISP: 2}[as_type]
-    return Distribution.from_counts(Counter(f[index] for f in fractions.values()))
+    column = {AsType.CONTENT: 0, AsType.ENTERPRISE: 1, AsType.ISP: 2}[as_type]
+    return Distribution.from_counts(Counter(f[column] for f in fractions.values()))
 
 
 def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> TypeShareTable:
@@ -141,36 +134,6 @@ def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> Ty
     return TypeShareTable(rows=tuple(rows))
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes
-
-
-def _index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, list[int]]:
-    """The nodes of ``node_class`` in sorted order, each other-class node's
-    neighbours as a bitmask over those indices, and each node's reach mask:
-    the OR of its neighbours' masks, which holds the node itself unless it
-    has no neighbour. Node i's projection neighbours are ``reach[i] & ~(1 << i)``."""
-    if node_class is NodeClass.IXP:
-        nodes, others = sorted(graph.ixps), graph.ases
-        of_node, of_other = graph.members, graph.memberships
-    else:
-        nodes, others = sorted(graph.ases), graph.ixps
-        of_node, of_other = graph.memberships, graph.members
-    index = {v: i for i, v in enumerate(nodes)}
-    masks = {o: sum(1 << index[v] for v in of_other(o)) for o in others}
-    reach = [reduce(or_, map(masks.get, of_node(v)), 0) for v in nodes]
-    return nodes, masks, reach
-
-
 def shortest_path_ixp_counts(
     graph: BipartiteGraph,
     sample_size: int | None = None,
@@ -183,17 +146,18 @@ def shortest_path_ixp_counts(
     searched and each unordered pair touching the sample is tallied once;
     a sample covering all ASes reproduces the full enumeration exactly.
 
-    On the AS-class masks of ``_index``, a source's reach mask is its first IXP
-    level and each next level is the unreached members of the IXPs touching
-    the last, so sources with one reach mask share one BFS: a target first
-    reached at level k crosses k IXPs, and each level's new ASes are
-    counted with a popcount scaled by the class size. A target inside the
-    sample is also a source and counts half from each end; one outside
-    counts once. Raises Disconnected if some AS is unreachable from a source.
+    On the AS-class masks of ``projection.index``, a source's reach mask is
+    its first IXP level and each next level is the unreached members of the
+    IXPs touching the last, so sources with one reach mask share one BFS: a
+    target first reached at level k crosses k IXPs, and each level's new
+    ASes are counted with a popcount scaled by the class size. A target
+    inside the sample is also a source and counts half from each end; one
+    outside counts once. Raises Disconnected if some AS is unreachable from
+    a source.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    asns, members, reach = _index(graph, NodeClass.AS)
+    asns, members, reach = index(graph, NodeClass.AS)
     n_as = len(asns)
     if n_as < 2:
         return Distribution.from_counts({})
@@ -244,9 +208,9 @@ def multiplicity_distribution(graph: BipartiteGraph, node_class: NodeClass) -> D
     every pair is counted from both ends and the tallies are halved."""
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    nodes, masks, _ = _index(graph, node_class)
+    nodes, masks, _ = index(graph, node_class)
     lists: list[list[list[int]]] = [[] for _ in nodes]  # per node, its neighbours' member bits
-    for members in map(_bits, masks.values()):
+    for members in map(bits, masks.values()):
         for i in members:
             lists[i].append(members)
     doubled: Counter = Counter()
@@ -256,36 +220,12 @@ def multiplicity_distribution(graph: BipartiteGraph, node_class: NodeClass) -> D
     return Distribution.from_counts({m: c // 2 for m, c in doubled.items()})
 
 
-def remote_peering_gain(graph: BipartiteGraph, a: int, b: int) -> int:
-    """New neighbors AS ``a`` gains by tunneling through co-located AS ``b``.
-
-    Counts the ASes present at b's IXPs that a cannot already reach at its
-    own IXPs; a and b themselves never count, since sharing an IXP puts
-    both in a's reach. Asymmetric in (a, b).
-    """
-    if a == b:
-        raise ValueError("remote peering needs two distinct ASes")
-    if not (graph.memberships(a) & graph.memberships(b)):
-        raise NotColocated(f"ASes {a} and {b} share no IXP")
-    reach_a, reach_b = (set().union(*map(graph.members, graph.memberships(x))) for x in (a, b))
-    return len(reach_b - reach_a)
-
-
-def _partner_gains(reach: list[int], i: int) -> tuple[list[int], list[int]]:
-    """The ASes co-located with AS i (the set bits j != i of ``reach[i]``)
-    and the gain of i through each: ``(reach[j] & ~reach[i]).bit_count()``,
-    which is ``remote_peering_gain`` of the two ASNs."""
-    partners = _bits(reach[i] & ~(1 << i))
-    missing = ~reach[i]
-    return partners, [(reach[j] & missing).bit_count() for j in partners]
-
-
 def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
     """Gain distribution over all ordered co-located AS pairs."""
-    _, _, reach = _index(graph, NodeClass.AS)
+    _, _, reach = index(graph, NodeClass.AS)
     tally: Counter = Counter()
     for i in range(len(reach)):
-        tally.update(_partner_gains(reach, i)[1])
+        tally.update(partner_gains(reach, i)[1])
     return Distribution.from_counts(tally)
 
 
@@ -307,6 +247,9 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
         raise InsufficientData(str(exc)) from None
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes
+
+
 def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict:
     """Normalized betweenness centrality on the simple projection onto
     ``node_class`` (normalization (n-1)(n-2)/2 for undirected graphs).
@@ -326,7 +269,7 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
     ``delta[s]``, and adds ``coeff`` as is where every predecessor has one
     path (``1.0 * coeff`` is exact).
     """
-    nodes, _, reach = _index(graph, node_class)
+    nodes, _, reach = index(graph, node_class)
     if not nodes:
         raise EmptyGraph("projection has no nodes")
     nb = [r & ~(1 << i) for i, r in enumerate(reach)]
@@ -345,7 +288,7 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
             for v in level:
                 new = nb[v] & ~seen
                 seen |= new
-                nxt += _bits(new)
+                nxt += bits(new)
             if not nxt:
                 break
             mask = seen ^ before
@@ -360,7 +303,7 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
             else:
                 for v in level:
                     sv = float(sigma[v])
-                    for w in _bits(nb[v] & mask):
+                    for w in bits(nb[v] & mask):
                         sigma[w] += sv
             levels.append((nxt, mask))
         sigma = list(map(float, sigma))
@@ -395,13 +338,13 @@ def clustering_coefficient(graph: BipartiteGraph, node_class: NodeClass) -> dict
     its triangles) scores t / (d(d-1)); a node in no triangle scores the
     int 0, as networkx's ``clustering`` does.
     """
-    nodes, _, reach = _index(graph, node_class)
+    nodes, _, reach = index(graph, node_class)
     if not nodes:
         raise EmptyGraph("projection has no nodes")
     nb = [r & ~(1 << i) for i, r in enumerate(reach)]
     out = {}
     for v, mask in zip(nodes, nb):
-        t = sum((mask & nb[w]).bit_count() for w in _bits(mask))
+        t = sum((mask & nb[w]).bit_count() for w in bits(mask))
         d = mask.bit_count()
         out[v] = 0 if t == 0 else t / (d * (d - 1))
     return out
@@ -418,7 +361,6 @@ __all__ = [
     "type_share_by_degree",
     "shortest_path_ixp_counts",
     "multiplicity_distribution",
-    "remote_peering_gain",
     "remote_peering_gain_cdf",
     "degree_prefix_correlation",
     "betweenness_centrality",

@@ -1,9 +1,7 @@
 """Attributed graph types for the IXP-membership view of the Internet.
 
 The central structure is the :class:`BipartiteGraph`: IXP vertices on one
-side, AS vertices on the other, and membership edges only. Projections of
-it onto a single vertex class are :class:`Multigraph` instances, with one
-parallel edge per shared neighbor.
+side, AS vertices on the other, and membership edges only.
 
 Graphs are treated as immutable once construction finishes; concurrent
 readers are safe, construction is single-writer.
@@ -172,25 +170,6 @@ class BipartiteGraph:
             return self._as_memberships[asn]
         except KeyError:
             raise UnknownNode(f"unknown AS {asn}") from None
-
-
-@dataclass
-class Multigraph:
-    """Projection of a BipartiteGraph onto one vertex class.
-
-    ``edges`` maps a canonically ordered node pair (u < v) to the set of
-    shared-neighbor ids from the opposite class; the pair's multiplicity is
-    the size of that set.
-    """
-
-    node_class: NodeClass
-    nodes: set = field(default_factory=set)
-    edges: dict[tuple, frozenset] = field(default_factory=dict)
-
-    @property
-    def num_parallel_edges(self) -> int:
-        """Total edge count with parallel edges counted individually."""
-        return sum(len(vias) for vias in self.edges.values())
 
 
 def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGraph:

@@ -2,22 +2,18 @@
 
 Middlebox deployment, remote-peering reseller choice, and new-site
 selection all reduce to picking IXPs that cover target ASes. The solvers
-here are the classic deterministic greedy approximations plus an
-exhaustive oracle for small instances, so solution quality is checkable.
+here are the classic deterministic greedy approximations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping
 
-from . import metrics
-from .errors import NoLocationData, TooLarge, Uncoverable, UnknownNode, UnknownTarget
+from .errors import NoLocationData, Uncoverable, UnknownNode, UnknownTarget
 from .model import BipartiteGraph, NodeClass
-
-EXHAUSTIVE_CANDIDATE_LIMIT = 20
+from .projection import index, partner_gains
 
 
 @dataclass(frozen=True)
@@ -168,43 +164,6 @@ def budgeted_max_coverage(instance: CoverageInstance, budget: float) -> Placemen
     return greedy
 
 
-def exhaustive_cover_oracle(
-    instance: CoverageInstance, budget: float | None = None
-) -> PlacementSolution:
-    """Optimal solution by subset enumeration; guard-railed to at most
-    20 candidates.
-
-    Without a budget: the minimum-cost full cover (ties: fewer sets, then
-    lexicographic). With a budget: the maximum-weight selection within it
-    (ties: lower cost, then lexicographic). The chosen list is sorted, as
-    enumeration has no pick order.
-    """
-    ids = sorted(instance.candidates)
-    if len(ids) > EXHAUSTIVE_CANDIDATE_LIMIT:
-        raise TooLarge(
-            f"{len(ids)} candidates exceed the exhaustive limit of {EXHAUSTIVE_CANDIDATE_LIMIT}"
-        )
-    best = None
-    best_key = None
-    for r in range(len(ids) + 1):
-        for combo in combinations(ids, r):
-            sol = _solution(instance, combo)
-            if budget is None:
-                if sol.covered != instance.universe:
-                    continue
-                key = (sol.total_cost, len(combo), combo)
-            else:
-                if sol.total_cost > budget:
-                    continue
-                key = (-sol.total_weight, sol.total_cost, combo)
-            if best_key is None or key < best_key:
-                best, best_key = sol, key
-    if best is None:
-        coverable = frozenset().union(*instance.candidates.values()) if instance.candidates else frozenset()
-        raise Uncoverable(instance.universe - coverable)
-    return best
-
-
 def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     """Remote-peering resellers for an AS, best first.
 
@@ -214,8 +173,8 @@ def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     """
     if asn not in graph.ases:
         raise UnknownNode(f"unknown AS {asn}")
-    asns, _, reach = metrics._index(graph, NodeClass.AS)
-    partners, gains = metrics._partner_gains(reach, asns.index(asn))
+    asns, _, reach = index(graph, NodeClass.AS)
+    partners, gains = partner_gains(reach, asns.index(asn))
     return sorted(zip([asns[j] for j in partners], gains), key=lambda bg: (-bg[1], bg[0]))
 
 

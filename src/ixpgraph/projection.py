@@ -1,49 +1,52 @@
-"""Projections of the bipartite graph onto a single vertex class."""
+"""Projections of the bipartite graph onto a single vertex class.
+
+IXPs i and j are joined in the IXP projection by one parallel edge per AS
+that is a member of both; the AS projection swaps the roles. Every
+projection metric reads the projection off one bitmask index: the nodes
+of the class in sorted order, each other-class node's neighbours as a
+bitmask over those indices, and each node's reach mask.
+"""
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from operator import or_
 
-from .errors import EmptyGraph, UnknownNode
-from .model import BipartiteGraph, Multigraph, NodeClass
+from .model import BipartiteGraph, NodeClass
 
 
-def project(graph: BipartiteGraph, node_class: NodeClass) -> Multigraph:
-    """Project the bipartite graph onto the chosen vertex class.
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    For the IXP class, IXPs i and j get one parallel edge per AS that is a
-    member of both; the AS class swaps the roles. Nodes of the class appear
-    even when isolated in the projection, so pair-based statistics keep the
-    full denominator.
-    """
-    if graph.num_nodes == 0:
-        raise EmptyGraph("cannot project an empty graph")
+
+def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, list[int]]:
+    """The nodes of ``node_class`` in sorted order, each other-class node's
+    neighbours as a bitmask over those indices, and each node's reach mask:
+    the OR of its neighbours' masks, which holds the node itself unless it
+    has no neighbour. Node i's projection neighbours are ``reach[i] & ~(1 << i)``,
+    and the parallel edges of a pair are the masks holding both bits."""
     if node_class is NodeClass.IXP:
-        nodes = set(graph.ixps)
-        via_neighbors = [(asn, graph.memberships(asn)) for asn in graph.ases]
+        nodes, others = sorted(graph.ixps), graph.ases
+        of_node, of_other = graph.members, graph.memberships
     else:
-        nodes = set(graph.ases)
-        via_neighbors = [(ixp_id, graph.members(ixp_id)) for ixp_id in graph.ixps]
-
-    edges: dict[tuple, set] = {}
-    for via, shared in via_neighbors:
-        for u, v in combinations(sorted(shared), 2):
-            edges.setdefault((u, v), set()).add(via)
-    return Multigraph(
-        node_class=node_class,
-        nodes=nodes,
-        edges={pair: frozenset(vias) for pair, vias in edges.items()},
-    )
+        nodes, others = sorted(graph.ases), graph.ixps
+        of_node, of_other = graph.memberships, graph.members
+    position = {v: i for i, v in enumerate(nodes)}
+    masks = {o: sum(1 << position[v] for v in of_other(o)) for o in others}
+    reach = [reduce(or_, map(masks.get, of_node(v)), 0) for v in nodes]
+    return nodes, masks, reach
 
 
-def multiplicity(mg: Multigraph, u, v) -> int:
-    """Number of parallel edges between u and v; 0 if unconnected, and 0 for
-    (u, u) since projections have no self-loops."""
-    if u not in mg.nodes:
-        raise UnknownNode(f"unknown node {u!r}")
-    if v not in mg.nodes:
-        raise UnknownNode(f"unknown node {v!r}")
-    if u == v:
-        return 0
-    pair = (u, v) if u < v else (v, u)
-    return len(mg.edges.get(pair, ()))
+def partner_gains(reach: list[int], i: int) -> tuple[list[int], list[int]]:
+    """On the AS-class reach masks: the ASes co-located with AS i (the set
+    bits j != i of ``reach[i]``) and the remote-peering gain of i through
+    each, the ASes j meets that i does not: ``(reach[j] & ~reach[i]).bit_count()``."""
+    partners = bits(reach[i] & ~(1 << i))
+    missing = ~reach[i]
+    return partners, [(reach[j] & missing).bit_count() for j in partners]

@@ -1,5 +1,6 @@
 """Shared fixtures: the G0 toy graph, random graph generators, CSV dataset
-fixtures, and a paper-scale synthetic graph."""
+fixtures, a paper-scale synthetic graph, and the projection edges read off
+the bitmask index."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from ixpgraph import serialization
+from ixpgraph import projection, serialization
 
 from ixpgraph.ingest import MembershipRecord
 from ixpgraph.model import (
@@ -18,6 +19,7 @@ from ixpgraph.model import (
     IxpNode,
     IxpStatus,
     MembershipEdge,
+    NodeClass,
     Source,
     build_graph,
     giant_component,
@@ -150,6 +152,22 @@ DATASET_HEADER = ("source,ixp_key,ixp_name,ixp_prefixes,asn,"
                   "member_ip,status,as_type,as_prefix_count")
 
 
+def index_edges(graph: BipartiteGraph, node_class: NodeClass) -> dict:
+    """Projection edges as {(u, v): set of shared neighbours}, read off
+    ``projection.index``: a node's neighbours from its mask
+    ``reach[i] & ~(1 << i)``, and a pair's shared neighbours from the
+    other class's masks that hold both nodes."""
+    nodes, masks, reach = projection.index(graph, node_class)
+    vias = [{o for o, m in masks.items() if m >> i & 1} for i in range(len(nodes))]
+    edges = {}
+    for i, r in enumerate(reach):
+        for j in projection.bits(r & ~(1 << i)):
+            assert reach[j] >> i & 1, f"neighbour masks of {nodes[i]!r} and {nodes[j]!r} disagree"
+            if i < j:
+                edges[nodes[i], nodes[j]] = vias[i] & vias[j]
+    return edges
+
+
 def write_membership_csv(path, rows):
     path.write_text("\n".join([DATASET_HEADER, *rows]) + "\n", encoding="utf-8")
     return path
@@ -178,11 +196,15 @@ def sanitize_fixture_files(dirpath):
     return pdb, pch
 
 
-def paper_scale_graph(seed: int = 42, n_ixp: int = 500, n_as: int = 4700,
-                      max_degree: int = 350) -> BipartiteGraph:
+def paper_scale_graph(seed: int = 42, n_ixp: int = 500, n_as: int = 4700) -> BipartiteGraph:
     """Synthetic graph matched to the published dataset's scale: about 500
     IXPs, 4,700 ASes, 15,000 membership edges, with roughly 43% of ASes at
-    degree 1 and a heavy-tailed remainder, capped at ``max_degree``."""
+    degree 1 and a heavy-tailed remainder.
+
+    Degrees are capped at 350 of 500 IXPs, a cap scaled down with ``n_ixp``:
+    one at or above ``n_ixp`` lets an AS join every IXP, which makes the
+    IXP projection complete."""
+    max_degree = min(350, 7 * n_ixp // 10)
     rng = random.Random(seed)
     degrees = []
     for _ in range(n_as):

@@ -3,17 +3,21 @@
 These deliberately avoid the library's own adjacency caches and search
 code: everything is recomputed from the raw edge list with the most naive
 algorithm available, so agreement with the package is meaningful. The
-centrality and clustering oracles are networkx's own implementations,
-which the package's kernels must match value for value.
+centrality and clustering oracles are networkx's own implementations on
+the materialized projection, which the package's kernels must match value
+for value.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from collections import Counter, deque
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import networkx as nx
 
+from ixpgraph.errors import Uncoverable
 from ixpgraph.ingest import (
     _STATUS_SEVERITY,
     IxpIdentity,
@@ -21,7 +25,8 @@ from ixpgraph.ingest import (
     _UnionFind,
     normalize_ixp_name,
 )
-from ixpgraph.model import BipartiteGraph, Multigraph, NodeClass
+from ixpgraph.model import BipartiteGraph, NodeClass
+from ixpgraph.placement import CoverageInstance, PlacementSolution
 
 
 def bf_adjacency(graph: BipartiteGraph) -> dict:
@@ -50,6 +55,47 @@ def bf_project(graph: BipartiteGraph, node_class: NodeClass) -> dict:
                 u, v = sorted((a1, a2))
                 out.setdefault((u, v), set()).add(x1)
     return out
+
+
+@dataclass
+class Multigraph:
+    """Projection of a BipartiteGraph onto one vertex class.
+
+    ``edges`` maps a canonically ordered node pair (u < v) to the set of
+    shared-neighbor ids from the opposite class; the pair's multiplicity is
+    the size of that set.
+    """
+
+    node_class: NodeClass
+    nodes: set = field(default_factory=set)
+    edges: dict[tuple, frozenset] = field(default_factory=dict)
+
+    @property
+    def num_parallel_edges(self) -> int:
+        """Total edge count with parallel edges counted individually."""
+        return sum(len(vias) for vias in self.edges.values())
+
+
+def project(graph: BipartiteGraph, node_class: NodeClass) -> Multigraph:
+    """The materialized projection onto ``node_class``: IXPs i and j get
+    one parallel edge per AS that is a member of both, and the AS class
+    swaps the roles. Nodes of the class appear even when isolated."""
+    if node_class is NodeClass.IXP:
+        nodes = set(graph.ixps)
+        via_neighbors = [(asn, graph.memberships(asn)) for asn in graph.ases]
+    else:
+        nodes = set(graph.ases)
+        via_neighbors = [(ixp_id, graph.members(ixp_id)) for ixp_id in graph.ixps]
+
+    edges: dict[tuple, set] = {}
+    for via, shared in via_neighbors:
+        for u, v in combinations(sorted(shared), 2):
+            edges.setdefault((u, v), set()).add(via)
+    return Multigraph(
+        node_class=node_class,
+        nodes=nodes,
+        edges={pair: frozenset(vias) for pair, vias in edges.items()},
+    )
 
 
 def bf_distance(adj: dict, source, target) -> int | None:
@@ -173,6 +219,44 @@ def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
             status=max((statuses[k] for k in group), key=_STATUS_SEVERITY.get),
         )
     return identities
+
+
+def exhaustive_cover_oracle(
+    instance: CoverageInstance, budget: float | None = None
+) -> PlacementSolution:
+    """Optimal solution by subset enumeration, for at most 20 candidates.
+
+    Without a budget: the minimum-cost full cover (ties: fewer sets, then
+    lexicographic). With a budget: the maximum-weight selection within it
+    (ties: lower cost, then lexicographic). The chosen list is sorted, as
+    enumeration has no pick order.
+    """
+    ids = sorted(instance.candidates)
+    assert len(ids) <= 20, f"{len(ids)} candidates are too many to enumerate"
+    best = None
+    best_key = None
+    for r in range(len(ids) + 1):
+        for combo in combinations(ids, r):
+            covered = frozenset().union(*(instance.candidates[c] for c in combo))
+            sol = PlacementSolution(
+                chosen=combo,
+                covered=covered,
+                total_cost=sum(instance.cost[c] for c in combo),
+                total_weight=sum(instance.weight[a] for a in covered),
+            )
+            if budget is None:
+                if sol.covered != instance.universe:
+                    continue
+                key = (sol.total_cost, len(combo), combo)
+            else:
+                if sol.total_cost > budget:
+                    continue
+                key = (-sol.total_weight, sol.total_cost, combo)
+            if best_key is None or key < best_key:
+                best, best_key = sol, key
+    if best is None:
+        raise Uncoverable(instance.universe - frozenset().union(*instance.candidates.values()))
+    return best
 
 
 def harmonic(n: int) -> float:

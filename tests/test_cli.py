@@ -1,5 +1,7 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ixpgraph import projection, serialization
+from ixpgraph import serialization
 from ixpgraph.cli import main
 from ixpgraph.model import (
     AsNode,
@@ -244,18 +246,6 @@ class TestMetrics:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_projection_metrics_never_project(self, g0_file, capsys, monkeypatch):
-        # The CLI reads both projections off the bitmask index; the
-        # materialized multigraph is library-only.
-        def refuse(*args, **kwargs):
-            raise AssertionError("projection.project called")
-
-        monkeypatch.setattr(projection, "project", refuse)
-        for which in ("table3", "betweenness", "clustering"):
-            for node_class in ("ixp", "as"):
-                code, out, _ = run(capsys, "metrics", str(g0_file), which, "--class", node_class)
-                assert code == 0 and out
 
     def test_unknown_metric(self, g0_file, capsys):
         code, _, err = run(capsys, "metrics", str(g0_file), "entropy")
@@ -576,22 +566,40 @@ class TestUsageErrors:
                              "--thresholds", "0,1_0")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: --thresholds: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("metrics", "table3", "--tail", "٣"),
         ("metrics", "table2", "--sample", "1_0"),
         ("metrics", "table2", "--seed", "٤"),
+        ("metrics", "table1", "--thresholds", "0,1_0"),
         ("place", "budget", "--targets", "all", "--budget", "1_0"),
-    ], ids=["tail", "sample", "seed", "budget"])
-    def test_lax_numeric_flag_is_one_line_error(self, g0_file, capsys, argv):
+    ], ids=["tail", "sample", "seed", "thresholds", "budget"])
+    def test_lax_numeric_flag_is_one_line_error(self, g0_file, tmp_path, capsys, argv):
+        # The flag is parsed before the graph loads: a missing graph file
+        # gives the same error.
         command, *rest = argv
-        code, out, err = run(capsys, command, str(g0_file), *rest)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: {rest[-2]}: ") and err.count("\n") == 1
+        for graph in (g0_file, tmp_path / "missing.json"):
+            code, out, err = run(capsys, command, str(graph), *rest)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: {rest[-2]}: ") and err.count("\n") == 1
 
     def test_bad_class_choice(self, g0_file):
         with pytest.raises(SystemExit) as info:
             main(["metrics", str(g0_file), "degree-cdf", "--class", "router"])
         assert info.value.code == 2
+
+
+class TestTracedBenchmarkModules:
+    def test_traced_modules_import(self):
+        # perfbench's traced run imports ixpgraph.<module> for every module
+        # its TARGETS name, so deleting one of them breaks that run.
+        layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        tree = ast.parse(layers.read_text(encoding="utf-8"))
+        targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                       and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+        modules = sorted({entry.elts[0].value for entry in targets.elts})
+        assert "projection" in modules
+        for module in modules:
+            importlib.import_module(f"ixpgraph.{module}")

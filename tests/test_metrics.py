@@ -1,6 +1,7 @@
 """Metric suite: distributions, type shares, path counts, multiplicity,
 remote-peering gains, correlation, centrality/clustering."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,8 +12,6 @@ from ixpgraph.errors import (
     Disconnected,
     EmptyGraph,
     InsufficientData,
-    NotColocated,
-    UnknownNode,
 )
 from ixpgraph.metrics import (
     Distribution,
@@ -23,7 +22,6 @@ from ixpgraph.metrics import (
     degree_prefix_correlation,
     member_type_fractions,
     multiplicity_distribution,
-    remote_peering_gain,
     remote_peering_gain_cdf,
     shortest_path_ixp_counts,
     type_fraction_distribution,
@@ -39,7 +37,8 @@ from ixpgraph.model import (
     build_graph,
     giant_component,
 )
-from ixpgraph.projection import project
+from ixpgraph.placement import rank_tunnels
+from ixpgraph.projection import index
 
 from conftest import gain_test_graphs, make_g0, paper_scale_graph, random_bipartite
 from oracles import (
@@ -49,6 +48,7 @@ from oracles import (
     bf_project,
     nx_betweenness,
     nx_clustering,
+    project,
 )
 
 
@@ -76,11 +76,6 @@ class TestDistribution:
     def test_non_increasing_values_rejected(self):
         with pytest.raises(ValueError):
             Distribution(values=((2, 1), (1, 1)), total=2)
-
-    def test_fraction(self):
-        dist = Distribution.from_counts({1: 3, 2: 1})
-        assert dist.fraction(1) == 0.75
-        assert dist.fraction(9) == 0.0
 
     def test_cdf_runs_to_one(self):
         dist = Distribution.from_counts({1: 1, 2: 1, 5: 2})
@@ -291,31 +286,36 @@ class TestMultiplicityDistribution:
 
 
 class TestRemotePeeringGain:
+    """The gain of AS a through co-located AS b, as ``rank_tunnels`` scores
+    it and as the edge-list oracle recomputes it."""
+
+    @staticmethod
+    def gain(graph, a, b):
+        return dict(rank_tunnels(graph, a))[b]
+
     def test_g0_a1_via_a2(self, g0):
-        assert remote_peering_gain(g0, 1, 2) == 1
+        assert self.gain(g0, 1, 2) == bf_gain(g0, 1, 2) == 1
 
     def test_g0_a4_via_a2(self, g0):
-        assert remote_peering_gain(g0, 4, 2) == 1
+        assert self.gain(g0, 4, 2) == bf_gain(g0, 4, 2) == 1
 
     def test_subset_footprint_gains_nothing(self, g0):
         # IXPs(A4) = {X2} is a subset of IXPs(A2) = {X1, X2}.
-        assert remote_peering_gain(g0, 2, 4) == 0
+        assert self.gain(g0, 2, 4) == bf_gain(g0, 2, 4) == 0
 
     def test_same_as_rejected(self, g0):
-        with pytest.raises(ValueError):
-            remote_peering_gain(g0, 1, 1)
+        # An AS is never its own reseller.
+        for a in g0.ases:
+            assert a not in dict(rank_tunnels(g0, a))
 
     def test_not_colocated(self, g0):
-        with pytest.raises(NotColocated):
-            remote_peering_gain(g0, 1, 4)
-
-    def test_unknown_node(self, g0):
-        with pytest.raises(UnknownNode):
-            remote_peering_gain(g0, 1, 99)
+        # A1 and A4 share no IXP, so neither is a reseller for the other.
+        assert 4 not in dict(rank_tunnels(g0, 1))
+        assert 1 not in dict(rank_tunnels(g0, 4))
 
     def test_matches_edge_list_oracle(self, g0):
         for a, b in ((1, 2), (1, 3), (2, 3), (3, 2), (4, 2), (4, 3)):
-            assert remote_peering_gain(g0, a, b) == bf_gain(g0, a, b)
+            assert self.gain(g0, a, b) == bf_gain(g0, a, b)
 
 
 class TestRemotePeeringGainCdf:
@@ -458,11 +458,26 @@ class TestCentralityAndClustering:
 
     def test_betweenness_at_paper_density_equals_networkx(self):
         # The paper-scale shape at 200 IXPs, its degree cap scaled with it
-        # (350 of 500): every BFS has depth 2 and path counts reach 159.
-        # Uncapped, one AS joins every IXP and the projection is complete.
-        graph = paper_scale_graph(n_ixp=200, n_as=1400, max_degree=140)
+        # (140, as 350 of 500): every BFS has depth 2 and path counts reach 159.
+        graph = paper_scale_graph(n_ixp=200, n_as=1400)
         expected = nx_betweenness(project(graph, NodeClass.IXP))
         self.assert_exact(betweenness_centrality(graph, NodeClass.IXP), expected)
+
+    def test_paper_scale_graph_default_unchanged(self):
+        # The degree cap is 350 at 500 IXPs: the paper-scale graph that other
+        # tests pin figures on keeps exactly these edges.
+        graph = paper_scale_graph()
+        assert (len(graph.ixps), len(graph.ases), graph.num_edges) == (500, 4700, 15606)
+        digest = hashlib.sha256(repr(sorted(graph.edges)).encode()).hexdigest()
+        assert digest == "2f4c762a3276dde2b2a3248dad6a56fb819c4dbf4fcef86f4e944fe4cef1241b"
+
+    def test_smaller_paper_shape_projection_is_not_complete(self):
+        # A degree cap at or above n_ixp lets an AS join every IXP, which
+        # makes every IXP pair adjacent and every betweenness value 0.
+        nodes, _, reach = index(paper_scale_graph(n_ixp=150, n_as=1400), NodeClass.IXP)
+        n = len(nodes)
+        edges = sum((r & ~(1 << i)).bit_count() for i, r in enumerate(reach)) // 2
+        assert 0 < edges < n * (n - 1) // 2
 
     def test_empty_graph(self):
         for kernel in (betweenness_centrality, clustering_coefficient, multiplicity_distribution):

@@ -6,12 +6,10 @@ import pytest
 
 from ixpgraph.errors import (
     NoLocationData,
-    TooLarge,
     Uncoverable,
     UnknownNode,
     UnknownTarget,
 )
-from ixpgraph.metrics import remote_peering_gain
 from ixpgraph.model import (
     AsNode,
     IxpNode,
@@ -20,18 +18,16 @@ from ixpgraph.model import (
     build_graph,
 )
 from ixpgraph.placement import (
-    EXHAUSTIVE_CANDIDATE_LIMIT,
     CoverageInstance,
     build_instance,
     budgeted_max_coverage,
-    exhaustive_cover_oracle,
     greedy_set_cover,
     rank_tunnels,
     site_selection_score,
 )
 
 from conftest import gain_test_graphs, make_g0
-from oracles import bf_gain, harmonic
+from oracles import bf_gain, exhaustive_cover_oracle, harmonic
 
 
 def instance_of(candidates: dict[str, set[int]],
@@ -231,11 +227,6 @@ class TestExhaustiveOracle:
         solution = exhaustive_cover_oracle(instance_of({}))
         assert solution.chosen == () and solution.total_cost == 0.0
 
-    def test_guard_rail(self):
-        candidates = {f"X{i:02d}": {1} for i in range(EXHAUSTIVE_CANDIDATE_LIMIT + 1)}
-        with pytest.raises(TooLarge):
-            exhaustive_cover_oracle(instance_of(candidates))
-
     def test_uncoverable(self):
         instance = CoverageInstance(
             universe=frozenset({1, 2}),
@@ -288,7 +279,7 @@ class TestRankTunnels:
     def test_matches_pairwise_gains(self, g0):
         for a in g0.ases:
             for b, gain in rank_tunnels(g0, a):
-                assert gain == remote_peering_gain(g0, a, b)
+                assert gain == bf_gain(g0, a, b)
 
     def test_matches_oracle_on_random_graphs(self):
         for graph in gain_test_graphs():

@@ -1,11 +1,9 @@
-"""Projections onto one vertex class."""
+"""Projections onto one vertex class: the bitmask index every projection
+metric reads, and the materialized oracle the networkx checks rest on."""
 
 import math
 import random
 
-import pytest
-
-from ixpgraph.errors import EmptyGraph, UnknownNode
 from ixpgraph.model import (
     AsNode,
     BipartiteGraph,
@@ -14,36 +12,36 @@ from ixpgraph.model import (
     NodeClass,
     build_graph,
 )
-from ixpgraph.projection import multiplicity, project
+from ixpgraph.projection import bits, index, partner_gains
 
-from conftest import random_bipartite
-from oracles import bf_project
+from conftest import index_edges, random_bipartite
+from oracles import bf_project, project
 
 
 class TestProjectG0:
     def test_ixp_class_edges(self, g0):
-        mg = project(g0, NodeClass.IXP)
-        assert mg.node_class is NodeClass.IXP
-        assert mg.nodes == {"X1", "X2", "X3"}
-        assert mg.edges == {
-            ("X1", "X2"): frozenset({2, 3}),
-            ("X1", "X3"): frozenset({1}),
+        nodes, masks, reach = index(g0, NodeClass.IXP)
+        assert nodes == ["X1", "X2", "X3"]
+        assert masks == {1: 0b101, 2: 0b011, 3: 0b011, 4: 0b010}
+        assert reach == [0b111, 0b011, 0b101]
+        assert index_edges(g0, NodeClass.IXP) == {
+            ("X1", "X2"): {2, 3},
+            ("X1", "X3"): {1},
         }
 
     def test_as_class_edges(self, g0):
-        mg = project(g0, NodeClass.AS)
-        assert mg.nodes == {1, 2, 3, 4}
-        assert mg.edges == {
-            (1, 2): frozenset({"X1"}),
-            (1, 3): frozenset({"X1"}),
-            (2, 3): frozenset({"X1", "X2"}),
-            (2, 4): frozenset({"X2"}),
-            (3, 4): frozenset({"X2"}),
+        assert index(g0, NodeClass.AS)[0] == [1, 2, 3, 4]
+        assert index_edges(g0, NodeClass.AS) == {
+            (1, 2): {"X1"},
+            (1, 3): {"X1"},
+            (2, 3): {"X1", "X2"},
+            (2, 4): {"X2"},
+            (3, 4): {"X2"},
         }
 
     def test_no_a1_a4_edge(self, g0):
-        mg = project(g0, NodeClass.AS)
-        assert (1, 4) not in mg.edges
+        nodes, _, reach = index(g0, NodeClass.AS)
+        assert not reach[nodes.index(1)] >> nodes.index(4) & 1
 
     def test_single_ixp_two_members(self):
         graph = build_graph(
@@ -51,42 +49,55 @@ class TestProjectG0:
             [AsNode(1), AsNode(2)],
             [MembershipEdge("X1", 1), MembershipEdge("X1", 2)],
         )
-        mg = project(graph, NodeClass.IXP)
-        assert mg.nodes == {"X1"}
-        assert mg.edges == {}
+        assert index(graph, NodeClass.IXP) == (["X1"], {1: 1, 2: 1}, [1])
+        assert index_edges(graph, NodeClass.IXP) == {}
 
     def test_isolated_nodes_retained(self, g0):
         g0.ixps["X4"] = IxpNode("X4", ["X4"])
         graph = BipartiteGraph(ixps=g0.ixps, ases=g0.ases, edges=g0.edges)
-        mg = project(graph, NodeClass.IXP)
-        assert "X4" in mg.nodes
+        nodes, _, reach = index(graph, NodeClass.IXP)
+        assert nodes[3] == "X4" and reach[3] == 0
+        assert index(graph, NodeClass.AS)[1]["X4"] == 0
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
-            project(BipartiteGraph(), NodeClass.IXP)
+        # The index is empty; the kernels reading it raise EmptyGraph.
+        for node_class in NodeClass:
+            assert index(BipartiteGraph(), node_class) == ([], {}, [])
 
     def test_parallel_edge_totals(self, g0):
-        assert project(g0, NodeClass.IXP).num_parallel_edges == 3
-        assert project(g0, NodeClass.AS).num_parallel_edges == 6
+        assert sum(map(len, index_edges(g0, NodeClass.IXP).values())) == 3
+        assert sum(map(len, index_edges(g0, NodeClass.AS).values())) == 6
+
+    def test_bits(self):
+        assert bits(0) == []
+        assert bits(0b10110) == [1, 2, 4]
+        assert bits(1 << 200) == [200]
+
+    def test_partner_gains(self, g0):
+        # A1 meets A2 and A3 at X1; each brings A4, which A1 cannot reach.
+        _, _, reach = index(g0, NodeClass.AS)
+        assert partner_gains(reach, 0) == ([1, 2], [1, 1])
+        # A2 already reaches every AS, so no partner brings it anything.
+        assert partner_gains(reach, 1) == ([0, 2, 3], [0, 0, 0])
 
 
 class TestMultiplicity:
+    """A pair's multiplicity is the number of other-class masks holding both."""
+
     def test_g0_values(self, g0):
-        mg = project(g0, NodeClass.IXP)
-        assert multiplicity(mg, "X1", "X2") == 2
-        assert multiplicity(mg, "X2", "X3") == 0
-        assert multiplicity(mg, "X2", "X1") == 2  # order-insensitive
+        nodes, masks, _ = index(g0, NodeClass.IXP)
+        pair = {(u, v): sum(m >> i & m >> j & 1 for m in masks.values())
+                for i, u in enumerate(nodes) for j, v in enumerate(nodes)}
+        assert pair["X1", "X2"] == pair["X2", "X1"] == 2
+        assert pair["X2", "X3"] == 0
 
     def test_self_pair_is_zero(self, g0):
-        mg = project(g0, NodeClass.IXP)
-        assert multiplicity(mg, "X1", "X1") == 0
-
-    def test_unknown_node(self, g0):
-        mg = project(g0, NodeClass.IXP)
-        with pytest.raises(UnknownNode):
-            multiplicity(mg, "X1", "X9")
-        with pytest.raises(UnknownNode):
-            multiplicity(mg, "X9", "X1")
+        # A node is in its own reach mask but never its own neighbour.
+        for node_class in NodeClass:
+            _, _, reach = index(g0, node_class)
+            for i, r in enumerate(reach):
+                assert r >> i & 1
+                assert i not in bits(r & ~(1 << i))
 
 
 class TestProjectionIdentities:
@@ -94,6 +105,8 @@ class TestProjectionIdentities:
     runs in the acceptance suite)."""
 
     def test_multiplicity_identity_and_soundness(self):
+        # The index against the edge-list oracle, and oracles.project, which
+        # the networkx oracles run on, against both identities too.
         rng = random.Random(7)
         for _ in range(20):
             graph = random_bipartite(rng, max_ixps=15, max_ases=40)
@@ -103,11 +116,15 @@ class TestProjectionIdentities:
             ixp_degrees = [len(graph.members(x)) for x in graph.ixps]
             assert mi.num_parallel_edges == sum(math.comb(d, 2) for d in as_degrees)
             assert ma.num_parallel_edges == sum(math.comb(d, 2) for d in ixp_degrees)
-            assert {p: set(v) for p, v in mi.edges.items()} == bf_project(graph, NodeClass.IXP)
-            assert {p: set(v) for p, v in ma.edges.items()} == bf_project(graph, NodeClass.AS)
+            for node_class, mg in ((NodeClass.IXP, mi), (NodeClass.AS, ma)):
+                expected = bf_project(graph, node_class)
+                assert {p: set(v) for p, v in mg.edges.items()} == expected
+                assert index_edges(graph, node_class) == expected
 
     def test_node_sets_equal_class_sets(self):
         rng = random.Random(8)
         graph = random_bipartite(rng, max_ixps=10, max_ases=30)
+        assert index(graph, NodeClass.IXP)[0] == sorted(graph.ixps)
+        assert index(graph, NodeClass.AS)[0] == sorted(graph.ases)
         assert project(graph, NodeClass.IXP).nodes == set(graph.ixps)
         assert project(graph, NodeClass.AS).nodes == set(graph.ases)
