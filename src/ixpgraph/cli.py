@@ -140,11 +140,11 @@ def _parse_asn_token(token: str) -> int:
         raise ValueError(f"not an AS number: {token!r}") from None
 
 
-def _parse_targets(spec: str, graph: BipartiteGraph) -> list[int]:
-    """Target list from a flag value: "all", a comma list of AS numbers
-    (optionally A/AS-prefixed), or @file with one entry per line."""
+def _parse_targets(spec: str) -> list[int] | None:
+    """Target list from a flag value: a comma list of AS numbers (optionally
+    A/AS-prefixed), @file with one entry per line, or None for "all"."""
     if spec.strip().lower() == "all":
-        return sorted(graph.ases)
+        return None
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
             tokens = fh.read().split()
@@ -241,11 +241,15 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_place(args) -> int:
-    if args.problem == "budget":  # parsed before the graph loads, as in cmd_metrics
+    if args.problem == "budget":  # flags are parsed before the graph loads, as in cmd_metrics
         budget = _decimal_flag("--budget", args.budget, real=True)
+    if args.problem == "tunnels":
+        asn = _parse_asn_token(args.asn)
+    elif args.problem in ("cover", "budget"):
+        targets = _parse_targets(args.targets)
     graph = serialization.read_graph(args.graph)
     if args.problem == "tunnels":
-        ranked = placement.rank_tunnels(graph, _parse_asn_token(args.asn))
+        ranked = placement.rank_tunnels(graph, asn)
         _print_json([{"asn": b, "gain": gain} for b, gain in ranked])
         return 0
     if args.problem == "site":
@@ -253,7 +257,7 @@ def cmd_place(args) -> int:
         _print_json({"country": args.country, "city": args.city, "score": score})
         return 0
 
-    targets = _parse_targets(args.targets, graph)
+    targets = sorted(graph.ases) if targets is None else targets
     costs = weights = None
     if args.costs:
         costs = _read_map_file(args.costs, ["ixp_id", "cost"], str)

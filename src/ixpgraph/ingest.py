@@ -110,6 +110,13 @@ class MembershipRecord:
     status: IxpStatus
     as_type: AsType | None = None
     as_prefix_count: int | None = None
+    # member_ip as (IP version, integer), parsed once; derived when not given.
+    member_addr: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.member_addr is None and self.member_ip is not None:
+            ip = ipaddress.ip_address(self.member_ip)
+            self.member_addr = (ip.version, int(ip))
 
 
 @dataclass
@@ -180,16 +187,18 @@ def _parse_row(row: list[str], expected_source: Source,
     prefixes = prefix_lists.get(prefixes_raw)
     if prefixes is None:
         prefixes = prefix_lists[prefixes_raw] = _parse_prefixes(prefixes_raw)
+    ip = ipaddress.ip_address(ip_raw) if ip_raw else None
     return MembershipRecord(
         source=source,
         ixp_key=ixp_key,
         ixp_name=ixp_name,
         ixp_prefixes=list(prefixes),
         asn=asn,
-        member_ip=str(ipaddress.ip_address(ip_raw)) if ip_raw else None,
+        member_ip=None if ip is None else str(ip),
         status=IxpStatus(status_raw),
         as_type=AsType(type_raw) if type_raw else None,
         as_prefix_count=pfx_count,
+        member_addr=None if ip is None else (ip.version, int(ip)),
     )
 
 
@@ -379,16 +388,17 @@ def sanitize(
 
     # (2) member IPs outside the unified IXP's peering LAN
     nets = {
-        uid: [ipaddress.ip_network(p) for p in ident.peering_prefixes]
+        uid: [(net.version, int(net.network_address), int(net.netmask))
+              for net in map(ipaddress.ip_network, ident.peering_prefixes)]
         for uid, ident in identities.items()
     }
 
     def ip_consistent(record: MembershipRecord) -> bool:
-        if record.member_ip is None:
+        if record.member_addr is None:
             return True
-        ip = ipaddress.ip_address(record.member_ip)
+        version, ip = record.member_addr
         uid = key_to_uid[(record.source, record.ixp_key)]
-        return any(ip.version == net.version and ip in net for net in nets[uid])
+        return any(version == v and ip & mask == net for v, net, mask in nets[uid])
 
     stage2 = [r for r in stage1 if ip_consistent(r)]
     if len(stage2) < len(stage1):

@@ -139,15 +139,15 @@ class BipartiteGraph:
     )
 
     def __post_init__(self):
-        self._ixp_members = {ixp_id: set() for ixp_id in self.ixps}
-        self._as_memberships = {asn: set() for asn in self.ases}
+        members = self._ixp_members = {ixp_id: set() for ixp_id in self.ixps}
+        memberships = self._as_memberships = {asn: set() for asn in self.ases}
         for (ixp_id, asn), edge in self.edges.items():
-            if ixp_id not in self.ixps or asn not in self.ases:
+            if ixp_id not in members or asn not in memberships:
                 raise UnknownEndpoint(f"edge ({ixp_id!r}, {asn}) references a missing vertex")
-            if (edge.ixp_id, edge.asn) != (ixp_id, asn):
+            if edge.ixp_id != ixp_id or edge.asn != asn:
                 raise ValueError(f"edge keyed ({ixp_id!r}, {asn}) disagrees with its fields")
-            self._ixp_members[ixp_id].add(asn)
-            self._as_memberships[asn].add(ixp_id)
+            members[ixp_id].add(asn)
+            memberships[asn].add(ixp_id)
 
     @property
     def num_nodes(self) -> int:

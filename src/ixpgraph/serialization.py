@@ -28,50 +28,7 @@ from .model import (
 
 FORMAT_VERSION = 1
 _NUMBER = (int, float, type(None))
-
-
-def _location_to_dict(location: Location | None):
-    if location is None:
-        return None
-    return {
-        "country": location.country,
-        "city": location.city,
-        "lat": location.lat,
-        "lon": location.lon,
-    }
-
-
-def graph_to_dict(graph: BipartiteGraph) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "ixps": [
-            {
-                "ixp_id": node.ixp_id,
-                "names": list(node.names),
-                "peering_prefixes": list(node.peering_prefixes),
-                "status": node.status.value,
-                "location": _location_to_dict(node.location),
-            }
-            for _, node in sorted(graph.ixps.items())
-        ],
-        "ases": [
-            {
-                "asn": node.asn,
-                "as_type": node.as_type.value,
-                "prefix_count": node.prefix_count,
-            }
-            for _, node in sorted(graph.ases.items())
-        ],
-        "edges": [
-            {
-                "ixp_id": edge.ixp_id,
-                "asn": edge.asn,
-                "member_ip": edge.member_ip,
-                "sources": sorted(s.value for s in edge.sources),
-            }
-            for _, edge in sorted(graph.edges.items())
-        ],
-    }
+_str = json.encoder.encode_basestring_ascii  # json.dumps's escaper by default
 
 
 def _typed(name: str, value, kinds, what: str):
@@ -125,34 +82,42 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                     lon=_typed("lon", loc.get("lon"), _NUMBER, "a number or null"),
                 ),
             )
+        # Exact types are tested inline; the helpers raise (or accept a subclass).
         ases = {}
         for item in data["ases"]:
-            asn = _asn(item["asn"])
+            asn = item["asn"]
+            if type(asn) is not int or not 0 < asn <= MAX_ASN:
+                asn = _asn(asn)
             if asn in ases:
                 raise FormatError(f"duplicate AS {asn}")
-            ases[asn] = AsNode(
-                asn=asn,
-                as_type=AsType(item.get("as_type", "Unknown")),
-                prefix_count=_typed("prefix_count", item.get("prefix_count"),
-                                    (int, type(None)), "an integer or null"),
-            )
+            as_type = AsType(item.get("as_type", "Unknown"))
+            count = item.get("prefix_count")
+            if count is not None and type(count) is not int:
+                count = _typed("prefix_count", count, (int, type(None)), "an integer or null")
+            ases[asn] = AsNode(asn, as_type, count)
         edges = {}
         source_sets: dict[tuple[str, ...], frozenset] = {}  # a few distinct lists
         for item in data["edges"]:
-            key = (_ixp_id(item["ixp_id"]), _asn(item["asn"]))
+            ixp_id = item["ixp_id"]
+            if type(ixp_id) is not str:
+                ixp_id = _ixp_id(ixp_id)
+            asn = item["asn"]
+            if type(asn) is not int or not 0 < asn <= MAX_ASN:
+                asn = _asn(asn)
+            key = (ixp_id, asn)
             if key in edges:
                 raise FormatError(f"duplicate edge {key}")
-            names = tuple(_strings("sources", item.get("sources", ["Other"])))
-            sources = source_sets.get(names)
-            if sources is None:
-                sources = source_sets[names] = frozenset(map(Source, names))
-            edges[key] = MembershipEdge(
-                ixp_id=key[0],
-                asn=key[1],
-                member_ip=_typed("member_ip", item.get("member_ip"),
-                                 (str, type(None)), "a string or null"),
-                sources=sources,
-            )
+            names = item.get("sources", ["Other"])
+            names_key = tuple(names if type(names) is list else _strings("sources", names))
+            try:
+                sources = source_sets[names_key]
+            except (KeyError, TypeError):  # unseen, or holding an unhashable item
+                sources = frozenset(map(Source, _strings("sources", names)))
+                source_sets[names_key] = sources
+            member_ip = item.get("member_ip")
+            if member_ip is not None and type(member_ip) is not str:
+                member_ip = _typed("member_ip", member_ip, (str, type(None)), "a string or null")
+            edges[key] = MembershipEdge(ixp_id, asn, member_ip, sources)
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
     except FormatError:
         raise
@@ -160,8 +125,48 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
         raise FormatError(f"malformed graph document: {exc}") from exc
 
 
+def _array(items: list[str], pad: str) -> str:
+    """Encoded ``items`` as ``json.dumps(indent=2)`` lays out an array closed at ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 def dumps_graph(graph: BipartiteGraph) -> str:
-    return json.dumps(graph_to_dict(graph), sort_keys=True, indent=2) + "\n"
+    """The bytes ``json.dumps(sort_keys=True, indent=2)`` gives for the graph's
+    document (the oracle in ``tests/oracles.py``), written directly: keys in
+    sorted order, strings by json's ASCII escaper, ``int`` fields as decimals."""
+    ixps = []
+    for _, node in sorted(graph.ixps.items()):
+        loc = node.location
+        location = "null" if loc is None else (
+            f'{{\n        "city": {_str(loc.city)},\n        "country": {_str(loc.country)},'
+            f'\n        "lat": {json.dumps(loc.lat)},'
+            f'\n        "lon": {json.dumps(loc.lon)}\n      }}')
+        ixps.append(
+            f'{{\n      "ixp_id": {_str(node.ixp_id)},\n      "location": {location},'
+            f'\n      "names": {_array([*map(_str, node.names)], "      ")},'
+            f'\n      "peering_prefixes": {_array([*map(_str, node.peering_prefixes)], "      ")},'
+            f'\n      "status": {_str(node.status.value)}\n    }}')
+    ases = [
+        f'{{\n      "as_type": {_str(node.as_type.value)},\n      "asn": {node.asn},'
+        f'\n      "prefix_count": {"null" if node.prefix_count is None else node.prefix_count}'
+        '\n    }'
+        for _, node in sorted(graph.ases.items())
+    ]
+    rendered = {  # each distinct sources set once
+        sources: _array([_str(s) for s in sorted(x.value for x in sources)], "      ")
+        for sources in {edge.sources for edge in graph.edges.values()}
+    }
+    edges = [
+        f'{{\n      "asn": {edge.asn},\n      "ixp_id": {_str(edge.ixp_id)},\n      "member_ip": '
+        f'{"null" if edge.member_ip is None else _str(edge.member_ip)},'
+        f'\n      "sources": {rendered[edge.sources]}\n    }}'
+        for _, edge in sorted(graph.edges.items())
+    ]
+    return (f'{{\n  "ases": {_array(ases, "  ")},\n  "edges": {_array(edges, "  ")},'
+            f'\n  "ixps": {_array(ixps, "  ")},\n  "version": {FORMAT_VERSION}\n}}\n')
 
 
 def write_graph(graph: BipartiteGraph, path) -> None:

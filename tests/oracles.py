@@ -5,12 +5,14 @@ code: everything is recomputed from the raw edge list with the most naive
 algorithm available, so agreement with the package is meaningful. The
 centrality and clustering oracles are networkx's own implementations on
 the materialized projection, which the package's kernels must match value
-for value.
+for value. The graph-file oracle is the plain writer: a dict of the graph
+through ``json.dumps(sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -27,6 +29,7 @@ from ixpgraph.ingest import (
 )
 from ixpgraph.model import BipartiteGraph, NodeClass
 from ixpgraph.placement import CoverageInstance, PlacementSolution
+from ixpgraph.serialization import FORMAT_VERSION
 
 
 def bf_adjacency(graph: BipartiteGraph) -> dict:
@@ -276,3 +279,43 @@ def nx_betweenness(mg: Multigraph) -> dict:
 
 def nx_clustering(mg: Multigraph) -> dict:
     return dict(nx.clustering(_simple_graph(mg)))
+
+
+def graph_to_dict(graph: BipartiteGraph) -> dict:
+    """The graph file's document: IXPs by id, ASes by number, edges by
+    (ixp_id, asn), each edge's sources sorted."""
+    def location(loc):
+        return None if loc is None else {
+            "country": loc.country, "city": loc.city, "lat": loc.lat, "lon": loc.lon}
+
+    return {
+        "version": FORMAT_VERSION,
+        "ixps": [
+            {
+                "ixp_id": node.ixp_id,
+                "names": list(node.names),
+                "peering_prefixes": list(node.peering_prefixes),
+                "status": node.status.value,
+                "location": location(node.location),
+            }
+            for _, node in sorted(graph.ixps.items())
+        ],
+        "ases": [
+            {"asn": node.asn, "as_type": node.as_type.value, "prefix_count": node.prefix_count}
+            for _, node in sorted(graph.ases.items())
+        ],
+        "edges": [
+            {
+                "ixp_id": edge.ixp_id,
+                "asn": edge.asn,
+                "member_ip": edge.member_ip,
+                "sources": sorted(s.value for s in edge.sources),
+            }
+            for _, edge in sorted(graph.edges.items())
+        ],
+    }
+
+
+def dumps_graph(graph: BipartiteGraph) -> str:
+    """The canonical graph file's text by ``json.dumps``."""
+    return json.dumps(graph_to_dict(graph), sort_keys=True, indent=2) + "\n"

@@ -28,6 +28,7 @@ from conftest import (
     sanitize_fixture_files,
     write_membership_csv,
 )
+from oracles import graph_to_dict
 
 
 def run(capsys, *argv):
@@ -505,7 +506,7 @@ class TestGraphValidation:
             "int-member-ip", "int-country", "null-city", "str-lat", "bool-lon",
             "nan-lat", "inf-lon", "south-of-pole-lat", "out-of-range-lon"])
     def test_bad_document_is_one_line_error(self, tmp_path, capsys, mutate):
-        doc = serialization.graph_to_dict(make_g0())
+        doc = graph_to_dict(make_g0())
         mutate(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -584,6 +585,28 @@ class TestUsageErrors:
             assert code == 1
             assert out == ""
             assert err.startswith(f"error: {rest[-2]}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, token", [
+        (("tunnels", "--as", "x"), "'x'"),
+        (("cover", "--targets", "1_0"), "'1_0'"),
+        (("budget", "--targets", "64500,AS1_0", "--budget", "5"), "'AS1_0'"),
+    ], ids=["tunnels-as", "cover-targets", "budget-targets"])
+    def test_bad_as_flag_is_reported_before_the_graph_loads(self, g0_file, tmp_path,
+                                                            capsys, argv, token):
+        # Only "--targets all" needs the graph, so a missing graph file
+        # gives the same one-line error as G0.
+        for graph in (g0_file, tmp_path / "missing.json"):
+            code, out, err = run(capsys, "place", str(graph), *argv)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: not an AS number: {token}\n"
+
+    def test_target_file_is_read_before_the_graph(self, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("AS1\nA-2\n", encoding="utf-8")
+        code, out, err = run(capsys, "place", str(tmp_path / "missing.json"), "cover",
+                             "--targets", f"@{targets}")
+        assert (code, out, err) == (1, "", "error: not an AS number: 'A-2'\n")
 
     def test_bad_class_choice(self, g0_file):
         with pytest.raises(SystemExit) as info:

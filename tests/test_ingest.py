@@ -1,6 +1,7 @@
 """Dataset parsing, IXP identity merging, sanitization, attributes."""
 
 import ipaddress
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from ixpgraph.errors import EmptyGraph, FormatError
 from ixpgraph.ingest import (
     DiscardReason,
     IxpIdentity,
+    MembershipRecord,
     ReasonTally,
     attach_attributes,
     build_from_files,
@@ -359,6 +361,39 @@ class TestSanitize:
         assert sorted(graph.ixps) == ["IXP0001", "IXP0002"]
         assert sorted(graph.ases) == [64502, 64503]
         assert graph.num_edges == 3
+
+    def test_parsed_member_address_is_carried(self, tmp_path):
+        pdb = parse(tmp_path, [
+            "PDB,k1,Alpha,192.0.2.0/24,64500,192.0.2.7,Active,,",
+            "PDB,k1,Alpha,192.0.2.0/24,64501,2001:DB8::0:1,Active,,",
+            "PDB,k1,Alpha,192.0.2.0/24,64502,,Active,,",
+        ])
+        assert [(r.member_ip, r.member_addr) for r in pdb.records] == [
+            ("192.0.2.7", (4, 0xC0000207)),
+            ("2001:db8::1", (6, 0x20010DB8 << 96 | 1)),
+            (None, None),
+        ]
+
+    def test_ip_consistency_matches_ipaddress_containment(self):
+        # Stage 2 tests each member address against its LAN by integer
+        # masks; hand-built records derive the address from member_ip.
+        rng = random.Random(3)
+        lans = ["192.0.2.0/24", "192.0.2.128/25", "10.0.0.0/8", "0.0.0.0/0",
+                "2001:db8::/32", "2001:db8:1::/48", "::/0", "198.51.100.7/32"]
+        ips = ["192.0.2.1", "192.0.2.200", "10.255.0.1", "11.0.0.0", "198.51.100.7",
+               "2001:db8::1", "2001:db8:1::5", "2001:db9::", "::ffff:192.0.2.1", "fe80::1%eth0"]
+        for _ in range(100):
+            prefixes = rng.sample(lans, rng.randint(0, 3))
+            records = [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64500, None,
+                                        IxpStatus.ACTIVE)]
+            records += [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64501 + i, ip,
+                                         IxpStatus.ACTIVE) for i, ip in enumerate(ips)]
+            graph, _ = sanitize(records, merge_ixp_lists(records, []))
+            nets = [ipaddress.ip_network(p) for p in prefixes]
+            expected = {64500} | {
+                64501 + i for i, ip in enumerate(map(ipaddress.ip_address, ips))
+                if any(ip.version == net.version and ip in net for net in nets)}
+            assert {asn for _, asn in graph.edges} == expected
 
     def test_report_dict_shape(self, tmp_path):
         _, report = self.run_fixture(tmp_path)

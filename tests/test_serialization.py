@@ -1,13 +1,18 @@
 """Canonical graph JSON and edgelist export."""
 
+import itertools
 import json
+import random
 
 import pytest
+
+import oracles
 
 from ixpgraph.errors import FormatError
 from ixpgraph.model import (
     AsNode,
     AsType,
+    BipartiteGraph,
     IxpNode,
     IxpStatus,
     Location,
@@ -18,13 +23,13 @@ from ixpgraph.model import (
 from ixpgraph.serialization import (
     dumps_graph,
     graph_from_dict,
-    graph_to_dict,
     membership_edgelist,
     read_graph,
     write_graph,
 )
 
-from conftest import make_g0
+from conftest import make_g0, paper_scale_graph
+from oracles import graph_to_dict
 
 
 def attributed_graph():
@@ -92,6 +97,153 @@ class TestRoundTrip:
 
     def test_version_field_present(self):
         assert graph_to_dict(make_g0())["version"] == 1
+
+
+# Strings the writer must escape exactly as json.dumps does: a quote, a
+# backslash, control characters, non-ASCII text and a non-BMP character.
+TRICKY = ['plain', 'say "hi"', "back\\slash", "tab\tnew\nline\x01\x7f", "Zürich", "東京",
+          "emoji \U0001F600", "\U0001D518 math", "", " ", "/slash/", "\u2028sep"]
+LATS = [None, 0, -0.0, 1e-05, 50.1, -33.86, 90, 12]
+LONS = [None, 0, -0.0, 1e-05, 8.68, -180, 179.99999999999997, -7]
+ALL_SOURCES = [frozenset(c) for n in (1, 2, 3) for c in itertools.combinations(Source, n)]
+
+
+def random_attributed_graph(seed: int) -> BipartiteGraph:
+    """A seeded graph that draws every attribute the file carries from
+    values that stress the writer."""
+    rng = random.Random(seed)
+    ixps = []
+    for i in range(rng.randint(0, 6)):
+        location = None if rng.random() < 0.3 else Location(
+            rng.choice(TRICKY), rng.choice(TRICKY), rng.choice(LATS), rng.choice(LONS))
+        prefixes = rng.sample(["192.0.2.0/24", "2001:db8::/32", "10.0.0.0/8"], rng.randint(0, 3))
+        ixps.append(IxpNode(f"X{i}{rng.choice(TRICKY)}", rng.sample(TRICKY, rng.randint(1, 3)),
+                            peering_prefixes=prefixes, location=location,
+                            status=rng.choice(list(IxpStatus))))
+    ases = [AsNode(rng.choice([1, 2**32 - 1, rng.randint(2, 2**32 - 2)]) if i == 0 else 1000 + i,
+                   as_type=rng.choice(list(AsType)),
+                   prefix_count=rng.choice([None, 0, 7, 10**9]))
+            for i in range(rng.randint(0, 8))]
+    edges = [
+        MembershipEdge(x.ixp_id, a.asn,
+                       member_ip=rng.choice([None, "192.0.2.9", "2001:db8::1", "fe80::1%eth0"]),
+                       sources=rng.choice(ALL_SOURCES))
+        for x in ixps for a in ases if rng.random() < 0.5
+    ]
+    return build_graph(ixps, ases, edges)
+
+
+class TestWriterOracle:
+    """dumps_graph writes the bytes of json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_json_dumps(self, seed):
+        graph = random_attributed_graph(seed)
+        text = dumps_graph(graph)
+        assert text == oracles.dumps_graph(graph)
+        assert graph_from_dict(json.loads(text)) == graph
+
+    def test_random_graphs_cover_the_tricky_values(self):
+        graphs = [random_attributed_graph(seed) for seed in range(200)]
+        text = "".join(oracles.dumps_graph(g) for g in graphs)
+        for needle in ['\\"hi\\"', "back\\\\slash", "\\u0001", "\\u00fc", "\\ud83d\\ude00",
+                       '"lat": -0.0', '"lon": 1e-05', '"lat": null', '"lat": 90,',
+                       '"member_ip": null', '"2001:db8::1"', '"peering_prefixes": []',
+                       '"prefix_count": null', '"edges": []', '"location": null']:
+            assert needle in text, needle
+        used = {e.sources for g in graphs for e in g.edges.values()}
+        assert used == set(ALL_SOURCES)
+
+    @pytest.mark.parametrize("graph", [BipartiteGraph(), build_graph([IxpNode("X", ["X"])], [AsNode(1)], [])],
+                             ids=["empty", "no-edges"])
+    def test_graphs_without_edges(self, graph):
+        assert dumps_graph(graph) == oracles.dumps_graph(graph)
+
+    def test_paper_scale_write_read_write(self, tmp_path):
+        graph = paper_scale_graph()
+        path = tmp_path / "g.json"
+        write_graph(graph, path)
+        data = path.read_bytes()
+        assert data == oracles.dumps_graph(graph).encode()
+        again = tmp_path / "again.json"
+        write_graph(read_graph(path), again)
+        assert again.read_bytes() == data
+
+
+def _edge(field, value):
+    def mutate(doc):
+        doc["edges"][0][field] = value
+    return mutate
+
+
+def _as(field, value):
+    def mutate(doc):
+        doc["ases"][0][field] = value
+    return mutate
+
+
+# Each loader check with the message the two-pass loader gave, recorded
+# from it, so the single-pass loops keep every message word for word.
+LOADER_MESSAGES = [
+    ("edge-bool-asn", _edge("asn", True), "asn must be an integer in 1..4294967295, got True"),
+    ("edge-zero-asn", _edge("asn", 0), "asn must be an integer in 1..4294967295, got 0"),
+    ("edge-33-bit-asn", _edge("asn", 2**32),
+     "asn must be an integer in 1..4294967295, got 4294967296"),
+    ("edge-float-asn", _edge("asn", 1.0), "asn must be an integer in 1..4294967295, got 1.0"),
+    ("as-bool-asn", _as("asn", True), "asn must be an integer in 1..4294967295, got True"),
+    ("as-zero-asn", _as("asn", 0), "asn must be an integer in 1..4294967295, got 0"),
+    ("as-33-bit-asn", _as("asn", 2**32),
+     "asn must be an integer in 1..4294967295, got 4294967296"),
+    ("as-float-asn", _as("asn", 1.0), "asn must be an integer in 1..4294967295, got 1.0"),
+    ("edge-int-ixp-id", _edge("ixp_id", 7), "ixp_id must be a string, got 7"),
+    ("empty-sources", _edge("sources", []),
+     "malformed graph document: membership edge needs a non-empty sources set"),
+    ("unhashable-sources", _edge("sources", [{}]), "sources must be a list of strings, got [{}]"),
+    ("unknown-source", _edge("sources", ["PDB", "Bogus"]),
+     "malformed graph document: 'Bogus' is not a valid Source"),
+    ("duplicate-edge", lambda doc: doc["edges"].append(dict(doc["edges"][0])),
+     "duplicate edge ('X1', 1)"),
+    ("int-member-ip", _edge("member_ip", 5), "member_ip must be a string or null, got 5"),
+    ("bool-prefix-count", _as("prefix_count", True),
+     "prefix_count must be an integer or null, got True"),
+    ("unknown-as-type", _as("as_type", "Bogus"),
+     "malformed graph document: 'Bogus' is not a valid AsType"),
+    ("missing-edge-asn", lambda doc: doc["edges"][0].pop("asn"), "malformed graph document: 'asn'"),
+    ("edge-to-missing-as", _edge("asn", 99),
+     "malformed graph document: edge ('X1', 99) references a missing vertex"),
+]
+
+
+class TestLoaderMessages:
+    @pytest.mark.parametrize("mutate, message", [case[1:] for case in LOADER_MESSAGES],
+                             ids=[case[0] for case in LOADER_MESSAGES])
+    def test_one_line_message(self, mutate, message):
+        doc = graph_to_dict(make_g0())
+        mutate(doc)
+        with pytest.raises(FormatError) as info:
+            graph_from_dict(json.loads(json.dumps(doc)))
+        assert str(info.value) == message
+
+    def test_unhashable_sources_after_cached_lists(self):
+        doc = graph_to_dict(make_g0())
+        doc["edges"][-1]["sources"] = ["PDB", ["PCH"]]
+        with pytest.raises(FormatError, match=r"^sources must be a list of strings, got "):
+            graph_from_dict(doc)
+
+    def test_subclassed_values_accepted(self):
+        # Callers may pass a document built in Python: the exact-type fast
+        # path falls back to the isinstance checks, which take subclasses.
+        class Name(str):
+            pass
+
+        class Names(list):
+            pass
+
+        doc = graph_to_dict(make_g0())
+        for edge in doc["edges"]:
+            edge["ixp_id"] = Name(edge["ixp_id"])
+            edge["sources"] = Names(edge["sources"])
+        assert graph_from_dict(doc) == make_g0()
 
 
 class TestFormatErrors:
