@@ -7,20 +7,24 @@ and prints JSON; ``export`` re-emits a graph as edgelist or JSON.
 
 Exit codes: 0 success, 1 domain error (bad data, unknown metric,
 uncoverable instance), 2 command-line usage error.
+
+Handlers import ``ingest``, ``metrics`` and ``placement`` only where they run
+them. The cyclic collector is off during a command: only argparse makes cycles.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import re
 import sys
 from typing import Callable, NamedTuple
 
-from . import ingest, metrics, placement, serialization
+from . import serialization
 from .errors import InsufficientData, IxpGraphError
-from .model import AsType, BipartiteGraph, NodeClass
+from .model import AsType, BipartiteGraph, NodeClass, _parse_asn, _parse_decimal, _read_csv
 
 _CLASS = {"ixp": NodeClass.IXP, "as": NodeClass.AS}
 _TYPE = {"content": AsType.CONTENT, "enterprise": AsType.ENTERPRISE, "isp": AsType.ISP}
@@ -52,11 +56,11 @@ def _percent_output(column: str, pairs, total: int) -> MetricOutput:
     return MetricOutput((column, "count", "percent"), rows, frozenset({"percent"}))
 
 
-def _metric_degree_cdf(graph, args) -> MetricOutput:
+def _metric_degree_cdf(metrics, graph, args) -> MetricOutput:
     return _cdf_output("degree", metrics.degree_distribution(graph, _CLASS[args.node_class]))
 
 
-def _metric_member_types(graph, args) -> MetricOutput:
+def _metric_member_types(metrics, graph, args) -> MetricOutput:
     _require_types(graph)
     fractions = metrics.member_type_fractions(graph)
     rows = [
@@ -66,12 +70,12 @@ def _metric_member_types(graph, args) -> MetricOutput:
     return MetricOutput(("ixp_id", "content", "enterprise", "isp"), rows)
 
 
-def _metric_member_types_cdf(graph, args) -> MetricOutput:
+def _metric_member_types_cdf(metrics, graph, args) -> MetricOutput:
     _require_types(graph)
     return _cdf_output("fraction", metrics.type_fraction_distribution(graph, _TYPE[args.as_type]))
 
 
-def _metric_table1(graph, args) -> MetricOutput:
+def _metric_table1(metrics, graph, args) -> MetricOutput:
     _require_types(graph)
     table = metrics.type_share_by_degree(graph, args.thresholds)
     rows = [
@@ -85,25 +89,25 @@ def _metric_table1(graph, args) -> MetricOutput:
     )
 
 
-def _metric_table2(graph, args) -> MetricOutput:
+def _metric_table2(metrics, graph, args) -> MetricOutput:
     dist = metrics.shortest_path_ixp_counts(graph, sample_size=args.sample, seed=args.seed)
     return _percent_output("ixps_crossed", dist.values, dist.total)
 
 
-def _metric_table3(graph, args) -> MetricOutput:
+def _metric_table3(metrics, graph, args) -> MetricOutput:
     dist = metrics.multiplicity_distribution(graph, _CLASS[args.node_class])
     return _percent_output("multiplicity", dist.bucket_tail(args.tail), dist.total)
 
 
-def _metric_gain_cdf(graph, args) -> MetricOutput:
+def _metric_gain_cdf(metrics, graph, args) -> MetricOutput:
     return _cdf_output("gain", metrics.remote_peering_gain_cdf(graph))
 
 
-def _metric_correlation(graph, args) -> MetricOutput:
+def _metric_correlation(metrics, graph, args) -> MetricOutput:
     return MetricOutput(("correlation",), [(metrics.degree_prefix_correlation(graph),)])
 
 
-def _metric_node_values(graph, args) -> MetricOutput:
+def _metric_node_values(metrics, graph, args) -> MetricOutput:
     kernel = {"betweenness": metrics.betweenness_centrality,
               "clustering": metrics.clustering_coefficient}[args.which]
     values = kernel(graph, _CLASS[args.node_class])
@@ -127,7 +131,7 @@ _METRICS: dict[str, tuple[str, Callable]] = {
 def _decimal_flag(flag: str, raw: str, real: bool = False) -> int | float:
     """A numeric flag's value, as strict as a numeric CSV field."""
     try:
-        return ingest._parse_decimal(raw, real)
+        return _parse_decimal(raw, real)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
@@ -135,7 +139,7 @@ def _decimal_flag(flag: str, raw: str, real: bool = False) -> int | float:
 def _parse_asn_token(token: str) -> int:
     """An AS number, optionally A- or AS-prefixed in any case."""
     try:
-        return ingest._parse_asn(re.sub(r"^(?:AS|A)", "", token.strip(), flags=re.IGNORECASE))
+        return _parse_asn(re.sub(r"^(?:AS|A)", "", token.strip(), flags=re.IGNORECASE))
     except ValueError:
         raise ValueError(f"not an AS number: {token!r}") from None
 
@@ -158,13 +162,13 @@ def _parse_targets(spec: str) -> list[int] | None:
 def _read_map_file(path, expected_header, key_parse) -> dict:
     """A two-column CSV mapping parsed keys to decimal values."""
     out = {}
-    for row in ingest._read_csv(path, expected_header):
+    for row in _read_csv(path, expected_header):
         if not any(f.strip() for f in row):
             continue
         if len(row) != 2:
             raise ValueError(f"{path}: expected 2 columns, got {len(row)}")
         try:
-            out[key_parse(row[0].strip())] = ingest._parse_decimal(row[1].strip(), real=True)
+            out[key_parse(row[0].strip())] = _parse_decimal(row[1].strip(), real=True)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return out
@@ -190,6 +194,7 @@ def _print_metric(output: MetricOutput, as_json: bool) -> None:
 
 
 def cmd_build(args) -> int:
+    from . import ingest
     result = ingest.build_from_files(
         args.pdb, args.pch, args.as_types, args.locations
     )
@@ -220,6 +225,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
+    from . import metrics
     entry = _METRICS.get(args.which)
     if entry is None:
         parser.print_usage(sys.stderr)
@@ -236,17 +242,20 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
     if args.sample is not None:
         args.sample = _decimal_flag("--sample", args.sample)
     graph = serialization.read_graph(args.graph)
-    _print_metric(entry[1](graph, args), args.json)
+    _print_metric(entry[1](metrics, graph, args), args.json)
     return 0
 
 
 def cmd_place(args) -> int:
-    if args.problem == "budget":  # flags are parsed before the graph loads, as in cmd_metrics
+    from . import placement
+    if args.problem == "budget":  # flags and their files are read before the graph loads
         budget = _decimal_flag("--budget", args.budget, real=True)
     if args.problem == "tunnels":
         asn = _parse_asn_token(args.asn)
     elif args.problem in ("cover", "budget"):
         targets = _parse_targets(args.targets)
+        costs = args.costs and _read_map_file(args.costs, ["ixp_id", "cost"], str)
+        weights = args.weights and _read_map_file(args.weights, ["asn", "weight"], _parse_asn_token)
     graph = serialization.read_graph(args.graph)
     if args.problem == "tunnels":
         ranked = placement.rank_tunnels(graph, asn)
@@ -258,11 +267,6 @@ def cmd_place(args) -> int:
         return 0
 
     targets = sorted(graph.ases) if targets is None else targets
-    costs = weights = None
-    if args.costs:
-        costs = _read_map_file(args.costs, ["ixp_id", "cost"], str)
-    if args.weights:
-        weights = _read_map_file(args.weights, ["asn", "weight"], _parse_asn_token)
     instance = placement.build_instance(graph, targets, costs, weights)
     if args.problem == "cover":
         solution = placement.greedy_set_cover(instance)
@@ -356,12 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (IxpGraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -18,15 +18,14 @@ the giant-component step earlier can change the result.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import model
-from .errors import EmptyGraph, FormatError
+from .errors import EmptyGraph
 from .model import (
     AsNode,
     AsType,
@@ -37,6 +36,7 @@ from .model import (
     MembershipEdge,
     Source,
 )
+from .model import _by_value, _parse_asn, _parse_decimal, _read_csv
 
 DATASET_HEADER = [
     "source",
@@ -145,27 +145,6 @@ def _parse_prefixes(raw: str) -> list[str]:
     return prefixes
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-_REAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-
-
-def _parse_decimal(raw: str, real: bool = False) -> int | float:
-    """A plain decimal number: ASCII digits with an optional leading '-',
-    and one '.' fraction where ``real``. Unlike ``int()`` and ``float()`` it
-    takes no '_' separator, no other script's digits, no exponent, no
-    surrounding space and no 'nan' or 'inf'."""
-    if (_REAL if real else _INTEGER).fullmatch(raw) is None:
-        raise ValueError(f"not a decimal number: {raw!r}")
-    return float(raw) if real else int(raw)
-
-
-def _parse_asn(raw: str) -> int:
-    asn = _parse_decimal(raw)
-    if not 0 < asn <= model.MAX_ASN:
-        raise ValueError(f"asn must be in 1..{model.MAX_ASN}, got {asn}")
-    return asn
-
-
 def _parse_row(row: list[str], expected_source: Source,
                prefix_lists: dict[str, list[str]]) -> MembershipRecord:
     if len(row) != len(DATASET_HEADER):
@@ -173,7 +152,7 @@ def _parse_row(row: list[str], expected_source: Source,
     (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
      ip_raw, status_raw, type_raw, pfx_count_raw) = (f.strip() for f in row)
 
-    source = Source(source_raw)
+    source = _by_value(Source, source_raw)
     if source is not expected_source:
         raise ValueError(f"row source {source_raw!r} in a {expected_source.value} file")
     if not ixp_key or not ixp_name:
@@ -195,28 +174,11 @@ def _parse_row(row: list[str], expected_source: Source,
         ixp_prefixes=list(prefixes),
         asn=asn,
         member_ip=None if ip is None else str(ip),
-        status=IxpStatus(status_raw),
-        as_type=AsType(type_raw) if type_raw else None,
+        status=_by_value(IxpStatus, status_raw),
+        as_type=_by_value(AsType, type_raw) if type_raw else None,
         as_prefix_count=pfx_count,
         member_addr=None if ip is None else (ip.version, int(ip)),
     )
-
-
-def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
-    """The rows after the header. A row the reader cannot split (a field
-    over the csv module's size limit, say) ends the file with a
-    ``FormatError``: the reader cannot resume after it."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise FormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
-            if [h.strip().lower() for h in header] != expected_header:
-                raise FormatError(f"{path}: unrecognized header {','.join(header)!r}")
-            yield from reader
-        except csv.Error as exc:
-            raise FormatError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def parse_dataset(path, source: Source) -> ParseResult:
@@ -486,7 +448,7 @@ def attach_attributes(
                 continue
             try:
                 asn = _parse_asn(row[0].strip())
-                as_type = AsType(row[1].strip())
+                as_type = _by_value(AsType, row[1].strip())
             except (ValueError, IndexError):
                 warnings += 1
                 continue

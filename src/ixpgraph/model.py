@@ -9,11 +9,13 @@ readers are safe, construction is single-writer.
 
 from __future__ import annotations
 
+import csv
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
-from .errors import EmptyGraph, UnknownEndpoint, UnknownNode
+from .errors import EmptyGraph, FormatError, UnknownEndpoint, UnknownNode
 
 NodeId = Union[str, int]
 MAX_ASN = 2**32 - 1
@@ -41,6 +43,52 @@ class Source(str, Enum):
 class NodeClass(str, Enum):
     IXP = "IXP"
     AS = "AS"
+
+
+def _by_value(kind: type[Enum], value) -> Enum:
+    """``kind(value)`` by dict lookup; an unknown or unhashable value still raises there."""
+    try:
+        return kind._value2member_map_[value]
+    except (KeyError, TypeError):
+        return kind(value)
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_REAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
+
+def _parse_decimal(raw: str, real: bool = False) -> int | float:
+    """A plain decimal number: ASCII digits with an optional leading '-',
+    and one '.' fraction where ``real``. Unlike ``int()`` and ``float()`` it
+    takes no '_' separator, no other script's digits, no exponent, no
+    surrounding space and no 'nan' or 'inf'."""
+    if (_REAL if real else _INTEGER).fullmatch(raw) is None:
+        raise ValueError(f"not a decimal number: {raw!r}")
+    return float(raw) if real else int(raw)
+
+
+def _parse_asn(raw: str) -> int:
+    asn = _parse_decimal(raw)
+    if not 0 < asn <= MAX_ASN:
+        raise ValueError(f"asn must be in 1..{MAX_ASN}, got {asn}")
+    return asn
+
+
+def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
+    """The rows after the header. A row the reader cannot split (a field
+    over the csv module's size limit, say) ends the file with a
+    ``FormatError``: the reader cannot resume after it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
+            if [h.strip().lower() for h in header] != expected_header:
+                raise FormatError(f"{path}: unrecognized header {','.join(header)!r}")
+            yield from reader
+        except csv.Error as exc:
+            raise FormatError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .model import (
     MAX_ASN,
     MembershipEdge,
     Source,
+    _by_value,
 )
 
 FORMAT_VERSION = 1
@@ -74,7 +75,7 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                 ixp_id=ixp_id,
                 names=_strings("names", item["names"]),
                 peering_prefixes=_strings("peering_prefixes", item.get("peering_prefixes", [])),
-                status=IxpStatus(item.get("status", "Active")),
+                status=_by_value(IxpStatus, item.get("status", "Active")),
                 location=None if loc is None else Location(
                     country=_typed("country", loc["country"], str, "a string"),
                     city=_typed("city", loc["city"], str, "a string"),
@@ -90,7 +91,7 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                 asn = _asn(asn)
             if asn in ases:
                 raise FormatError(f"duplicate AS {asn}")
-            as_type = AsType(item.get("as_type", "Unknown"))
+            as_type = _by_value(AsType, item.get("as_type", "Unknown"))
             count = item.get("prefix_count")
             if count is not None and type(count) is not int:
                 count = _typed("prefix_count", count, (int, type(None)), "an integer or null")

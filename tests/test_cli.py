@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -601,6 +602,18 @@ class TestUsageErrors:
             assert out == ""
             assert err == f"error: not an AS number: {token}\n"
 
+    @pytest.mark.parametrize("argv, header, row", [
+        (("cover", "--targets", "1", "--costs"), "ixp_id,cost", "X1,1_0"),
+        (("budget", "--targets", "1", "--budget", "5", "--weights"), "asn,weight", "4,1_0"),
+    ], ids=["cover-costs", "budget-weights"])
+    def test_map_file_is_read_before_the_graph(self, g0_file, tmp_path, capsys,
+                                               argv, header, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        for graph in (g0_file, tmp_path / "missing.json"):
+            code, out, err = run(capsys, "place", str(graph), *argv, str(bad))
+            assert (code, out, err) == (1, "", f"error: {bad}: not a decimal number: '1_0'\n")
+
     def test_target_file_is_read_before_the_graph(self, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
         targets.write_text("AS1\nA-2\n", encoding="utf-8")
@@ -612,6 +625,103 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["metrics", str(g0_file), "degree-cdf", "--class", "router"])
         assert info.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def paper_scale_file(tmp_path_factory):
+    """The paper-scale graph's file and its highest-degree AS."""
+    graph = paper_scale_graph()
+    path = tmp_path_factory.mktemp("paper") / "graph.json"
+    serialization.write_graph(graph, path)
+    return path, max(graph.ases, key=lambda a: len(graph.memberships(a)))
+
+
+class TestCommandStartUp:
+    """What every command pays before its own work: the modules it imports,
+    and the cyclic collector, which is off while a command runs."""
+
+    BASE = {"ixpgraph", "ixpgraph.cli", "ixpgraph.errors", "ixpgraph.model",
+            "ixpgraph.serialization"}
+    PRELUDE = ("import json, sys; from ixpgraph.cli import main; code = main(sys.argv[1:]); "
+               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ixpgraph'))), "
+               "file=sys.stderr); sys.exit(code)")
+
+    @pytest.mark.parametrize("command, modules", [
+        ("build", {"ixpgraph.ingest"}),
+        ("metrics", {"ixpgraph.metrics", "ixpgraph.projection"}),
+        ("place", {"ixpgraph.placement", "ixpgraph.projection"}),
+        ("export", set()),
+    ], ids=["build", "metrics", "place", "export"])
+    def test_command_imports_only_what_it_runs(self, tmp_path, g0_file, command, modules):
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        costs = tmp_path / "costs.csv"
+        costs.write_text("ixp_id,cost\nX1,2\n", encoding="utf-8")
+        argv = {"build": ["build", str(pdb), str(pch), str(tmp_path / "built.json")],
+                "metrics": ["metrics", str(g0_file), "table2"],
+                "place": ["place", str(g0_file), "cover", "--targets", "all",
+                          "--costs", str(costs)],
+                "export": ["export", str(g0_file), "--format", "json"]}[command]
+        proc = subprocess.run([sys.executable, "-c", self.PRELUDE, *argv],
+                              env=subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stderr.splitlines()[-1])) == self.BASE | modules
+
+    @pytest.mark.parametrize("argv, code", [
+        (["export", "{graph}", "--format", "edgelist"], 0),
+        (["export", "{graph}", "--format", "xml"], 1),
+        (["metrics", "{missing}", "degree-cdf"], 1),
+        (["metrics", "{graph}", "degree-cdf", "--class", "router"], 2),
+    ], ids=["ok", "bad-format", "missing-graph", "usage-error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, g0_file, tmp_path, capsys, argv, code, enabled):
+        argv = [a.format(graph=g0_file, missing=tmp_path / "none.json") for a in argv]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                got = main(argv)
+            except SystemExit as exit_:
+                got = exit_.code
+            assert (got, gc.isenabled()) == (code, enabled)
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_is_off_during_the_command(self, g0_file, capsys, monkeypatch):
+        seen = []
+        read_graph = serialization.read_graph
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return read_graph(path)
+
+        monkeypatch.setattr(serialization, "read_graph", spy)
+        assert gc.isenabled()
+        assert run(capsys, "metrics", str(g0_file), "degree-cdf")[0] == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("argv", [
+        ("export", "{graph}", "--format", "json"),
+        ("metrics", "{graph}", "degree-cdf", "--class", "as"),
+        ("metrics", "{graph}", "table3", "--class", "ixp"),
+        ("place", "{graph}", "cover", "--targets", "all"),
+        ("place", "{graph}", "tunnels", "--as", "{asn}"),
+    ], ids=["export", "degree-cdf", "table3", "cover", "tunnels"])
+    def test_command_leaves_little_cyclic_garbage(self, paper_scale_file, capsys, argv):
+        # With the collector off, what a command leaves in reference cycles
+        # stays until the caller collects: a few hundred argparse objects,
+        # not a share of the graph's 5.2k nodes and 15.6k edges.
+        path, asn = paper_scale_file
+        argv = [a.format(graph=path, asn=asn) for a in argv]
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            garbage = gc.collect()
+        finally:
+            if was:
+                gc.enable()
+        assert garbage < 1000
 
 
 class TestTracedBenchmarkModules:

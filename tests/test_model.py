@@ -8,9 +8,12 @@ from ixpgraph.model import (
     AsType,
     BipartiteGraph,
     IxpNode,
+    IxpStatus,
     Location,
     MembershipEdge,
+    NodeClass,
     Source,
+    _by_value,
     add_membership,
     build_graph,
     giant_component,
@@ -72,6 +75,19 @@ class TestNodeValidation:
     def test_location_coordinates_finite_and_in_range(self, lat, lon):
         with pytest.raises(ValueError):
             Location("DE", "Frankfurt", lat, lon)
+
+
+class TestByValue:
+    @pytest.mark.parametrize("kind", [AsType, IxpStatus, Source, NodeClass])
+    def test_same_as_calling_the_enum(self, kind):
+        for member in kind:
+            assert _by_value(kind, member.value) is member
+        for bad in ("Bogus", ["Active"], None):
+            with pytest.raises(ValueError) as want:
+                kind(bad)
+            with pytest.raises(ValueError) as got:
+                _by_value(kind, bad)
+            assert str(got.value) == str(want.value)
 
 
 class TestBipartiteGraph:

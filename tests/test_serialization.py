@@ -182,6 +182,12 @@ def _as(field, value):
     return mutate
 
 
+def _ixp(field, value):
+    def mutate(doc):
+        doc["ixps"][0][field] = value
+    return mutate
+
+
 # Each loader check with the message the two-pass loader gave, recorded
 # from it, so the single-pass loops keep every message word for word.
 LOADER_MESSAGES = [
@@ -208,6 +214,12 @@ LOADER_MESSAGES = [
      "prefix_count must be an integer or null, got True"),
     ("unknown-as-type", _as("as_type", "Bogus"),
      "malformed graph document: 'Bogus' is not a valid AsType"),
+    ("list-as-type", _as("as_type", ["ISP"]),
+     "malformed graph document: ['ISP'] is not a valid AsType"),
+    ("unknown-status", _ixp("status", "Bogus"),
+     "malformed graph document: 'Bogus' is not a valid IxpStatus"),
+    ("list-status", _ixp("status", ["Active"]),
+     "malformed graph document: ['Active'] is not a valid IxpStatus"),
     ("missing-edge-asn", lambda doc: doc["edges"][0].pop("asn"), "malformed graph document: 'asn'"),
     ("edge-to-missing-as", _edge("asn", 99),
      "malformed graph document: edge ('X1', 99) references a missing vertex"),
