@@ -77,10 +77,9 @@ def _metric_member_types_cdf(metrics, graph, args) -> MetricOutput:
 
 def _metric_table1(metrics, graph, args) -> MetricOutput:
     _require_types(graph)
-    table = metrics.type_share_by_degree(graph, args.thresholds)
     rows = [
         (row.label, 100 * row.content, 100 * row.enterprise, 100 * row.isp)
-        for row in table.rows
+        for row in metrics.type_share_by_degree(graph, args.thresholds)
     ]
     return MetricOutput(
         ("subset", "content", "enterprise", "isp"),

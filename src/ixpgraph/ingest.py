@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -68,13 +67,12 @@ class ReasonTally(NamedTuple):
     edges: int
 
 
-@dataclass
-class DiscardReport:
+class DiscardReport(NamedTuple):
     """What the sanitization pipeline threw away, tallied per reason."""
 
     nodes_total_pre: int
     edges_total_pre: int
-    reasons: dict[DiscardReason, ReasonTally] = field(default_factory=dict)
+    reasons: dict[DiscardReason, ReasonTally]
 
     @property
     def nodes_discarded(self) -> int:
@@ -97,8 +95,7 @@ class DiscardReport:
         }
 
 
-@dataclass
-class MembershipRecord:
+class MembershipRecord(NamedTuple):
     """One validated row of a membership dataset."""
 
     source: Source
@@ -110,23 +107,16 @@ class MembershipRecord:
     status: IxpStatus
     as_type: AsType | None = None
     as_prefix_count: int | None = None
-    # member_ip as (IP version, integer), parsed once; derived when not given.
+    # member_ip as (IP version, integer), parsed once by the row parser.
     member_addr: tuple[int, int] | None = None
 
-    def __post_init__(self):
-        if self.member_addr is None and self.member_ip is not None:
-            ip = ipaddress.ip_address(self.member_ip)
-            self.member_addr = (ip.version, int(ip))
 
-
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: list[MembershipRecord]
     parse_errors: int
 
 
-@dataclass(frozen=True)
-class IxpIdentity:
+class IxpIdentity(NamedTuple):
     """An IXP unified across sources, with merged attributes."""
 
     ixp_id: str
@@ -333,6 +323,7 @@ def sanitize(
     report = DiscardReport(
         nodes_total_pre=len(identities) + len(all_asns),
         edges_total_pre=len(records) + parse_errors,
+        reasons={},
     )
     if parse_errors:
         report.reasons[DiscardReason.PARSE_ERROR] = ReasonTally(nodes=0, edges=parse_errors)
@@ -455,7 +446,7 @@ def attach_attributes(
             if asn not in ases:
                 warnings += 1
                 continue
-            ases[asn] = replace(ases[asn], as_type=as_type)
+            ases[asn] = ases[asn]._replace(as_type=as_type)
 
     if locations_path is not None:
         for row in _read_csv(locations_path, LOCATIONS_HEADER):
@@ -475,13 +466,12 @@ def attach_attributes(
             if ixp_id not in ixps:
                 warnings += 1
                 continue
-            ixps[ixp_id] = replace(ixps[ixp_id], location=location)
+            ixps[ixp_id] = ixps[ixp_id]._replace(location=location)
 
     return BipartiteGraph(ixps=ixps, ases=ases, edges=dict(graph.edges)), warnings
 
 
-@dataclass
-class BuildResult:
+class BuildResult(NamedTuple):
     graph: BipartiteGraph
     report: DiscardReport
     attribute_warnings: int

@@ -9,9 +9,7 @@ degree-vs-prefix correlation, and generic centrality/clustering metrics.
 from __future__ import annotations
 
 import random
-import statistics
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, compress, count
 from typing import Iterable, NamedTuple
 
@@ -20,19 +18,18 @@ from .model import AsType, BipartiteGraph, NodeClass
 from .projection import bits, index, partner_gains
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(namedtuple("Distribution", "values total")):
     """A histogram: sorted (value, count) pairs plus the population total."""
 
-    values: tuple[tuple[float, int], ...]
-    total: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(c for _, c in self.values) != self.total:
+    def __new__(cls, values: tuple[tuple[float, int], ...], total: int):
+        if sum(c for _, c in values) != total:
             raise ValueError("distribution counts do not sum to total")
-        vs = [v for v, _ in self.values]
+        vs = [v for v, _ in values]
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError("distribution values must be strictly increasing")
+        return tuple.__new__(cls, (values, total))
 
     @classmethod
     def from_counts(cls, counts: dict) -> "Distribution":
@@ -63,17 +60,11 @@ class TypeFractions(NamedTuple):
     isp: float
 
 
-@dataclass(frozen=True)
-class TypeShareRow:
+class TypeShareRow(NamedTuple):
     label: str
     content: float
     enterprise: float
     isp: float
-
-
-@dataclass(frozen=True)
-class TypeShareTable:
-    rows: tuple[TypeShareRow, ...]
 
 
 def degree_distribution(graph: BipartiteGraph, node_class: NodeClass) -> Distribution:
@@ -113,8 +104,9 @@ def type_fraction_distribution(graph: BipartiteGraph, as_type: AsType) -> Distri
     return Distribution.from_counts(Counter(f[column] for f in fractions.values()))
 
 
-def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> TypeShareTable:
-    """AS-type shares among ASes above each degree threshold.
+def type_share_by_degree(graph: BipartiteGraph,
+                         thresholds: Iterable[int]) -> tuple[TypeShareRow, ...]:
+    """AS-type shares among ASes above each degree threshold, one row each.
 
     Threshold 0 is the "All ASes" row and uses every AS regardless of
     degree; threshold t > 0 restricts to ASes with degree > t. Shares are
@@ -131,7 +123,7 @@ def type_share_by_degree(graph: BipartiteGraph, thresholds: Iterable[int]) -> Ty
             subset = [a for a in graph.ases if len(graph.memberships(a)) > t]
             label = f"ASes with degree >{t}"
         rows.append(TypeShareRow(label, *_type_fractions(graph, subset)))
-    return TypeShareTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 def shortest_path_ixp_counts(
@@ -232,6 +224,8 @@ def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
 def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     """Pearson correlation between AS degree and announced-prefix count,
     over the ASes whose prefix count is known."""
+    import statistics  # only this metric needs it, and it is slow to import
+
     points = [
         (len(graph.memberships(a)), node.prefix_count)
         for a, node in graph.ases.items()
@@ -354,7 +348,6 @@ __all__ = [
     "Distribution",
     "TypeFractions",
     "TypeShareRow",
-    "TypeShareTable",
     "degree_distribution",
     "member_type_fractions",
     "type_fraction_distribution",

@@ -8,41 +8,38 @@ here are the classic deterministic greedy approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections import namedtuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NoLocationData, Uncoverable, UnknownNode, UnknownTarget
 from .model import BipartiteGraph, NodeClass
 from .projection import index, partner_gains
 
 
-@dataclass(frozen=True)
-class CoverageInstance:
+class CoverageInstance(namedtuple("CoverageInstance", "universe candidates cost weight")):
     """A coverage problem: target ASes, candidate IXPs with the subset each
     covers, per-IXP deployment costs, and per-AS customer weights."""
 
-    universe: frozenset[int]
-    candidates: dict[str, frozenset[int]] = field(default_factory=dict)
-    cost: dict[str, float] = field(default_factory=dict)
-    weight: dict[int, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for ixp_id, subset in self.candidates.items():
-            if not subset <= self.universe:
+    def __new__(cls, universe: frozenset[int], candidates: dict[str, frozenset[int]],
+                cost: dict[str, float], weight: dict[int, float]):
+        for ixp_id, subset in candidates.items():
+            if not subset <= universe:
                 raise ValueError(f"candidate {ixp_id!r} covers non-universe elements")
-            if ixp_id not in self.cost:
+            if ixp_id not in cost:
                 raise ValueError(f"candidate {ixp_id!r} has no cost")
-        for asn in self.universe:
-            if asn not in self.weight:
+        for asn in universe:
+            if asn not in weight:
                 raise ValueError(f"universe element {asn} has no weight")
-        if not all(0 < c < math.inf for c in self.cost.values()):
+        if not all(0 < c < math.inf for c in cost.values()):
             raise ValueError("costs must be finite and positive")
-        if not all(0 < w < math.inf for w in self.weight.values()):
+        if not all(0 < w < math.inf for w in weight.values()):
             raise ValueError("weights must be finite and positive")
+        return tuple.__new__(cls, (universe, candidates, cost, weight))
 
 
-@dataclass(frozen=True)
-class PlacementSolution:
+class PlacementSolution(NamedTuple):
     chosen: tuple[str, ...]
     covered: frozenset[int]
     total_cost: float
@@ -87,6 +84,33 @@ def build_instance(
     )
 
 
+def _greedy(instance: CoverageInstance, ratio, budget: float) -> PlacementSolution:
+    """Picks, round after round, the affordable candidate that adds weight
+    with the least key ``(ratio(cost, new_weight), -new_weight, ixp_id)``,
+    until no candidate left within the budget adds any. A chosen
+    candidate adds no weight, so it is never picked twice."""
+    chosen = []
+    covered: set[int] = set()
+    remaining = budget
+    while True:
+        best = None
+        best_key = None
+        for ixp_id, subset in instance.candidates.items():
+            if instance.cost[ixp_id] > remaining:
+                continue
+            new_weight = sum(instance.weight[a] for a in subset - covered)
+            if new_weight <= 0:
+                continue
+            key = (ratio(instance.cost[ixp_id], new_weight), -new_weight, ixp_id)
+            if best_key is None or key < best_key:
+                best, best_key = ixp_id, key
+        if best is None:
+            return _solution(instance, chosen)
+        chosen.append(best)
+        covered |= instance.candidates[best]
+        remaining -= instance.cost[best]
+
+
 def greedy_set_cover(instance: CoverageInstance) -> PlacementSolution:
     """Cost-effectiveness greedy cover of the whole universe.
 
@@ -99,21 +123,7 @@ def greedy_set_cover(instance: CoverageInstance) -> PlacementSolution:
     if residue:
         raise Uncoverable(residue)
 
-    chosen = []
-    covered: set[int] = set()
-    while covered != instance.universe:
-        best = None
-        best_key = None
-        for ixp_id, subset in instance.candidates.items():
-            new_weight = sum(instance.weight[a] for a in subset - covered)
-            if new_weight <= 0:
-                continue
-            key = (instance.cost[ixp_id] / new_weight, -new_weight, ixp_id)
-            if best_key is None or key < best_key:
-                best, best_key = ixp_id, key
-        chosen.append(best)
-        covered |= instance.candidates[best]
-    return _solution(instance, chosen)
+    return _greedy(instance, lambda cost, new_weight: cost / new_weight, math.inf)
 
 
 def budgeted_max_coverage(instance: CoverageInstance, budget: float) -> PlacementSolution:
@@ -128,27 +138,7 @@ def budgeted_max_coverage(instance: CoverageInstance, budget: float) -> Placemen
     if not 0 < budget < math.inf:
         raise ValueError("budget must be finite and positive")
 
-    chosen = []
-    covered: set[int] = set()
-    remaining = budget
-    while True:
-        best = None
-        best_key = None
-        for ixp_id, subset in instance.candidates.items():
-            if ixp_id in chosen or instance.cost[ixp_id] > remaining:
-                continue
-            new_weight = sum(instance.weight[a] for a in subset - covered)
-            if new_weight <= 0:
-                continue
-            key = (-new_weight / instance.cost[ixp_id], -new_weight, ixp_id)
-            if best_key is None or key < best_key:
-                best, best_key = ixp_id, key
-        if best is None:
-            break
-        chosen.append(best)
-        covered |= instance.candidates[best]
-        remaining -= instance.cost[best]
-    greedy = _solution(instance, chosen)
+    greedy = _greedy(instance, lambda cost, new_weight: -new_weight / cost, budget)
 
     singles = [
         ixp_id for ixp_id in instance.candidates if instance.cost[ixp_id] <= budget

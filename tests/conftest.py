@@ -10,7 +10,7 @@ import random
 import pytest
 
 from ixpgraph import projection, serialization
-
+from ixpgraph.errors import UnknownEndpoint
 from ixpgraph.ingest import MembershipRecord
 from ixpgraph.model import (
     AsNode,
@@ -21,9 +21,45 @@ from ixpgraph.model import (
     MembershipEdge,
     NodeClass,
     Source,
-    build_graph,
     giant_component,
 )
+
+
+def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGraph:
+    """Add a membership edge; re-adding an existing (ixp_id, asn) pair merges
+    the sources sets instead of duplicating.
+
+    Raises UnknownEndpoint if either vertex is absent. When merging, an
+    already recorded member_ip wins over the incoming one.
+    """
+    if edge.ixp_id not in graph.ixps:
+        raise UnknownEndpoint(f"unknown IXP {edge.ixp_id!r}")
+    if edge.asn not in graph.ases:
+        raise UnknownEndpoint(f"unknown AS {edge.asn}")
+    key = (edge.ixp_id, edge.asn)
+    existing = graph.edges.get(key)
+    if existing is None:
+        graph.edges[key] = edge
+        graph.members(edge.ixp_id).add(edge.asn)
+        graph.memberships(edge.asn).add(edge.ixp_id)
+    else:
+        graph.edges[key] = existing._replace(
+            sources=existing.sources | edge.sources,
+            member_ip=edge.member_ip if existing.member_ip is None else existing.member_ip,
+        )
+    return graph
+
+
+def build_graph(ixps, ases, memberships) -> BipartiteGraph:
+    """A graph from node and edge iterables, edges added by ``add_membership``."""
+    graph = BipartiteGraph(
+        ixps={n.ixp_id: n for n in ixps},
+        ases={n.asn: n for n in ases},
+    )
+    for edge in memberships:
+        add_membership(graph, edge)
+    return graph
+
 
 # G0: the hand-checked toy fixture. IXPs X1..X3, ASes 1..4; A1 is at X1 and
 # X3, A2 and A3 at X1 and X2, A4 at X2 only.

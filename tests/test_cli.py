@@ -5,6 +5,7 @@ import gc
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,11 +20,11 @@ from ixpgraph.model import (
     IxpNode,
     Location,
     MembershipEdge,
-    build_graph,
 )
 
 from conftest import (
     G0_TYPES,
+    build_graph,
     make_g0,
     paper_scale_graph,
     sanitize_fixture_files,
@@ -55,9 +56,10 @@ def typed_g0_file(tmp_path):
 @pytest.fixture
 def located_g0_file(tmp_path):
     graph = make_g0()
-    graph.ixps["X1"].location = Location("DE", "Frankfurt")
-    graph.ixps["X2"].location = Location("DE", "Frankfurt")
-    graph.ixps["X3"].location = Location("GR", "Athens")
+    for ixp_id, location in (("X1", Location("DE", "Frankfurt")),
+                             ("X2", Location("DE", "Frankfurt")),
+                             ("X3", Location("GR", "Athens"))):
+        graph.ixps[ixp_id] = graph.ixps[ixp_id]._replace(location=location)
     path = tmp_path / "g0_located.json"
     serialization.write_graph(graph, path)
     return path
@@ -466,6 +468,95 @@ class TestWithoutNetworkx:
                 assert self.cli(*argv) == run(capsys, *argv)[1]
 
 
+def _interpreters() -> list[str]:
+    """The running interpreter, then every distinct other one that starts and
+    is at least the package's floor (3.10): pyenv's ``versions/*/bin/python``
+    under ``$PYENV_ROOT`` (default ``~/.pyenv``) and ``python3.N`` on PATH.
+    A pyenv shim for a version it cannot find fails the probe."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = sorted(map(str, root.glob("versions/*/bin/python")))
+    candidates += filter(None, (shutil.which(f"python3.{n}") for n in range(10, 30)))
+    probe = "import sys; sys.stdout.write(sys.version if sys.version_info >= (3, 10) else '')"
+    found = {sys.version: sys.executable}
+    for exe in candidates:
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout:
+            found.setdefault(proc.stdout, exe)
+    return list(found.values())
+
+
+def cross_version_inputs(dirpath) -> tuple:
+    """Membership CSVs for a seeded small graph: every edge once in the PDB
+    file under a /24 per IXP, and the even IXPs' edges again in the PCH file
+    under their own keys and a nested /25, so that build merges IXPs and
+    collapses duplicates. Also the graph's highest-degree AS."""
+    graph = paper_scale_graph(seed=42, n_ixp=40, n_as=300)
+    types = ["Content", "Enterprise", "ISP", ""]
+    pdb, pch = [], []
+    for k, ixp_id in enumerate(sorted(graph.ixps)):
+        for asn in sorted(graph.members(ixp_id)):
+            tail = f"10.0.{k}.{asn % 120 + 1},Active,{types[asn % 4]},{asn * 7 % 50 or ''}"
+            pdb.append(f"PDB,{ixp_id},{ixp_id} Exchange,10.0.{k}.0/24,{asn},{tail}")
+            if k % 2 == 0:
+                pch.append(f"PCH,p{k},{ixp_id}-exchange,10.0.{k}.0/25,{asn},{tail}")
+    return (write_membership_csv(dirpath / "pdb.csv", pdb),
+            write_membership_csv(dirpath / "pch.csv", pch),
+            max(graph.ases, key=lambda a: (len(graph.memberships(a)), -a)))
+
+
+class TestAcrossInterpreters:
+    """Every command whose bytes hold across Python versions gives the same
+    stdout on each installed interpreter the package supports. ``place
+    budget``, ``place site`` and ``metrics correlation`` are left out: their
+    float sums still round differently from 3.12 on."""
+
+    RUNNER = ("import contextlib, io, json, sys\n"
+              "from ixpgraph.cli import main\n"
+              "outputs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    buf = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(buf):\n"
+              "        code = main(argv)\n"
+              "    outputs.append([argv, code, buf.getvalue()])\n"
+              "print(json.dumps(outputs))\n")
+
+    def test_same_bytes_on_every_interpreter(self, tmp_path):
+        interpreters = _interpreters()
+        if len(interpreters) < 2:
+            pytest.skip("no second interpreter of Python 3.10 or later found")
+        pdb, pch, asn = cross_version_inputs(tmp_path)
+        graph = "graph.json"  # relative: build prints the path it wrote
+        commands = [
+            ["build", str(pdb), str(pch), graph],
+            ["export", graph, "--format", "edgelist"],
+            ["export", graph, "--format", "json"],
+            ["metrics", graph, "table2"],
+            ["metrics", graph, "table3", "--class", "ixp"],
+            ["metrics", graph, "table3", "--class", "as"],
+            ["metrics", graph, "betweenness"],
+            ["metrics", graph, "clustering"],
+            ["metrics", graph, "gain-cdf"],
+            ["place", graph, "tunnels", "--as", str(asn)],
+            ["place", graph, "cover", "--targets", "all"],
+        ]
+        outputs = {}
+        for i, exe in enumerate(interpreters):
+            workdir = tmp_path / f"run{i}"
+            workdir.mkdir()
+            proc = subprocess.run([exe, "-c", self.RUNNER, json.dumps(commands)], cwd=workdir,
+                                  env=subprocess_env(), capture_output=True, text=True)
+            assert proc.returncode == 0, f"{exe}: {proc.stderr}"
+            outputs[exe] = json.loads(proc.stdout)
+        reference = outputs.pop(interpreters[0])
+        assert all(code == 0 and out for _, code, out in reference)
+        for exe, got in outputs.items():
+            for want, have in zip(reference, got):
+                assert have == want, f"{exe} differs from {interpreters[0]} on {want[0]}"
+
+
 def _set(section, key, value):
     def mutate(doc):
         doc[section][0][key] = value
@@ -643,8 +734,7 @@ class TestCommandStartUp:
     BASE = {"ixpgraph", "ixpgraph.cli", "ixpgraph.errors", "ixpgraph.model",
             "ixpgraph.serialization"}
     PRELUDE = ("import json, sys; from ixpgraph.cli import main; code = main(sys.argv[1:]); "
-               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ixpgraph'))), "
-               "file=sys.stderr); sys.exit(code)")
+               "print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
 
     @pytest.mark.parametrize("command, modules", [
         ("build", {"ixpgraph.ingest"}),
@@ -664,7 +754,11 @@ class TestCommandStartUp:
         proc = subprocess.run([sys.executable, "-c", self.PRELUDE, *argv],
                               env=subprocess_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert set(json.loads(proc.stderr.splitlines()[-1])) == self.BASE | modules
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert {m for m in loaded if m.startswith("ixpgraph")} == self.BASE | modules
+        # dataclasses pulls in inspect (with ast, dis and tokenize), and
+        # statistics pulls in fractions and decimal for `correlation` alone.
+        assert not loaded & {"dataclasses", "inspect", "statistics"}
 
     @pytest.mark.parametrize("argv, code", [
         (["export", "{graph}", "--format", "edgelist"], 0),

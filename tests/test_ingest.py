@@ -376,7 +376,7 @@ class TestSanitize:
 
     def test_ip_consistency_matches_ipaddress_containment(self):
         # Stage 2 tests each member address against its LAN by integer
-        # masks; hand-built records derive the address from member_ip.
+        # masks, reading the member_addr the row parser sets.
         rng = random.Random(3)
         lans = ["192.0.2.0/24", "192.0.2.128/25", "10.0.0.0/8", "0.0.0.0/0",
                 "2001:db8::/32", "2001:db8:1::/48", "::/0", "198.51.100.7/32"]
@@ -386,8 +386,9 @@ class TestSanitize:
             prefixes = rng.sample(lans, rng.randint(0, 3))
             records = [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64500, None,
                                         IxpStatus.ACTIVE)]
-            records += [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64501 + i, ip,
-                                         IxpStatus.ACTIVE) for i, ip in enumerate(ips)]
+            records += [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64501 + i, str(ip),
+                                         IxpStatus.ACTIVE, member_addr=(ip.version, int(ip)))
+                        for i, ip in enumerate(map(ipaddress.ip_address, ips))]
             graph, _ = sanitize(records, merge_ixp_lists(records, []))
             nets = [ipaddress.ip_network(p) for p in prefixes]
             expected = {64500} | {
@@ -401,6 +402,13 @@ class TestSanitize:
         assert set(data) == {"nodes_total_pre", "edges_total_pre",
                              "nodes_discarded", "edges_discarded", "reasons"}
         assert list(data["reasons"]) == sorted(data["reasons"])
+
+    def test_reports_do_not_share_reasons(self, tmp_path):
+        _, first = self.run_fixture(tmp_path)
+        _, second = self.run_fixture(tmp_path)
+        assert first.reasons is not second.reasons
+        first.reasons.clear()
+        assert second.reasons
 
 
 class TestAttachAttributes:

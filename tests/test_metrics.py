@@ -34,13 +34,12 @@ from ixpgraph.model import (
     IxpNode,
     MembershipEdge,
     NodeClass,
-    build_graph,
     giant_component,
 )
 from ixpgraph.placement import rank_tunnels
 from ixpgraph.projection import index
 
-from conftest import gain_test_graphs, make_g0, paper_scale_graph, random_bipartite
+from conftest import build_graph, gain_test_graphs, make_g0, paper_scale_graph, random_bipartite
 from oracles import (
     bf_gain,
     bf_gain_cdf,
@@ -125,7 +124,7 @@ class TestMemberTypeFractions:
 
     def test_single_content_member(self):
         graph = graph_of({1: ("X1",)})
-        graph.ases[1].as_type = AsType.CONTENT
+        graph.ases[1] = graph.ases[1]._replace(as_type=AsType.CONTENT)
         assert member_type_fractions(graph)["X1"] == TypeFractions(1.0, 0.0, 0.0)
 
     def test_fraction_distribution(self, g0_typed):
@@ -136,20 +135,19 @@ class TestMemberTypeFractions:
 
 class TestTypeShareByDegree:
     def test_g0_thresholds(self, g0_typed):
-        table = type_share_by_degree(g0_typed, [0, 1])
-        all_row, deg1_row = table.rows
+        all_row, deg1_row = type_share_by_degree(g0_typed, [0, 1])
         assert all_row.label == "All ASes"
         assert (all_row.content, all_row.enterprise, all_row.isp) == (0.25, 0.25, 0.5)
         assert deg1_row.label == "ASes with degree >1"
         assert (deg1_row.content, deg1_row.enterprise, deg1_row.isp) == (1 / 3, 0.0, 2 / 3)
 
     def test_empty_subset_gives_zeros(self, g0_typed):
-        row = type_share_by_degree(g0_typed, [10]).rows[0]
+        (row,) = type_share_by_degree(g0_typed, [10])
         assert (row.content, row.enterprise, row.isp) == (0.0, 0.0, 0.0)
 
     def test_fractions_can_sum_below_one(self, g0_typed):
-        g0_typed.ases[4].as_type = AsType.UNKNOWN
-        row = type_share_by_degree(g0_typed, [0]).rows[0]
+        g0_typed.ases[4] = g0_typed.ases[4]._replace(as_type=AsType.UNKNOWN)
+        (row,) = type_share_by_degree(g0_typed, [0])
         assert row.content + row.enterprise + row.isp < 1.0
 
     def test_empty_graph(self):

@@ -14,12 +14,10 @@ from ixpgraph.model import (
     NodeClass,
     Source,
     _by_value,
-    add_membership,
-    build_graph,
     giant_component,
 )
 
-from conftest import make_g0
+from conftest import add_membership, build_graph, make_g0
 from oracles import bf_degree
 
 
@@ -59,6 +57,10 @@ class TestNodeValidation:
     def test_edge_sources_coerced_to_frozenset(self):
         edge = MembershipEdge("X1", 1, sources={Source.PDB})
         assert isinstance(edge.sources, frozenset)
+
+    def test_default_peering_prefixes_not_shared(self):
+        first, second = IxpNode("X1", ["X1"]), IxpNode("X2", ["X2"])
+        assert first.peering_prefixes == [] and first.peering_prefixes is not second.peering_prefixes
 
     def test_location_defaults(self):
         loc = Location("DE", "Frankfurt")

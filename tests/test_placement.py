@@ -15,7 +15,6 @@ from ixpgraph.model import (
     IxpNode,
     Location,
     MembershipEdge,
-    build_graph,
 )
 from ixpgraph.placement import (
     CoverageInstance,
@@ -26,7 +25,7 @@ from ixpgraph.placement import (
     site_selection_score,
 )
 
-from conftest import gain_test_graphs, make_g0
+from conftest import build_graph, gain_test_graphs, make_g0
 from oracles import bf_gain, exhaustive_cover_oracle, harmonic
 
 
@@ -314,7 +313,7 @@ class TestRankTunnels:
 class TestSiteSelectionScore:
     def locate(self, graph, mapping):
         for ixp_id, (country, city) in mapping.items():
-            graph.ixps[ixp_id].location = Location(country, city)
+            graph.ixps[ixp_id] = graph.ixps[ixp_id]._replace(location=Location(country, city))
         return graph
 
     def test_x3_only_location(self, g0):

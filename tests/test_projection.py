@@ -10,11 +10,10 @@ from ixpgraph.model import (
     IxpNode,
     MembershipEdge,
     NodeClass,
-    build_graph,
 )
 from ixpgraph.projection import bits, index, partner_gains
 
-from conftest import index_edges, random_bipartite
+from conftest import build_graph, index_edges, random_bipartite
 from oracles import bf_project, project
 
 

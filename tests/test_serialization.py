@@ -18,7 +18,6 @@ from ixpgraph.model import (
     Location,
     MembershipEdge,
     Source,
-    build_graph,
 )
 from ixpgraph.serialization import (
     dumps_graph,
@@ -28,7 +27,7 @@ from ixpgraph.serialization import (
     write_graph,
 )
 
-from conftest import make_g0, paper_scale_graph
+from conftest import build_graph, make_g0, paper_scale_graph
 from oracles import graph_to_dict
 
 
