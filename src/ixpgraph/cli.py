@@ -149,7 +149,7 @@ def _parse_targets(spec: str) -> list[int] | None:
     if spec.strip().lower() == "all":
         return None
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
+        with open(spec[1:], encoding="utf-8-sig") as fh:
             tokens = fh.read().split()
     else:
         tokens = [t for t in spec.split(",") if t.strip()]
@@ -162,12 +162,10 @@ def _read_map_file(path, expected_header, key_parse) -> dict:
     """A two-column CSV mapping parsed keys to decimal values."""
     out = {}
     for row in _read_csv(path, expected_header):
-        if not any(f.strip() for f in row):
-            continue
         if len(row) != 2:
             raise ValueError(f"{path}: expected 2 columns, got {len(row)}")
         try:
-            out[key_parse(row[0].strip())] = _parse_decimal(row[1].strip(), real=True)
+            out[key_parse(row[0])] = _parse_decimal(row[1], real=True)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return out

@@ -101,7 +101,7 @@ class MembershipRecord(NamedTuple):
     source: Source
     ixp_key: str
     ixp_name: str
-    ixp_prefixes: list[str]
+    ixp_prefixes: tuple[str, ...]
     asn: int
     member_ip: str | None
     status: IxpStatus
@@ -126,21 +126,16 @@ class IxpIdentity(NamedTuple):
     status: IxpStatus
 
 
-def _parse_prefixes(raw: str) -> list[str]:
-    prefixes = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if part:
-            prefixes.append(str(ipaddress.ip_network(part, strict=False)))
-    return prefixes
+def _parse_prefixes(raw: str) -> tuple[str, ...]:
+    return tuple(str(ipaddress.ip_network(part, strict=False))
+                 for part in map(str.strip, raw.split(";")) if part)
 
 
 def _parse_row(row: list[str], expected_source: Source,
-               prefix_lists: dict[str, list[str]]) -> MembershipRecord:
-    if len(row) != len(DATASET_HEADER):
-        raise ValueError(f"expected {len(DATASET_HEADER)} fields, got {len(row)}")
+               prefix_lists: dict[str, tuple[str, ...]]) -> MembershipRecord:
+    # A row of any other field count fails to unpack with a ValueError.
     (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
-     ip_raw, status_raw, type_raw, pfx_count_raw) = (f.strip() for f in row)
+     ip_raw, status_raw, type_raw, pfx_count_raw) = row
 
     source = _by_value(Source, source_raw)
     if source is not expected_source:
@@ -161,7 +156,7 @@ def _parse_row(row: list[str], expected_source: Source,
         source=source,
         ixp_key=ixp_key,
         ixp_name=ixp_name,
-        ixp_prefixes=list(prefixes),
+        ixp_prefixes=prefixes,
         asn=asn,
         member_ip=None if ip is None else str(ip),
         status=_by_value(IxpStatus, status_raw),
@@ -175,10 +170,8 @@ def parse_dataset(path, source: Source) -> ParseResult:
     """Parse one membership CSV; malformed rows are counted, not fatal."""
     records = []
     errors = 0
-    prefix_lists: dict[str, list[str]] = {}  # raw ixp_prefixes -> canonical list
+    prefix_lists: dict[str, tuple[str, ...]] = {}  # raw ixp_prefixes -> canonical tuple
     for row in _read_csv(path, DATASET_HEADER):
-        if not any(f.strip() for f in row):
-            continue
         try:
             records.append(_parse_row(row, source, prefix_lists))
         except ValueError:
@@ -410,12 +403,13 @@ def sanitize(
 
     # (4) giant component; nodes isolated at (1) or (2) are tallied there
     giant = model.giant_component(graph)
-    nodes = report.nodes_total_pre - report.nodes_discarded - giant.graph.num_nodes
-    if nodes or giant.discarded_edges:
+    nodes = report.nodes_total_pre - report.nodes_discarded - giant.num_nodes
+    edges_lost = graph.num_edges - giant.num_edges
+    if nodes or edges_lost:
         report.reasons[DiscardReason.NOT_IN_GIANT_COMPONENT] = ReasonTally(
-            nodes=nodes, edges=giant.discarded_edges
+            nodes=nodes, edges=edges_lost
         )
-    return giant.graph, report
+    return giant, report
 
 
 def attach_attributes(
@@ -435,38 +429,24 @@ def attach_attributes(
 
     if as_types_path is not None:
         for row in _read_csv(as_types_path, AS_TYPES_HEADER):
-            if not any(f.strip() for f in row):
-                continue
             try:
-                asn = _parse_asn(row[0].strip())
-                as_type = _by_value(AsType, row[1].strip())
-            except (ValueError, IndexError):
+                asn = _parse_asn(row[0])
+                ases[asn] = ases[asn]._replace(as_type=_by_value(AsType, row[1]))
+            except (KeyError, ValueError, IndexError):
                 warnings += 1
-                continue
-            if asn not in ases:
-                warnings += 1
-                continue
-            ases[asn] = ases[asn]._replace(as_type=as_type)
 
     if locations_path is not None:
         for row in _read_csv(locations_path, LOCATIONS_HEADER):
-            if not any(f.strip() for f in row):
-                continue
             try:
-                ixp_id, country, city, lat_raw, lon_raw = (f.strip() for f in row)
-                location = Location(
+                ixp_id, country, city, lat_raw, lon_raw = row
+                ixps[ixp_id] = ixps[ixp_id]._replace(location=Location(
                     country=country,
                     city=city,
                     lat=_parse_decimal(lat_raw, real=True) if lat_raw else None,
                     lon=_parse_decimal(lon_raw, real=True) if lon_raw else None,
-                )
-            except ValueError:
+                ))
+            except (KeyError, ValueError):
                 warnings += 1
-                continue
-            if ixp_id not in ixps:
-                warnings += 1
-                continue
-            ixps[ixp_id] = ixps[ixp_id]._replace(location=location)
 
     return BipartiteGraph(ixps=ixps, ases=ases, edges=dict(graph.edges)), warnings
 

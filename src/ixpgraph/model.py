@@ -13,7 +13,7 @@ import csv
 import re
 from collections import namedtuple
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .errors import EmptyGraph, FormatError, UnknownEndpoint, UnknownNode
 
@@ -75,9 +75,11 @@ def _parse_asn(raw: str) -> int:
 
 
 def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
-    """The rows after the header. A row the reader cannot split (a field
-    over the csv module's size limit, say) ends the file with a
-    ``FormatError``: the reader cannot resume after it."""
+    """The rows after the header, each field stripped of surrounding
+    whitespace; a row whose fields are all empty (a blank line, say) is
+    skipped. A row the reader cannot split (a field over the csv module's
+    size limit, say) ends the file with a ``FormatError``: the reader cannot
+    resume after it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -86,7 +88,10 @@ def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
                 raise FormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
             if [h.strip().lower() for h in header] != expected_header:
                 raise FormatError(f"{path}: unrecognized header {','.join(header)!r}")
-            yield from reader
+            for row in reader:
+                row = [field.strip() for field in row]
+                if any(row):
+                    yield row
         except csv.Error as exc:
             raise FormatError(f"{path}, line {reader.line_num}: {exc}") from None
 
@@ -239,18 +244,12 @@ def _connected_components(graph: BipartiteGraph) -> list[set[NodeId]]:
     return components
 
 
-class GiantComponent(NamedTuple):
-    graph: BipartiteGraph
-    discarded_nodes: int
-    discarded_edges: int
-
-
-def giant_component(graph: BipartiteGraph) -> GiantComponent:
+def giant_component(graph: BipartiteGraph) -> BipartiteGraph:
     """Induced subgraph on the largest connected component.
 
     Largest by vertex count; ties broken by larger edge count, then by the
     lexicographically smallest contained node label, so the result is
-    deterministic. Also reports how many nodes and edges were discarded.
+    deterministic.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
@@ -269,10 +268,4 @@ def giant_component(graph: BipartiteGraph) -> GiantComponent:
     kept_edges = {
         key: e for key, e in graph.edges.items() if key[0] in best and key[1] in best
     }
-    sub = BipartiteGraph(ixps=kept_ixps, ases=kept_ases, edges=kept_edges)
-    return GiantComponent(
-        graph=sub,
-        discarded_nodes=graph.num_nodes - sub.num_nodes,
-        discarded_edges=graph.num_edges - sub.num_edges,
-    )
-
+    return BipartiteGraph(ixps=kept_ixps, ases=kept_ases, edges=kept_edges)

@@ -264,4 +264,4 @@ def paper_scale_graph(seed: int = 42, n_ixp: int = 500, n_as: int = 4700) -> Bip
         [AsNode(a) for a in range(1, n_as + 1)],
         [MembershipEdge(x, a) for x, a in sorted(edges)],
     )
-    return giant_component(graph).graph
+    return giant_component(graph)

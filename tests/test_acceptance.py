@@ -147,7 +147,7 @@ def test_criterion_3_path_parity_and_oracle(criterion):
         rng = random.Random(RANDOM_GRAPH_SEED)
         oracle_checked = 0
         for index in range(RANDOM_GRAPH_COUNT):
-            graph = giant_component(random_bipartite(rng)).graph
+            graph = giant_component(random_bipartite(rng))
             n_as = len(graph.ases)
             if n_as < 2:
                 continue

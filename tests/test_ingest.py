@@ -39,7 +39,7 @@ class TestParseDataset:
         assert result.parse_errors == 0
         first = result.records[0]
         assert first.asn == 64500
-        assert first.ixp_prefixes == ["192.0.2.0/24"]
+        assert first.ixp_prefixes == ("192.0.2.0/24",)
         assert first.member_ip == "192.0.2.1"
         assert first.as_type is AsType.ISP
         assert first.as_prefix_count == 42
@@ -50,11 +50,11 @@ class TestParseDataset:
         result = parse(tmp_path, [
             "PDB,k1,Alpha,192.0.2.128/25;2001:db8::/32,64500,,Active,,",
         ])
-        assert result.records[0].ixp_prefixes == ["192.0.2.128/25", "2001:db8::/32"]
+        assert result.records[0].ixp_prefixes == ("192.0.2.128/25", "2001:db8::/32")
 
     def test_host_bits_normalized(self, tmp_path):
         result = parse(tmp_path, ["PDB,k1,Alpha,192.0.2.7/24,64500,,Active,,"])
-        assert result.records[0].ixp_prefixes == ["192.0.2.0/24"]
+        assert result.records[0].ixp_prefixes == ("192.0.2.0/24",)
 
     def test_malformed_asn_counted_not_fatal(self, tmp_path):
         result = parse(tmp_path, [
@@ -120,14 +120,17 @@ class TestParseDataset:
         with pytest.raises(FormatError, match=r"big\.csv, line 3: field larger than field limit"):
             parse_dataset(path, Source.PDB)
 
-    def test_prefix_lists_are_not_shared(self, tmp_path):
+    def test_shared_prefix_lists_are_immutable(self, tmp_path):
+        # Rows with the same raw ixp_prefixes share one parsed value, so it
+        # must be a tuple: a list shared across records could be mutated
+        # through any one of them.
         result = parse(tmp_path, [
             "PDB,k1,Alpha,192.0.2.0/24,64500,,Active,,",
             "PDB,k1,Alpha,192.0.2.0/24,64501,,Active,,",
         ])
         first, second = result.records
-        assert first.ixp_prefixes == second.ixp_prefixes
-        assert first.ixp_prefixes is not second.ixp_prefixes
+        assert first.ixp_prefixes is second.ixp_prefixes
+        assert isinstance(first.ixp_prefixes, tuple)
 
 
 class TestNormalizeIxpName:

@@ -169,7 +169,7 @@ class TestShortestPathIxpCounts:
     def test_matches_naive_oracle_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(5):
-            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25)).graph
+            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25))
             expected = bf_ixp_count_distribution(graph)
             got = shortest_path_ixp_counts(graph)
             assert dict(got.values) == dict(expected)
@@ -177,7 +177,7 @@ class TestShortestPathIxpCounts:
     def test_sampled_matches_oracle_on_random_graphs(self):
         rng = random.Random(17)
         for _ in range(5):
-            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25)).graph
+            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25))
             n = len(graph.ases)
             for k, seed in ((1, 0), (2, 5), (n // 2, 42), (n - 1, 7)):
                 if not 0 < k < n:

@@ -197,15 +197,14 @@ class TestGiantComponent:
         graph = BipartiteGraph(ixps=graph.ixps, ases=graph.ases, edges=graph.edges)
         add_membership(graph, MembershipEdge("X9", 9))
         result = giant_component(graph)
-        assert result.discarded_nodes == 2
-        assert result.discarded_edges == 1
-        assert set(result.graph.ixps) == {"X1", "X2", "X3"}
-        assert set(result.graph.ases) == {1, 2, 3, 4}
+        assert graph.num_nodes - result.num_nodes == 2
+        assert graph.num_edges - result.num_edges == 1
+        assert set(result.ixps) == {"X1", "X2", "X3"}
+        assert set(result.ases) == {1, 2, 3, 4}
 
     def test_connected_graph_unchanged(self, g0):
         result = giant_component(g0)
-        assert (result.discarded_nodes, result.discarded_edges) == (0, 0)
-        assert result.graph.num_edges == g0.num_edges
+        assert (result.num_nodes, result.num_edges) == (g0.num_nodes, g0.num_edges)
 
     def test_edge_count_tie_break(self):
         # Two 4-node components; the second carries 4 edges vs 3 and wins.
@@ -214,21 +213,21 @@ class TestGiantComponent:
             ("Y1", 11), ("Y1", 12), ("Y2", 11), ("Y2", 12),
         )
         result = giant_component(graph)
-        assert set(result.graph.ixps) == {"Y1", "Y2"}
-        assert result.discarded_nodes == 4
-        assert result.discarded_edges == 3
+        assert set(result.ixps) == {"Y1", "Y2"}
+        assert graph.num_nodes - result.num_nodes == 4
+        assert graph.num_edges - result.num_edges == 3
 
     def test_label_tie_break(self):
         # Equal nodes and edges: the component containing the smallest
         # label ("5" sorts before "6" and either X id) is kept.
         graph = pair_graph(("X1", 5), ("X2", 6))
         result = giant_component(graph)
-        assert set(result.graph.ases) == {5}
+        assert set(result.ases) == {5}
 
     def test_result_is_connected_and_maximal(self):
         graph = pair_graph(("X1", 1), ("X2", 1), ("X3", 3), ("X4", 4))
         result = giant_component(graph)
-        kept = set(result.graph.ixps) | set(result.graph.ases)
+        kept = set(result.ixps) | set(result.ases)
         assert kept == {"X1", "X2", 1}
         # Maximality: no discarded node is adjacent to a kept one.
         for (x, a) in graph.edges:
