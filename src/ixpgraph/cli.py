@@ -159,15 +159,19 @@ def _parse_targets(spec: str) -> list[int] | None:
 
 
 def _read_map_file(path, expected_header, key_parse) -> dict:
-    """A two-column CSV mapping parsed keys to decimal values."""
+    """A two-column CSV mapping parsed keys to decimal values; a key that
+    parses to one seen before is an error."""
     out = {}
     for row in _read_csv(path, expected_header):
         if len(row) != 2:
             raise ValueError(f"{path}: expected 2 columns, got {len(row)}")
         try:
-            out[key_parse(row[0])] = _parse_decimal(row[1], real=True)
+            key, value = key_parse(row[0]), _parse_decimal(row[1], real=True)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if key in out:
+            raise ValueError(f"{path}: repeated key {row[0]!r}")
+        out[key] = value
     return out
 
 

@@ -216,46 +216,37 @@ def merge_ixp_lists(
     sequence number, assigned in lexicographic order of each group's
     smallest source key, so the numbering is reproducible.
 
-    Prefixes are matched by lookup, not pairwise. Each distinct prefix is
-    keyed as (version, network address as int, length); two prefixes are
-    equal or nested exactly when one's key is among the other's supernet
-    keys (itself included), so each key looks up at most 33 (IPv4) or 129
-    (IPv6) keys, and the merge is linear in prefixes times prefix length.
+    Prefixes are matched by lookup, not pairwise. Each distinct prefix (a
+    canonical CIDR text, as ``parse_dataset`` writes it) is keyed as
+    (version, network address as int, length); two prefixes are equal or
+    nested exactly when one's key is among the other's supernet keys
+    (itself included), so each key looks up at most 33 (IPv4) or 129 (IPv6)
+    keys, and the merge is linear in prefixes times prefix length.
     """
     names: dict[tuple[Source, str], set[str]] = {}
-    prefixes: dict[tuple[Source, str], set[tuple[int, int, int]]] = {}
-    statuses: dict[tuple[Source, str], IxpStatus] = {}
+    prefixes: dict[tuple[Source, str], set[str]] = {}
+    statuses: dict[tuple[Source, str], set[IxpStatus]] = {}
     prefix_keys: dict[str, tuple[int, int, int]] = {}
-    prefix_text: dict[tuple[int, int, int], str] = {}
     for record in list(pdb) + list(pch):
         key = (record.source, record.ixp_key)
         names.setdefault(key, set()).add(record.ixp_name)
-        held = prefixes.setdefault(key, set())
+        prefixes.setdefault(key, set()).update(record.ixp_prefixes)
         for prefix in record.ixp_prefixes:
-            pkey = prefix_keys.get(prefix)
-            if pkey is None:
+            if prefix not in prefix_keys:
                 net = ipaddress.ip_network(prefix)
-                pkey = prefix_keys[prefix] = (net.version, int(net.network_address), net.prefixlen)
-                prefix_text[pkey] = str(net)
-            held.add(pkey)
-        if key not in statuses or _STATUS_SEVERITY[record.status] > _STATUS_SEVERITY[statuses[key]]:
-            statuses[key] = record.status
+                prefix_keys[prefix] = (net.version, int(net.network_address), net.prefixlen)
+        statuses.setdefault(key, set()).add(record.status)
 
     keys = sorted(names, key=_source_key_str)
     uf = _UnionFind(keys)
 
-    by_norm_name: dict[str, list] = {}
+    first_named: dict[str, tuple[Source, str]] = {}  # normalized name -> first key with it
+    holders: dict[tuple[int, int, int], list] = {}  # prefix key -> keys holding it
     for key in keys:
         for name in names[key]:
-            by_norm_name.setdefault(normalize_ixp_name(name), []).append(key)
-    for group in by_norm_name.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
-
-    holders: dict[tuple[int, int, int], list] = {}
-    for key in keys:
-        for pkey in prefixes[key]:
-            holders.setdefault(pkey, []).append(key)
+            uf.union(first_named.setdefault(normalize_ixp_name(name), key), key)
+        for prefix in prefixes[key]:
+            holders.setdefault(prefix_keys[prefix], []).append(key)
     for (version, address, length), group in holders.items():
         bits = 32 if version == 4 else 128
         for outer in range(length + 1):
@@ -263,23 +254,24 @@ def merge_ixp_lists(
             for other in holders.get((version, address >> host << host, outer), ()):
                 uf.union(group[0], other)
 
+    # Keys are visited in order, so groups come out ordered by smallest key.
     groups: dict = {}
     for key in keys:
         groups.setdefault(uf.find(key), []).append(key)
-    ordered = sorted(groups.values(), key=lambda g: _source_key_str(g[0]))
 
-    width = max(4, len(str(len(ordered))))
+    width = max(4, len(str(len(groups))))
     identities = {}
-    for seq, group in enumerate(ordered, start=1):
+    for seq, group in enumerate(groups.values(), start=1):
         ixp_id = f"IXP{seq:0{width}d}"
         group_names = sorted(set().union(*(names[k] for k in group)))
-        group_nets = sorted(set().union(*(prefixes[k] for k in group)))
-        status = max((statuses[k] for k in group), key=_STATUS_SEVERITY.get)
+        # Canonical texts map one-to-one to keys: sorting by key sorts networks.
+        group_nets = sorted(set().union(*(prefixes[k] for k in group)), key=prefix_keys.get)
+        status = max(set().union(*(statuses[k] for k in group)), key=_STATUS_SEVERITY.get)
         identities[ixp_id] = IxpIdentity(
             ixp_id=ixp_id,
             source_keys=frozenset(group),
             names=tuple(group_names),
-            peering_prefixes=tuple(prefix_text[n] for n in group_nets),
+            peering_prefixes=tuple(group_nets),
             status=status,
         )
     return identities
@@ -301,36 +293,36 @@ def sanitize(
     source, with their edges; (2) drop edges whose member_ip falls outside
     every peering prefix of the unified IXP; (3) collapse duplicate
     (ixp, asn) edges across sources, merging their sources sets; (4) keep
-    only the giant component. Every step is tallied in the report, and a
-    node under the step that drops its last edge.
+    only the giant component. Each step tallies the edges it drops, and
+    a node under the step that drops its last edge; malformed rows count
+    as ParseError edges. A reason is in the report when either of its
+    tallies is non-zero.
     """
-    key_to_uid = {}
-    for uid, ident in identities.items():
-        for key in ident.source_keys:
-            key_to_uid[key] = uid
+    key_to_uid = {key: uid for uid, ident in identities.items() for key in ident.source_keys}
+    rows = []  # (unified IXP id, record)
     for record in records:
-        if (record.source, record.ixp_key) not in key_to_uid:
+        uid = key_to_uid.get((record.source, record.ixp_key))
+        if uid is None:
             raise ValueError(f"record references unmerged IXP key {record.ixp_key!r}")
+        rows.append((uid, record))
 
-    all_asns = {r.asn for r in records}
-    report = DiscardReport(
-        nodes_total_pre=len(identities) + len(all_asns),
-        edges_total_pre=len(records) + parse_errors,
-        reasons={},
-    )
-    if parse_errors:
-        report.reasons[DiscardReason.PARSE_ERROR] = ReasonTally(nodes=0, edges=parse_errors)
+    reasons: dict[DiscardReason, ReasonTally] = {}
 
-    def vertices(rows: list[MembershipRecord]) -> set:
-        return {r.asn for r in rows} | {key_to_uid[(r.source, r.ixp_key)] for r in rows}
+    def tally(reason: DiscardReason, nodes: int, edges: int) -> None:
+        if nodes or edges:
+            reasons[reason] = ReasonTally(nodes, edges)
+
+    def vertices(part: list[tuple[str, MembershipRecord]]) -> set:
+        return {r.asn for _, r in part} | {uid for uid, _ in part}
+
+    tally(DiscardReason.PARSE_ERROR, 0, parse_errors)
 
     # (1) inactive / not-approved IXPs
     bad_uids = {uid for uid, ident in identities.items() if ident.status is not IxpStatus.ACTIVE}
-    stage1 = [r for r in records if key_to_uid[(r.source, r.ixp_key)] not in bad_uids]
-    if bad_uids:
-        report.reasons[DiscardReason.INACTIVE_IXP] = ReasonTally(
-            len(bad_uids | (vertices(records) - vertices(stage1))), len(records) - len(stage1)
-        )
+    stage1 = [row for row in rows if row[0] not in bad_uids]
+    kept = vertices(stage1)
+    tally(DiscardReason.INACTIVE_IXP,
+          len(bad_uids | (vertices(rows) - kept)), len(rows) - len(stage1))
 
     # (2) member IPs outside the unified IXP's peering LAN
     nets = {
@@ -339,26 +331,20 @@ def sanitize(
         for uid, ident in identities.items()
     }
 
-    def ip_consistent(record: MembershipRecord) -> bool:
+    def ip_consistent(uid: str, record: MembershipRecord) -> bool:
         if record.member_addr is None:
             return True
         version, ip = record.member_addr
-        uid = key_to_uid[(record.source, record.ixp_key)]
         return any(version == v and ip & mask == net for v, net, mask in nets[uid])
 
-    stage2 = [r for r in stage1 if ip_consistent(r)]
-    if len(stage2) < len(stage1):
-        report.reasons[DiscardReason.IP_INCONSISTENT] = ReasonTally(
-            nodes=len(vertices(stage1) - vertices(stage2)), edges=len(stage1) - len(stage2)
-        )
+    stage2 = [row for row in stage1 if ip_consistent(*row)]
+    tally(DiscardReason.IP_INCONSISTENT, len(kept - vertices(stage2)), len(stage1) - len(stage2))
 
     # (3) duplicate collapse across sources
     grouped: dict[tuple[str, int], list[MembershipRecord]] = {}
-    for record in stage2:
-        grouped.setdefault((key_to_uid[(record.source, record.ixp_key)], record.asn), []).append(record)
-    duplicates = sum(len(g) - 1 for g in grouped.values())
-    if duplicates:
-        report.reasons[DiscardReason.DUPLICATE_COLLAPSED] = ReasonTally(nodes=0, edges=duplicates)
+    for uid, record in stage2:
+        grouped.setdefault((uid, record.asn), []).append(record)
+    tally(DiscardReason.DUPLICATE_COLLAPSED, 0, len(stage2) - len(grouped))
 
     edges = {}
     for (uid, asn), group in sorted(grouped.items()):
@@ -403,12 +389,10 @@ def sanitize(
 
     # (4) giant component; nodes isolated at (1) or (2) are tallied there
     giant = model.giant_component(graph)
-    nodes = report.nodes_total_pre - report.nodes_discarded - giant.num_nodes
-    edges_lost = graph.num_edges - giant.num_edges
-    if nodes or edges_lost:
-        report.reasons[DiscardReason.NOT_IN_GIANT_COMPONENT] = ReasonTally(
-            nodes=nodes, edges=edges_lost
-        )
+    report = DiscardReport(len(identities) + len(as_nodes), len(records) + parse_errors, reasons)
+    tally(DiscardReason.NOT_IN_GIANT_COMPONENT,
+          report.nodes_total_pre - report.nodes_discarded - giant.num_nodes,
+          graph.num_edges - giant.num_edges)
     return giant, report
 
 
@@ -419,32 +403,42 @@ def attach_attributes(
 ) -> tuple[BipartiteGraph, int]:
     """Attach AS types and IXP locations from attribute CSVs.
 
-    Rows naming an ASN or IXP id that is not in the graph are skipped;
-    the returned count says how many rows were ignored (including
-    malformed ones). Passing no files returns the graph unchanged.
+    Rows naming an ASN or IXP id that is not in the graph are skipped, and
+    so is a row for a node that an earlier valid row of the same file set:
+    the first valid row wins. The returned count says how many rows were
+    ignored (including malformed ones). Passing no files returns the graph
+    unchanged.
     """
     warnings = 0
     ases = dict(graph.ases)
     ixps = dict(graph.ixps)
 
     if as_types_path is not None:
+        typed = set()
         for row in _read_csv(as_types_path, AS_TYPES_HEADER):
             try:
                 asn = _parse_asn(row[0])
+                if asn in typed:
+                    raise ValueError(f"AS {asn} typed by an earlier row")
                 ases[asn] = ases[asn]._replace(as_type=_by_value(AsType, row[1]))
+                typed.add(asn)
             except (KeyError, ValueError, IndexError):
                 warnings += 1
 
     if locations_path is not None:
+        located = set()
         for row in _read_csv(locations_path, LOCATIONS_HEADER):
             try:
                 ixp_id, country, city, lat_raw, lon_raw = row
+                if ixp_id in located:
+                    raise ValueError(f"IXP {ixp_id} located by an earlier row")
                 ixps[ixp_id] = ixps[ixp_id]._replace(location=Location(
                     country=country,
                     city=city,
                     lat=_parse_decimal(lat_raw, real=True) if lat_raw else None,
                     lon=_parse_decimal(lon_raw, real=True) if lon_raw else None,
                 ))
+                located.add(ixp_id)
             except (KeyError, ValueError):
                 warnings += 1
 

@@ -343,19 +343,3 @@ def clustering_coefficient(graph: BipartiteGraph, node_class: NodeClass) -> dict
         out[v] = 0 if t == 0 else t / (d * (d - 1))
     return out
 
-
-__all__ = [
-    "Distribution",
-    "TypeFractions",
-    "TypeShareRow",
-    "degree_distribution",
-    "member_type_fractions",
-    "type_fraction_distribution",
-    "type_share_by_degree",
-    "shortest_path_ixp_counts",
-    "multiplicity_distribution",
-    "remote_peering_gain_cdf",
-    "degree_prefix_correlation",
-    "betweenness_centrality",
-    "clustering_coefficient",
-]

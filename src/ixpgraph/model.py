@@ -3,8 +3,8 @@
 The central structure is the :class:`BipartiteGraph`: IXP vertices on one
 side, AS vertices on the other, and membership edges only.
 
-Graphs are treated as immutable once construction finishes; concurrent
-readers are safe, construction is single-writer.
+Nodes and edges are immutable records. A graph is not changed once built:
+``ingest.attach_attributes``, say, returns a new graph.
 """
 
 from __future__ import annotations
@@ -223,27 +223,6 @@ class BipartiteGraph:
             raise UnknownNode(f"unknown AS {asn}") from None
 
 
-def _connected_components(graph: BipartiteGraph) -> list[set[NodeId]]:
-    unvisited: set[NodeId] = set(graph.ixps) | set(graph.ases)
-    components = []
-    while unvisited:
-        start = next(iter(unvisited))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                neighbors = graph.members(v) if isinstance(v, str) else graph.memberships(v)
-                for w in neighbors:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        components.append(seen)
-        unvisited -= seen
-    return components
-
-
 def giant_component(graph: BipartiteGraph) -> BipartiteGraph:
     """Induced subgraph on the largest connected component.
 
@@ -253,19 +232,29 @@ def giant_component(graph: BipartiteGraph) -> BipartiteGraph:
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-
-    def edge_count(nodes: set[NodeId]) -> int:
-        return sum(
-            len(graph.members(v)) for v in nodes if isinstance(v, str)
-        )
-
-    best = min(
-        _connected_components(graph),
-        key=lambda c: (-len(c), -edge_count(c), min(str(v) for v in c)),
-    )
+    best = best_key = None
+    unvisited: set[NodeId] = set(graph.ixps) | set(graph.ases)
+    while unvisited:
+        start = next(iter(unvisited))
+        seen = {start}
+        frontier = [start]
+        degrees = 0  # twice the component's edge count
+        while frontier:
+            nxt = []
+            for v in frontier:
+                neighbors = graph.members(v) if isinstance(v, str) else graph.memberships(v)
+                degrees += len(neighbors)
+                for w in neighbors:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        key = (-len(seen), -degrees, min(str(v) for v in seen))
+        if best is None or key < best_key:
+            best, best_key = seen, key
+        unvisited -= seen
     kept_ixps = {i: n for i, n in graph.ixps.items() if i in best}
     kept_ases = {a: n for a, n in graph.ases.items() if a in best}
-    kept_edges = {
-        key: e for key, e in graph.edges.items() if key[0] in best and key[1] in best
-    }
+    # An edge is in the component exactly when its IXP is.
+    kept_edges = {key: e for key, e in graph.edges.items() if key[0] in best}
     return BipartiteGraph(ixps=kept_ixps, ases=kept_ases, edges=kept_edges)

@@ -176,6 +176,107 @@ def merge_test_lists(seed: int = 5, count: int = 300) -> list[tuple[list, list]]
     return cases
 
 
+def sanitize_test_sets(seed: int = 7, count: int = 200) -> list[tuple[list, list, int]]:
+    """Random (pdb, pch, parse_errors) inputs for the cleaning path.
+
+    Core IXPs k share a pool of ASes; IXP k's LAN is 10.k.0.0/24 and
+    2001:db8:k::/48, or one of them, or none. Member addresses are absent,
+    on the LAN, off it (172.16.0.0/12) or of a version the LAN lacks. Some
+    core IXPs are listed again in the PCH file under their own key, with a
+    name of another spelling and an equal or nested LAN, re-listing some of
+    their members (cross-source duplicates, some with another address).
+    Most sets have one inactive or not-approved IXP and a few fragments:
+    IXPs whose members are at no other IXP, off the giant component.
+    Core IXP 0 stays active and its first member has no address, so every
+    set keeps an edge."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        pdb, pch = [], []
+        n_core, n_frag = rng.randint(2, 6), rng.choice((0, 1, 2, 3))
+        pool = list(range(1, rng.randint(4, 20) + 1))
+        inactive = rng.randrange(1, n_core + n_frag) if rng.random() < 0.8 else None
+        for k in range(n_core + n_frag):
+            lan = [p for p in (f"10.{k}.0.0/24", f"2001:db8:{k}::/48") if rng.random() < 0.7]
+            status = rng.choice((IxpStatus.INACTIVE, IxpStatus.NOT_APPROVED)) \
+                if k == inactive else IxpStatus.ACTIVE
+            if k < n_core:
+                members = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+            else:
+                members = [1000 + 10 * k + i for i in range(rng.randint(1, 3))]
+
+            def address(h):
+                kind = rng.random()
+                if kind < 0.25 or (k == 0 and h == 0):
+                    return None
+                if kind < 0.55:
+                    return f"10.{k}.0.{h + 1}"
+                if kind < 0.8:
+                    return f"2001:db8:{k}::{h + 1:x}"
+                return f"172.16.{k}.{h + 1}"
+
+            rows = [(asn, address(h)) for h, asn in enumerate(members)]
+            if rng.random() < 0.1:
+                rows.append(rows[-1])  # a same-source duplicate
+            pdb += [_record(Source.PDB, f"k{k}", f"Exchange {k}", lan, asn, ip, status)
+                    for asn, ip in rows]
+            if k < n_core and rng.random() < 0.5:
+                nested = [p.replace("0.0/24", "0.0/25") for p in lan if rng.random() < 0.8]
+                again = rng.sample(rows, rng.randint(1, len(rows)))
+                again = [(asn, ip if rng.random() < 0.7 else address(len(rows) + i))
+                         for i, (asn, ip) in enumerate(again)]
+                pch += [_record(Source.PCH, f"p{k}", f"exchange-{k}", nested, asn, ip,
+                                IxpStatus.ACTIVE) for asn, ip in again]
+        cases.append((pdb, pch, rng.choice((0, 0, rng.randint(1, 5)))))
+    return cases
+
+
+def _record(source, key, name, prefixes, asn, ip, status) -> MembershipRecord:
+    """A record as the row parser makes it from these fields."""
+    addr = None if ip is None else ipaddress.ip_address(ip)
+    return MembershipRecord(source, key, name, tuple(prefixes), asn,
+                            None if addr is None else str(addr), status,
+                            member_addr=None if addr is None else (addr.version, int(addr)))
+
+
+def giant_test_graphs(seed: int = 13, count: int = 300) -> list[BipartiteGraph]:
+    """Random graphs of several components for the giant-component oracle.
+    Half are unions of small fixed shapes, so that components often tie on
+    vertex count, and on edge count too; labels are drawn so that string
+    order differs from numeric order (AS 10 sorts before AS 9). The other
+    half are sparse random graphs."""
+    shapes = [
+        [(0, 0)],                                   # 2 nodes, 1 edge
+        [(0, 0), (0, 1)], [(0, 0), (1, 0)],         # 3 nodes, 2 edges
+        [(0, 0), (0, 1), (0, 2)],                   # 4 nodes, 3 edges: star at an IXP,
+        [(0, 0), (1, 0), (2, 0)],                   # star at an AS,
+        [(0, 0), (1, 0), (1, 1)],                   # path
+        [(0, 0), (0, 1), (1, 0), (1, 1)],           # 4 nodes, 4 edges
+    ]
+    rng = random.Random(seed)
+    graphs = []
+    for case in range(count):
+        ixp_ids = rng.sample([f"X{i}" for i in range(1, 40)], 39)
+        asns = rng.sample(range(1, 120), 119)
+        if case % 2:
+            graphs.append(random_bipartite(rng, max_ixps=8, max_ases=10))
+            continue
+        edges = []
+        for _ in range(rng.randint(1, 6)):
+            shape = rng.choice(shapes)
+            xs = [ixp_ids.pop() for _ in range(max(x for x, _ in shape) + 1)]
+            as_ = [asns.pop() for _ in range(max(a for _, a in shape) + 1)]
+            edges += [(xs[x], as_[a]) for x, a in shape]
+        lone_ixps = [ixp_ids.pop() for _ in range(rng.randint(0, 2))]
+        lone_ases = [asns.pop() for _ in range(rng.randint(0, 2))]
+        graphs.append(build_graph(
+            [IxpNode(x, [x]) for x in sorted({x for x, _ in edges} | set(lone_ixps))],
+            [AsNode(a) for a in sorted({a for _, a in edges} | set(lone_ases))],
+            [MembershipEdge(x, a) for x, a in edges],
+        ))
+    return graphs
+
+
 @pytest.fixture
 def g0_file(tmp_path):
     """G0 written as a canonical graph file, for CLI-level tests."""

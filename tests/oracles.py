@@ -27,7 +27,7 @@ from ixpgraph.ingest import (
     _UnionFind,
     normalize_ixp_name,
 )
-from ixpgraph.model import BipartiteGraph, NodeClass
+from ixpgraph.model import BipartiteGraph, IxpStatus, NodeClass
 from ixpgraph.placement import CoverageInstance, PlacementSolution
 from ixpgraph.serialization import FORMAT_VERSION
 
@@ -222,6 +222,67 @@ def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
             status=max((statuses[k] for k in group), key=_STATUS_SEVERITY.get),
         )
     return identities
+
+
+def nx_giant_component(nodes, edges) -> set:
+    """The vertex set ``model.giant_component`` keeps: of networkx's
+    connected components, the one with the most vertices, then the most
+    edges, then the smallest label compared as a string."""
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    return min(nx.connected_components(g),
+               key=lambda c: (-len(c), -sum(1 for x, _ in edges if x in c), min(map(str, c))))
+
+
+def bf_discard_report(records, identities, parse_errors: int = 0) -> dict:
+    """``ingest.sanitize(...)[1].to_dict()`` by applying the four stages one
+    at a time to a plain list of (unified IXP id, record) edges.
+
+    Each stage's edge tally is the edges it drops; its node tally is the
+    vertices that had an edge before it and none after it (for the giant
+    component: that are outside it). So every vertex is tallied under the
+    stage that drops its last edge, given that each starts with an edge,
+    as merged identities and their records do."""
+    def uid(record):
+        return next(u for u, ident in identities.items()
+                    if (record.source, record.ixp_key) in ident.source_keys)
+
+    def on_lan(u, record):
+        if record.member_ip is None:
+            return True
+        ip = ipaddress.ip_address(record.member_ip)
+        return any(ip.version == net.version and ip in net
+                   for net in map(ipaddress.ip_network, identities[u].peering_prefixes))
+
+    def ends(pairs):
+        return {u for u, _ in pairs} | {asn for _, asn in pairs}
+
+    tagged = [(uid(r), r) for r in records]
+    active = [(u, r) for u, r in tagged if identities[u].status is IxpStatus.ACTIVE]
+    consistent = [(u, r) for u, r in active if on_lan(u, r)]
+    tagged, active, consistent = ([(u, r.asn) for u, r in edges]
+                                  for edges in (tagged, active, consistent))
+    collapsed = sorted(set(consistent))
+    vertices = [u for u, i in identities.items() if i.status is IxpStatus.ACTIVE]
+    giant = nx_giant_component(vertices + sorted({r.asn for r in records}), collapsed)
+    stages = [
+        ("InactiveIxp", tagged, active, ends(active)),
+        ("IpInconsistent", active, consistent, ends(consistent)),
+        ("DuplicateCollapsed", consistent, collapsed, ends(collapsed)),
+        ("NotInGiantComponent", collapsed, [e for e in collapsed if e[0] in giant], giant),
+    ]
+    reasons = {"ParseError": {"nodes": 0, "edges": parse_errors}}
+    for reason, before, after, kept in stages:
+        reasons[reason] = {"nodes": len(ends(before) - kept), "edges": len(before) - len(after)}
+    reasons = {k: t for k, t in sorted(reasons.items()) if t["nodes"] or t["edges"]}
+    return {
+        "nodes_total_pre": len(identities) + len({r.asn for r in records}),
+        "edges_total_pre": len(records) + parse_errors,
+        "nodes_discarded": sum(t["nodes"] for t in reasons.values()),
+        "edges_discarded": sum(t["edges"] for t in reasons.values()),
+        "reasons": reasons,
+    }
 
 
 def exhaustive_cover_oracle(

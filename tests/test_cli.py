@@ -120,6 +120,23 @@ class TestBuild:
         assert "attribute warnings: 1" in out
 
 
+    def test_repeated_attribute_key_is_a_warning(self, tmp_path, capsys):
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        types = tmp_path / "types.csv"
+        types.write_text("asn,as_type\n65002,Content\n65002,ISP\n", encoding="utf-8")
+        locations = tmp_path / "locations.csv"
+        locations.write_text("ixp_id,country,city,lat,lon\nIXP0001,DE,Frankfurt,,\n"
+                             " IXP0001 ,GR,Athens,,\n", encoding="utf-8")
+        out_path = tmp_path / "g.json"
+        code, out, _ = run(capsys, "build", str(pdb), str(pch), str(out_path),
+                           "--as-types", str(types), "--locations", str(locations))
+        assert code == 0
+        assert out.endswith("attribute warnings: 2\n")
+        graph = serialization.read_graph(out_path)
+        assert graph.ases[65002].as_type.value == "Content"
+        assert graph.ixps["IXP0001"].location.city == "Frankfurt"
+
+
 class TestMetrics:
     def test_degree_cdf_ixp_csv(self, g0_file, capsys):
         code, out, _ = run(capsys, "metrics", str(g0_file), "degree-cdf", "--class", "ixp")
@@ -404,6 +421,20 @@ class TestPlace:
         assert out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, rows, key", [
+        ("--costs", ["X1,10", "X2,1", "X1,2"], "X1"),
+        ("--weights", ["1,5", "AS1,7"], "AS1"),
+    ])
+    def test_repeated_map_file_key_is_one_line_error(self, g0_file, tmp_path, capsys,
+                                                     flag, rows, key):
+        path = tmp_path / "values.csv"
+        header = "ixp_id,cost" if flag == "--costs" else "asn,weight"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "place", str(g0_file), "cover", "--targets", "all",
+                             flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: repeated key {key!r}\n"
+
     def test_missing_budget_is_usage_error(self, g0_file, capsys):
         with pytest.raises(SystemExit) as info:
             main(["place", str(g0_file), "budget", "--targets", "all"])
@@ -538,9 +569,22 @@ class TestAcrossInterpreters:
         if len(interpreters) < 2:
             pytest.skip("no second interpreter of Python 3.10 or later found")
         pdb, pch, asn = cross_version_inputs(tmp_path)
+        # Attribute files with a padded row, a malformed row and a repeated key.
+        types = tmp_path / "as_types.csv"
+        types.write_text(f"asn,as_type\n  {asn} , Content \n{asn + 1},Methane\n{asn},ISP\n",
+                         encoding="utf-8")
+        locations = tmp_path / "locations.csv"
+        locations.write_text("ixp_id,country,city,lat,lon\n"
+                             " IXP0001 , DE , Frankfurt , 50.11 , 8.68 \n"
+                             "IXP0002,DE,Berlin,north,13.41\n"
+                             "IXP0001,GR,Athens,37.98,23.73\n", encoding="utf-8")
+        attributes = ["--as-types", str(types), "--locations", str(locations)]
         graph = "graph.json"  # relative: build prints the path it wrote
         commands = [
             ["build", str(pdb), str(pch), graph],
+            ["build", str(pdb), str(pch), "typed.json", *attributes],
+            ["build", str(pdb), str(pch), "typed-too.json", *attributes, "--json"],
+            ["export", "typed.json", "--format", "json"],
             ["export", graph, "--format", "edgelist"],
             ["export", graph, "--format", "json"],
             ["metrics", graph, "table2"],

@@ -2,6 +2,7 @@
 
 import ipaddress
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,13 @@ from ixpgraph.ingest import (
 )
 from ixpgraph.model import AsType, IxpStatus, Source
 
-from conftest import merge_test_lists, sanitize_fixture_files, write_membership_csv
-from oracles import bf_merge_ixp_lists
+from conftest import (
+    merge_test_lists,
+    sanitize_fixture_files,
+    sanitize_test_sets,
+    write_membership_csv,
+)
+from oracles import bf_discard_report, bf_merge_ixp_lists
 
 
 def parse(tmp_path, rows, source=Source.PDB, name="data.csv"):
@@ -399,6 +405,17 @@ class TestSanitize:
                 if any(ip.version == net.version and ip in net for net in nets)}
             assert {asn for _, asn in graph.edges} == expected
 
+    def test_report_matches_stage_by_stage_oracle(self):
+        sets = sanitize_test_sets()
+        seen = Counter()
+        for case, (pdb, pch, parse_errors) in enumerate(sets):
+            records, identities = pdb + pch, merge_ixp_lists(pdb, pch)
+            report = sanitize(records, identities, parse_errors)[1].to_dict()
+            assert report == bf_discard_report(records, identities, parse_errors), f"case {case}"
+            seen.update(list(report["reasons"]))
+        # Each reason is in some reports and missing from others.
+        assert all(0 < seen[reason.value] < len(sets) for reason in DiscardReason), seen
+
     def test_report_dict_shape(self, tmp_path):
         _, report = self.run_fixture(tmp_path)
         data = report.to_dict()
@@ -507,6 +524,27 @@ class TestAttachAttributes:
                         encoding="utf-8")
         _, warnings = attach_attributes(graph, as_types_path=types, locations_path=locs)
         assert warnings == 3
+
+    def test_repeated_as_type_first_valid_row_wins(self, tmp_path):
+        graph = self.build(tmp_path)
+        types = tmp_path / "types.csv"
+        types.write_text("asn,as_type\n64500,Content\n64500,ISP\n"
+                         "64501,Methane\n64501,ISP\n64501,Content\n", encoding="utf-8")
+        graph, warnings = attach_attributes(graph, as_types_path=types)
+        assert graph.ases[64500].as_type is AsType.CONTENT
+        assert graph.ases[64501].as_type is AsType.ISP
+        assert warnings == 3
+
+    def test_repeated_location_first_valid_row_wins(self, tmp_path):
+        graph = self.build(tmp_path)
+        locs = tmp_path / "locs.csv"
+        locs.write_text("ixp_id,country,city,lat,lon\n"
+                        "IXP0001,DE,Berlin,north,13.41\n"
+                        "IXP0001,DE,Frankfurt,50.1,8.68\n"
+                        "IXP0001,GR,Athens,37.98,23.73\n", encoding="utf-8")
+        graph, warnings = attach_attributes(graph, locations_path=locs)
+        assert graph.ixps["IXP0001"].location.city == "Frankfurt"
+        assert warnings == 2
 
     def test_no_files_is_identity(self, tmp_path):
         graph = self.build(tmp_path)

@@ -1,5 +1,6 @@
 """Model types: validation, adjacency, degrees, giant component."""
 
+import networkx as nx
 import pytest
 
 from ixpgraph.errors import EmptyGraph, UnknownEndpoint, UnknownNode
@@ -17,8 +18,8 @@ from ixpgraph.model import (
     giant_component,
 )
 
-from conftest import add_membership, build_graph, make_g0
-from oracles import bf_degree
+from conftest import add_membership, build_graph, giant_test_graphs, make_g0
+from oracles import bf_degree, nx_giant_component
 
 
 def pair_graph(*pairs):
@@ -236,6 +237,24 @@ class TestGiantComponent:
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):
             giant_component(BipartiteGraph())
+
+    def test_matches_networkx_components_and_tie_break(self):
+        ties = set()
+        for case, graph in enumerate(giant_test_graphs()):
+            kept = nx_giant_component([*graph.ixps, *graph.ases], list(graph.edges))
+            assert giant_component(graph) == BipartiteGraph(
+                ixps={x: n for x, n in graph.ixps.items() if x in kept},
+                ases={a: n for a, n in graph.ases.items() if a in kept},
+                edges={k: e for k, e in graph.edges.items() if k[0] in kept},
+            ), f"case {case}"
+            g = nx.Graph(list(graph.edges))
+            g.add_nodes_from([*graph.ixps, *graph.ases])
+            scores = sorted((len(c), sum(1 for x, _ in graph.edges if x in c))
+                            for c in nx.connected_components(g))
+            if len(scores) > 1 and scores[-1][0] == scores[-2][0]:
+                ties.add("edges" if scores[-1] != scores[-2] else "label")
+        # Both tie-breaks decide some of the cases.
+        assert ties == {"edges", "label"}
 
 
 def test_enum_values_are_strings():
