@@ -417,12 +417,13 @@ def attach_attributes(
         typed = set()
         for row in _read_csv(as_types_path, AS_TYPES_HEADER):
             try:
-                asn = _parse_asn(row[0])
+                asn_raw, type_raw = row
+                asn = _parse_asn(asn_raw)
                 if asn in typed:
                     raise ValueError(f"AS {asn} typed by an earlier row")
-                ases[asn] = ases[asn]._replace(as_type=_by_value(AsType, row[1]))
+                ases[asn] = ases[asn]._replace(as_type=_by_value(AsType, type_raw))
                 typed.add(asn)
-            except (KeyError, ValueError, IndexError):
+            except (KeyError, ValueError):
                 warnings += 1
 
     if locations_path is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from itertools import chain, compress, count
+from math import fsum, inf, isfinite, sqrt
 from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InsufficientData
@@ -223,22 +224,29 @@ def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
 
 def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     """Pearson correlation between AS degree and announced-prefix count,
-    over the ASes whose prefix count is known."""
-    import statistics  # only this metric needs it, and it is slow to import
-
+    over the ASes whose prefix count is known. The formula is the one
+    ``statistics.correlation`` uses in Python 3.10 and 3.11, on correctly
+    rounded ``fsum`` totals, so every interpreter gives the same bytes."""
     points = [
         (len(graph.memberships(a)), node.prefix_count)
         for a, node in graph.ases.items()
         if node.prefix_count is not None
     ]
-    if len(points) < 2:
-        raise InsufficientData(f"need at least 2 ASes with prefix data, have {len(points)}")
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
+    n = len(points)
+    if n < 2:
+        raise InsufficientData(f"need at least 2 ASes with prefix data, have {n}")
     try:
-        return statistics.correlation(xs, ys)
-    except statistics.StatisticsError as exc:
-        raise InsufficientData(str(exc)) from None
+        xs, ys = [float(x) for x, _ in points], [float(y) for _, y in points]
+        xbar, ybar = fsum(xs) / n, fsum(ys) / n
+        sxy = fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+        spread = sqrt(fsum((d := x - xbar) * d for x in xs) * fsum((d := y - ybar) * d for y in ys))
+    except (OverflowError, ValueError):  # past the float range; fsum of inf and -inf
+        spread = inf
+    if not isfinite(spread):
+        raise InsufficientData("prefix counts too large to correlate in floating point")
+    if not spread:
+        raise InsufficientData("at least one of the inputs is constant")
+    return sxy / spread
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes

@@ -79,7 +79,7 @@ def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
     whitespace; a row whose fields are all empty (a blank line, say) is
     skipped. A row the reader cannot split (a field over the csv module's
     size limit, say) ends the file with a ``FormatError``: the reader cannot
-    resume after it."""
+    resume after it. So does a byte that is not UTF-8."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -94,12 +94,15 @@ def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
                     yield row
         except csv.Error as exc:
             raise FormatError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-# Records that validate are namedtuple subclasses whose __new__ runs the
-# checks, then calls tuple.__new__ as the namedtuple's own __new__ would:
-# one Python call per record fewer, on the 20k built per graph load.
-# ``_replace`` skips __new__, so it may only set fields that have no check.
+# Records are namedtuple subclasses whose __new__ tests each field inline,
+# on exact types (a bool is no number), then calls tuple.__new__ as the
+# namedtuple's own __new__ would: one Python call fewer per record, on the
+# 20k built per graph load. ``_replace`` skips __new__, so it may only set
+# a value that has passed the field's test (one read off another record).
 class Location(namedtuple("Location", "country city lat lon")):
     """An IXP's metro; ``lat`` and ``lon``, when known, are finite degrees
     in [-90, 90] and [-180, 180]."""
@@ -108,7 +111,12 @@ class Location(namedtuple("Location", "country city lat lon")):
 
     def __new__(cls, country: str, city: str, lat: float | None = None,
                 lon: float | None = None):
+        for name, value in (("country", country), ("city", city)):
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a string, got {value!r}")
         for name, value, limit in (("lat", lat, 90), ("lon", lon, 180)):
+            if value is not None and type(value) is not float and type(value) is not int:
+                raise ValueError(f"{name} must be a number or null, got {value!r}")
             # NaN and the infinities fail this range test too.
             if value is not None and not -limit <= value <= limit:
                 raise ValueError(f"{name} must be a finite number in "
@@ -127,10 +135,12 @@ class AsNode(namedtuple("AsNode", "asn as_type prefix_count")):
 
     def __new__(cls, asn: int, as_type: AsType = AsType.UNKNOWN,
                 prefix_count: int | None = None):
-        if not 0 < asn <= MAX_ASN:
-            raise ValueError(f"asn must be in 1..{MAX_ASN}, got {asn}")
+        if type(asn) is not int or not 0 < asn <= MAX_ASN:
+            raise ValueError(f"asn must be an integer in 1..{MAX_ASN}, got {asn!r}")
+        if prefix_count is not None and type(prefix_count) is not int:
+            raise ValueError(f"prefix_count must be an integer or null, got {prefix_count!r}")
         if prefix_count is not None and prefix_count < 0:
-            raise ValueError("prefix_count must be non-negative")
+            raise ValueError(f"prefix_count must be non-negative, got {prefix_count!r}")
         return tuple.__new__(cls, (asn, as_type, prefix_count))
 
 
@@ -138,21 +148,23 @@ class IxpNode(namedtuple("IxpNode", "ixp_id names peering_prefixes location stat
     """An Internet eXchange Point vertex.
 
     ``names`` holds one display name per source dataset (at least one).
-    ``peering_prefixes`` are the CIDR blocks of the IXP's peering LAN
-    (a new empty list when not given).
+    ``peering_prefixes`` are the distinct CIDR blocks of the IXP's peering
+    LAN (a new empty list when not given).
     """
 
     __slots__ = ()
 
     def __new__(cls, ixp_id: str, names: list[str], peering_prefixes: list[str] | None = None,
                 location: Location | None = None, status: IxpStatus = IxpStatus.ACTIVE):
-        if peering_prefixes is None:
-            peering_prefixes = []
-        if not names:
-            raise ValueError(f"IXP {ixp_id!r} needs at least one name")
-        if len(set(peering_prefixes)) != len(peering_prefixes):
-            raise ValueError(f"IXP {ixp_id!r} has duplicate peering prefixes")
-        return tuple.__new__(cls, (ixp_id, names, peering_prefixes, location, status))
+        if type(ixp_id) is not str:
+            raise ValueError(f"ixp_id must be a string, got {ixp_id!r}")
+        if type(names) is not list or not names or not all(type(n) is str for n in names):
+            raise ValueError(f"names must be a non-empty list of strings, got {names!r}")
+        prefixes = [] if peering_prefixes is None else peering_prefixes
+        if (type(prefixes) is not list or not all(type(p) is str for p in prefixes)
+                or len(set(prefixes)) != len(prefixes)):
+            raise ValueError(f"peering_prefixes must be a list of distinct strings, got {prefixes!r}")
+        return tuple.__new__(cls, (ixp_id, names, prefixes, location, status))
 
 
 class MembershipEdge(namedtuple("MembershipEdge", "ixp_id asn member_ip sources")):
@@ -163,6 +175,12 @@ class MembershipEdge(namedtuple("MembershipEdge", "ixp_id asn member_ip sources"
 
     def __new__(cls, ixp_id: str, asn: int, member_ip: str | None = None,
                 sources: frozenset[Source] = frozenset({Source.OTHER})):
+        if type(ixp_id) is not str:
+            raise ValueError(f"ixp_id must be a string, got {ixp_id!r}")
+        if type(asn) is not int or not 0 < asn <= MAX_ASN:
+            raise ValueError(f"asn must be an integer in 1..{MAX_ASN}, got {asn!r}")
+        if member_ip is not None and type(member_ip) is not str:
+            raise ValueError(f"member_ip must be a string or null, got {member_ip!r}")
         sources = frozenset(sources)
         if not sources:
             raise ValueError("membership edge needs a non-empty sources set")

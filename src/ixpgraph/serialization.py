@@ -21,41 +21,19 @@ from .model import (
     IxpNode,
     IxpStatus,
     Location,
-    MAX_ASN,
     MembershipEdge,
     Source,
     _by_value,
 )
 
 FORMAT_VERSION = 1
-_NUMBER = (int, float, type(None))
 _str = json.encoder.encode_basestring_ascii  # json.dumps's escaper by default
 
 
-def _typed(name: str, value, kinds, what: str):
-    """``value`` when it is an instance of ``kinds`` and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise FormatError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _strings(name: str, value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise FormatError(f"{name} must be a list of strings, got {value!r}")
-    return list(value)
-
-
-def _ixp_id(value) -> str:
-    return _typed("ixp_id", value, str, "a string")
-
-
-def _asn(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_ASN:
-        raise FormatError(f"asn must be an integer in 1..{MAX_ASN}, got {value!r}")
-    return value
-
-
 def graph_from_dict(data: dict) -> BipartiteGraph:
+    """The graph a parsed document describes. Each record checks its own fields;
+    this maps keys onto records and checks what needs the whole document: its
+    shape and version, duplicates, and the names in each edge's ``sources``."""
     if not isinstance(data, dict):
         raise FormatError("graph document must be a JSON object")
     version = data.get("version")
@@ -67,58 +45,37 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
     try:
         ixps = {}
         for item in data["ixps"]:
-            ixp_id = _ixp_id(item["ixp_id"])
-            if ixp_id in ixps:
-                raise FormatError(f"duplicate IXP {ixp_id!r}")
             loc = item.get("location")
-            ixps[ixp_id] = IxpNode(
-                ixp_id=ixp_id,
-                names=_strings("names", item["names"]),
-                peering_prefixes=_strings("peering_prefixes", item.get("peering_prefixes", [])),
-                status=_by_value(IxpStatus, item.get("status", "Active")),
-                location=None if loc is None else Location(
-                    country=_typed("country", loc["country"], str, "a string"),
-                    city=_typed("city", loc["city"], str, "a string"),
-                    lat=_typed("lat", loc.get("lat"), _NUMBER, "a number or null"),
-                    lon=_typed("lon", loc.get("lon"), _NUMBER, "a number or null"),
-                ),
-            )
-        # Exact types are tested inline; the helpers raise (or accept a subclass).
+            if loc is not None:
+                loc = Location(loc["country"], loc["city"], loc.get("lat"), loc.get("lon"))
+            node = IxpNode(item["ixp_id"], item["names"], item.get("peering_prefixes", []), loc,
+                           _by_value(IxpStatus, item.get("status", "Active")))
+            if node.ixp_id in ixps:
+                raise FormatError(f"duplicate IXP {node.ixp_id!r}")
+            ixps[node.ixp_id] = node
         ases = {}
         for item in data["ases"]:
             asn = item["asn"]
-            if type(asn) is not int or not 0 < asn <= MAX_ASN:
-                asn = _asn(asn)
+            node = AsNode(asn, _by_value(AsType, item.get("as_type", "Unknown")),
+                          item.get("prefix_count"))
             if asn in ases:
                 raise FormatError(f"duplicate AS {asn}")
-            as_type = _by_value(AsType, item.get("as_type", "Unknown"))
-            count = item.get("prefix_count")
-            if count is not None and type(count) is not int:
-                count = _typed("prefix_count", count, (int, type(None)), "an integer or null")
-            ases[asn] = AsNode(asn, as_type, count)
+            ases[asn] = node
         edges = {}
         source_sets: dict[tuple[str, ...], frozenset] = {}  # a few distinct lists
         for item in data["edges"]:
-            ixp_id = item["ixp_id"]
-            if type(ixp_id) is not str:
-                ixp_id = _ixp_id(ixp_id)
-            asn = item["asn"]
-            if type(asn) is not int or not 0 < asn <= MAX_ASN:
-                asn = _asn(asn)
-            key = (ixp_id, asn)
-            if key in edges:
-                raise FormatError(f"duplicate edge {key}")
             names = item.get("sources", ["Other"])
-            names_key = tuple(names if type(names) is list else _strings("sources", names))
             try:
-                sources = source_sets[names_key]
-            except (KeyError, TypeError):  # unseen, or holding an unhashable item
-                sources = frozenset(map(Source, _strings("sources", names)))
-                source_sets[names_key] = sources
-            member_ip = item.get("member_ip")
-            if member_ip is not None and type(member_ip) is not str:
-                member_ip = _typed("member_ip", member_ip, (str, type(None)), "a string or null")
-            edges[key] = MembershipEdge(ixp_id, asn, member_ip, sources)
+                sources = source_sets[tuple(names) if type(names) is list else None]
+            except (KeyError, TypeError):  # unseen, not a list, or holding an unhashable item
+                if type(names) is not list or not all(type(name) is str for name in names):
+                    raise FormatError(f"sources must be a list of strings, got {names!r}") from None
+                sources = source_sets[tuple(names)] = frozenset(map(Source, names))
+            ixp_id, asn = item["ixp_id"], item["asn"]
+            edge = MembershipEdge(ixp_id, asn, item.get("member_ip"), sources)
+            if (ixp_id, asn) in edges:
+                raise FormatError(f"duplicate edge {(ixp_id, asn)}")
+            edges[ixp_id, asn] = edge
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
     except FormatError:
         raise
@@ -188,7 +145,7 @@ def read_graph(path) -> BipartiteGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         except RecursionError:
             raise FormatError(f"{path}: not valid JSON: nested too deeply") from None

@@ -249,6 +249,16 @@ class TestMetrics:
         assert lines[0] == "correlation"
         assert float(lines[1]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("big", [10**200, 10**400], ids=["square-overflows", "past-float"])
+    def test_correlation_overflow_is_one_line_error(self, tmp_path, capsys, big):
+        # 10**200 squares past the float range, where r would come out as a
+        # zero; 10**400 is past it already.
+        path = tmp_path / "big.json"
+        serialization.write_graph(make_g0(prefix_counts={1: big, 2: 5, 4: 7}), path)
+        code, out, err = run(capsys, "metrics", str(path), "correlation")
+        assert (code, out) == (1, "")
+        assert err == "error: prefix counts too large to correlate in floating point\n"
+
     def test_betweenness_csv(self, g0_file, capsys):
         _, out, _ = run(capsys, "metrics", str(g0_file), "betweenness", "--class", "ixp")
         assert out == "node,value\nX1,1.0\nX2,0.0\nX3,0.0\n"
@@ -539,7 +549,7 @@ def cross_version_inputs(dirpath) -> tuple:
     pdb, pch = [], []
     for k, ixp_id in enumerate(sorted(graph.ixps)):
         for asn in sorted(graph.members(ixp_id)):
-            tail = f"10.0.{k}.{asn % 120 + 1},Active,{types[asn % 4]},{asn * 7 % 50 or ''}"
+            tail = f"10.0.{k}.{asn % 120 + 1},Active,{types[asn % 4]},{asn * 7 % 100 or ''}"
             pdb.append(f"PDB,{ixp_id},{ixp_id} Exchange,10.0.{k}.0/24,{asn},{tail}")
             if k % 2 == 0:
                 pch.append(f"PCH,p{k},{ixp_id}-exchange,10.0.{k}.0/25,{asn},{tail}")
@@ -551,8 +561,9 @@ def cross_version_inputs(dirpath) -> tuple:
 class TestAcrossInterpreters:
     """Every command whose bytes hold across Python versions gives the same
     stdout on each installed interpreter the package supports. ``place
-    budget``, ``place site`` and ``metrics correlation`` are left out: their
-    float sums still round differently from 3.12 on."""
+    budget`` and ``place site`` are left out: their float sums still round
+    differently from 3.12 on. The prefix counts of the inputs are ones whose
+    ``statistics.correlation`` differs in the last digit on 3.12 and 3.13."""
 
     RUNNER = ("import contextlib, io, json, sys\n"
               "from ixpgraph.cli import main\n"
@@ -593,6 +604,7 @@ class TestAcrossInterpreters:
             ["metrics", graph, "betweenness"],
             ["metrics", graph, "clustering"],
             ["metrics", graph, "gain-cdf"],
+            ["metrics", graph, "correlation"],
             ["place", graph, "tunnels", "--as", str(asn)],
             ["place", graph, "cover", "--targets", "all"],
         ]
@@ -660,6 +672,34 @@ class TestGraphValidation:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("kind", ["membership", "attribute", "map-file", "graph"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, g0_file, kind):
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        graph = str(tmp_path / "g.json")
+        latin1 = "Z\u00fcrich".encode("latin-1")
+        if kind == "membership":
+            bad = pch
+            bad.write_bytes(pch.read_bytes() + b"PCH,99," + latin1 + b",,65001,,Active,,\n")
+            argv = ["build", str(pdb), str(pch), graph]
+        elif kind == "attribute":
+            bad = tmp_path / "types.csv"
+            bad.write_bytes(b"asn,as_type\n65001,ISP\n65002," + latin1 + b"\n")
+            argv = ["build", str(pdb), str(pch), graph, "--as-types", str(bad)]
+        elif kind == "map-file":
+            bad = tmp_path / "costs.csv"
+            bad.write_bytes(b"ixp_id,cost\n" + latin1 + b",2\n")
+            argv = ["place", str(g0_file), "cover", "--targets", "all", "--costs", str(bad)]
+        else:
+            bad = g0_file
+            bad.write_bytes(g0_file.read_bytes().replace(b"Exchange 1", b"Exchange " + latin1))
+            argv = ["export", str(bad), "--format", "edgelist"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xfc" in err
 
 
 def padded(path, name):
@@ -861,15 +901,19 @@ class TestCommandStartUp:
     @pytest.mark.parametrize("command, modules", [
         ("build", {"ixpgraph.ingest"}),
         ("metrics", {"ixpgraph.metrics", "ixpgraph.projection"}),
+        ("correlation", {"ixpgraph.metrics", "ixpgraph.projection"}),
         ("place", {"ixpgraph.placement", "ixpgraph.projection"}),
         ("export", set()),
-    ], ids=["build", "metrics", "place", "export"])
+    ], ids=["build", "metrics", "correlation", "place", "export"])
     def test_command_imports_only_what_it_runs(self, tmp_path, g0_file, command, modules):
         pdb, pch = sanitize_fixture_files(tmp_path)
         costs = tmp_path / "costs.csv"
         costs.write_text("ixp_id,cost\nX1,2\n", encoding="utf-8")
+        counted = tmp_path / "counted.json"
+        serialization.write_graph(make_g0(prefix_counts={1: 10, 2: 20, 4: 5}), counted)
         argv = {"build": ["build", str(pdb), str(pch), str(tmp_path / "built.json")],
                 "metrics": ["metrics", str(g0_file), "table2"],
+                "correlation": ["metrics", str(counted), "correlation"],
                 "place": ["place", str(g0_file), "cover", "--targets", "all",
                           "--costs", str(costs)],
                 "export": ["export", str(g0_file), "--format", "json"]}[command]
@@ -879,7 +923,7 @@ class TestCommandStartUp:
         loaded = set(json.loads(proc.stderr.splitlines()[-1]))
         assert {m for m in loaded if m.startswith("ixpgraph")} == self.BASE | modules
         # dataclasses pulls in inspect (with ast, dis and tokenize), and
-        # statistics pulls in fractions and decimal for `correlation` alone.
+        # statistics pulls in fractions and decimal.
         assert not loaded & {"dataclasses", "inspect", "statistics"}
 
     @pytest.mark.parametrize("argv, code", [

@@ -525,6 +525,15 @@ class TestAttachAttributes:
         _, warnings = attach_attributes(graph, as_types_path=types, locations_path=locs)
         assert warnings == 3
 
+    def test_as_type_row_with_extra_field_warned(self, tmp_path):
+        graph = self.build(tmp_path)
+        types = tmp_path / "types.csv"
+        types.write_text("asn,as_type\n64500,Content,junk\n64501,ISP\n", encoding="utf-8")
+        graph, warnings = attach_attributes(graph, as_types_path=types)
+        assert graph.ases[64500].as_type is AsType.UNKNOWN
+        assert graph.ases[64501].as_type is AsType.ISP
+        assert warnings == 1
+
     def test_repeated_as_type_first_valid_row_wins(self, tmp_path):
         graph = self.build(tmp_path)
         types = tmp_path / "types.csv"
