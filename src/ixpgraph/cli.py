@@ -23,7 +23,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import serialization
-from .errors import InsufficientData, IxpGraphError
+from .errors import FormatError, InsufficientData, IxpGraphError
 from .model import AsType, BipartiteGraph, NodeClass, _parse_asn, _parse_decimal, _read_csv
 
 _CLASS = {"ixp": NodeClass.IXP, "as": NodeClass.AS}
@@ -150,7 +150,10 @@ def _parse_targets(spec: str) -> list[int] | None:
         return None
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8-sig") as fh:
-            tokens = fh.read().split()
+            try:
+                tokens = fh.read().split()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{spec[1:]}: not UTF-8 text: {exc}") from None
     else:
         tokens = [t for t in spec.split(",") if t.strip()]
     if not tokens:

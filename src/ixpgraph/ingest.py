@@ -185,10 +185,6 @@ def normalize_ixp_name(name: str) -> str:
     return re.sub(r"[\s\-_.,]+", " ", name.lower()).strip()
 
 
-def _source_key_str(key: tuple[Source, str]) -> str:
-    return f"{key[0].value}:{key[1]}"
-
-
 class _UnionFind:
     def __init__(self, items):
         self.parent = {item: item for item in items}
@@ -213,8 +209,10 @@ def merge_ixp_lists(
     Two IXPs become one node when a peering prefix is identical or nested,
     or when their normalized names match; unification is the transitive
     closure of those matches. Unified ids are "IXP" plus a zero-padded
-    sequence number, assigned in lexicographic order of each group's
-    smallest source key, so the numbering is reproducible.
+    sequence number, assigned in order of each group's smallest (source,
+    key) pair, so the numbering is reproducible. A ``Source`` compares by
+    its value and no value is a prefix of another, so the pairs sort as
+    their "source:key" texts do.
 
     Prefixes are matched by lookup, not pairwise. Each distinct prefix (a
     canonical CIDR text, as ``parse_dataset`` writes it) is keyed as
@@ -237,7 +235,7 @@ def merge_ixp_lists(
                 prefix_keys[prefix] = (net.version, int(net.network_address), net.prefixlen)
         statuses.setdefault(key, set()).add(record.status)
 
-    keys = sorted(names, key=_source_key_str)
+    keys = sorted(names)
     uf = _UnionFind(keys)
 
     first_named: dict[str, tuple[Source, str]] = {}  # normalized name -> first key with it

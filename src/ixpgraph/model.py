@@ -102,7 +102,8 @@ def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
 # on exact types (a bool is no number), then calls tuple.__new__ as the
 # namedtuple's own __new__ would: one Python call fewer per record, on the
 # 20k built per graph load. ``_replace`` skips __new__, so it may only set
-# a value that has passed the field's test (one read off another record).
+# a value that passes the field's test: ``ingest.attach_attributes`` sets
+# only an ``AsType`` or a ``Location`` its own __new__ has checked.
 class Location(namedtuple("Location", "country city lat lon")):
     """An IXP's metro; ``lat`` and ``lon``, when known, are finite degrees
     in [-90, 90] and [-180, 180]."""
@@ -137,6 +138,8 @@ class AsNode(namedtuple("AsNode", "asn as_type prefix_count")):
                 prefix_count: int | None = None):
         if type(asn) is not int or not 0 < asn <= MAX_ASN:
             raise ValueError(f"asn must be an integer in 1..{MAX_ASN}, got {asn!r}")
+        if type(as_type) is not AsType:
+            raise ValueError(f"as_type must be an AsType, got {as_type!r}")
         if prefix_count is not None and type(prefix_count) is not int:
             raise ValueError(f"prefix_count must be an integer or null, got {prefix_count!r}")
         if prefix_count is not None and prefix_count < 0:
@@ -164,6 +167,10 @@ class IxpNode(namedtuple("IxpNode", "ixp_id names peering_prefixes location stat
         if (type(prefixes) is not list or not all(type(p) is str for p in prefixes)
                 or len(set(prefixes)) != len(prefixes)):
             raise ValueError(f"peering_prefixes must be a list of distinct strings, got {prefixes!r}")
+        if location is not None and type(location) is not Location:
+            raise ValueError(f"location must be a Location or null, got {location!r}")
+        if type(status) is not IxpStatus:
+            raise ValueError(f"status must be an IxpStatus, got {status!r}")
         return tuple.__new__(cls, (ixp_id, names, prefixes, location, status))
 
 
@@ -184,6 +191,9 @@ class MembershipEdge(namedtuple("MembershipEdge", "ixp_id asn member_ip sources"
         sources = frozenset(sources)
         if not sources:
             raise ValueError("membership edge needs a non-empty sources set")
+        for source in sources:  # by type(), as "PDB" == Source.PDB
+            if type(source) is not Source:
+                raise ValueError(f"sources must hold only Source members, got {source!r}")
         return tuple.__new__(cls, (ixp_id, asn, member_ip, sources))
 
 

@@ -20,13 +20,7 @@ from itertools import combinations
 import networkx as nx
 
 from ixpgraph.errors import Uncoverable
-from ixpgraph.ingest import (
-    _STATUS_SEVERITY,
-    IxpIdentity,
-    _source_key_str,
-    _UnionFind,
-    normalize_ixp_name,
-)
+from ixpgraph.ingest import _STATUS_SEVERITY, IxpIdentity, normalize_ixp_name
 from ixpgraph.model import BipartiteGraph, IxpStatus, NodeClass
 from ixpgraph.placement import CoverageInstance, PlacementSolution
 from ixpgraph.serialization import FORMAT_VERSION
@@ -172,7 +166,9 @@ def _prefixes_overlap(nets_a, nets_b) -> bool:
 
 def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
     """``ingest.merge_ixp_lists`` by comparing every pair of source keys'
-    prefix sets with ``ipaddress``'s own ``subnet_of``."""
+    prefix sets with ``ipaddress``'s own ``subnet_of``: keys are joined by
+    networkx's connected components, one edge per name match or prefix
+    overlap, and ordered by their "source:key" text."""
     names: dict = {}
     prefixes: dict = {}
     statuses: dict = {}
@@ -185,26 +181,16 @@ def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
         if key not in statuses or _STATUS_SEVERITY[record.status] > _STATUS_SEVERITY[statuses[key]]:
             statuses[key] = record.status
 
-    keys = sorted(names, key=_source_key_str)
-    uf = _UnionFind(keys)
-
-    by_norm_name: dict = {}
-    for key in keys:
-        for name in names[key]:
-            by_norm_name.setdefault(normalize_ixp_name(name), []).append(key)
-    for group in by_norm_name.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
-
+    normalized = {key: {normalize_ixp_name(n) for n in ns} for key, ns in names.items()}
+    keys = list(names)
+    g = nx.Graph()
+    g.add_nodes_from(keys)
     for i, ka in enumerate(keys):
         for kb in keys[i + 1:]:
-            if _prefixes_overlap(prefixes[ka], prefixes[kb]):
-                uf.union(ka, kb)
-
-    groups: dict = {}
-    for key in keys:
-        groups.setdefault(uf.find(key), []).append(key)
-    ordered = sorted(groups.values(), key=lambda g: _source_key_str(g[0]))
+            if normalized[ka] & normalized[kb] or _prefixes_overlap(prefixes[ka], prefixes[kb]):
+                g.add_edge(ka, kb)
+    ordered = sorted(nx.connected_components(g),
+                     key=lambda group: min(f"{source.value}:{key}" for source, key in group))
 
     width = max(4, len(str(len(ordered))))
     identities = {}
@@ -336,6 +322,43 @@ def _simple_graph(mg: Multigraph) -> nx.Graph:
 
 def nx_betweenness(mg: Multigraph) -> dict:
     return dict(nx.betweenness_centrality(_simple_graph(mg), normalized=True))
+
+
+def nx_order_betweenness(mg: Multigraph) -> dict:
+    """networkx's ``betweenness_centrality`` loop written out on
+    ``_simple_graph(mg)``, with each path count summed as an exact int and
+    turned into a float once: FIFO BFS over ``g[v]``, dependencies
+    accumulated in reverse pop order, and the sums multiplied by
+    ``1 / ((n-1)(n-2))`` as networkx's ``_rescale`` does."""
+    g = _simple_graph(mg)
+    betweenness = dict.fromkeys(g, 0.0)
+    for s in g:
+        popped, preds, dist, paths = [], {v: [] for v in g}, {s: 0}, dict.fromkeys(g, 0)
+        paths[s] = 1
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            popped.append(v)
+            for w in g[v]:
+                if w not in dist:
+                    queue.append(w)
+                    dist[w] = dist[v] + 1
+                if dist[w] == dist[v] + 1:
+                    paths[w] += paths[v]
+                    preds[w].append(v)
+        sigma = {v: float(c) for v, c in paths.items()}
+        delta = dict.fromkeys(popped, 0.0)
+        for w in reversed(popped):
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                betweenness[w] += delta[w]
+    n = len(g)
+    if n >= 3:
+        scale = 1 / ((n - 1) * (n - 2))
+        betweenness = {v: b * scale for v, b in betweenness.items()}
+    return betweenness
 
 
 def nx_clustering(mg: Multigraph) -> dict:

@@ -675,7 +675,8 @@ class TestGraphValidation:
 
 
 class TestInputEncoding:
-    @pytest.mark.parametrize("kind", ["membership", "attribute", "map-file", "graph"])
+    @pytest.mark.parametrize("kind", ["membership", "attribute", "map-file", "graph",
+                                      "cover-targets", "budget-targets"])
     def test_non_utf8_input_names_its_file(self, tmp_path, capsys, g0_file, kind):
         pdb, pch = sanitize_fixture_files(tmp_path)
         graph = str(tmp_path / "g.json")
@@ -692,6 +693,12 @@ class TestInputEncoding:
             bad = tmp_path / "costs.csv"
             bad.write_bytes(b"ixp_id,cost\n" + latin1 + b",2\n")
             argv = ["place", str(g0_file), "cover", "--targets", "all", "--costs", str(bad)]
+        elif kind in ("cover-targets", "budget-targets"):
+            bad = tmp_path / "targets.txt"
+            bad.write_bytes(b"AS1\n" + latin1 + b"\n")
+            argv = ["place", str(g0_file), kind.split("-")[0], "--targets", f"@{bad}"]
+            if kind == "budget-targets":
+                argv += ["--budget", "1"]
         else:
             bad = g0_file
             bad.write_bytes(g0_file.read_bytes().replace(b"Exchange 1", b"Exchange " + latin1))

@@ -47,6 +47,7 @@ from oracles import (
     bf_project,
     nx_betweenness,
     nx_clustering,
+    nx_order_betweenness,
     project,
 )
 
@@ -438,11 +439,13 @@ class TestCentralityAndClustering:
             mg = project(graph, node_class)
             self.assert_exact(betweenness_centrality(graph, node_class), nx_betweenness(mg))
             self.assert_exact(clustering_coefficient(graph, node_class), nx_clustering(mg))
+            self.assert_exact(nx_order_betweenness(mg), nx_betweenness(mg))
 
-    def test_betweenness_past_2_53_paths_equals_networkx(self):
+    def test_betweenness_past_2_53_paths_keeps_exact_path_counts(self):
         # 60 layers of 3 IXPs, consecutive layers fully joined through one AS
         # per IXP pair: path counts grow as powers of 3, and past 2**53
-        # networkx's float sums round (powers of 2 would stay exact).
+        # networkx's float sums round (powers of 2 would stay exact), while
+        # the kernel's and the oracle's integer counts do not.
         layers = [[f"L{k:02d}X{i}" for i in range(3)] for k in range(60)]
         memberships = {}
         for upper, lower in zip(layers, layers[1:]):
@@ -451,15 +454,21 @@ class TestCentralityAndClustering:
                     memberships[len(memberships) + 1] = (a, b)
         graph = graph_of(memberships)
         assert (len(graph.ixps), len(graph.ases)) == (180, 531)
-        expected = nx_betweenness(project(graph, NodeClass.IXP))
-        self.assert_exact(betweenness_centrality(graph, NodeClass.IXP), expected)
+        mg = project(graph, NodeClass.IXP)
+        values = betweenness_centrality(graph, NodeClass.IXP)
+        self.assert_exact(values, nx_order_betweenness(mg))
+        rounded = nx_betweenness(mg)
+        assert values != rounded
+        assert all(v == pytest.approx(rounded[k], rel=1e-15, abs=0) for k, v in values.items())
 
     def test_betweenness_at_paper_density_equals_networkx(self):
         # The paper-scale shape at 200 IXPs, its degree cap scaled with it
         # (140, as 350 of 500): every BFS has depth 2 and path counts reach 159.
         graph = paper_scale_graph(n_ixp=200, n_as=1400)
-        expected = nx_betweenness(project(graph, NodeClass.IXP))
+        mg = project(graph, NodeClass.IXP)
+        expected = nx_betweenness(mg)
         self.assert_exact(betweenness_centrality(graph, NodeClass.IXP), expected)
+        self.assert_exact(nx_order_betweenness(mg), expected)
 
     def test_paper_scale_graph_default_unchanged(self):
         # The degree cap is 350 at 500 IXPs: the paper-scale graph that other

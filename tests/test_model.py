@@ -79,6 +79,27 @@ class TestNodeValidation:
         with pytest.raises(ValueError):
             Location("DE", "Frankfurt", lat, lon)
 
+    # A str enum equals its value and its value's hash, so only the exact
+    # type tells a wrong enum or a bare string from the right member.
+    @pytest.mark.parametrize("record, message", [
+        (lambda: AsNode(1, as_type=IxpStatus.ACTIVE),
+         "as_type must be an AsType, got <IxpStatus.ACTIVE: 'Active'>"),
+        (lambda: AsNode(1, as_type="ISP"), "as_type must be an AsType, got 'ISP'"),
+        (lambda: IxpNode("X1", ["X1"], status="Active"),
+         "status must be an IxpStatus, got 'Active'"),
+        (lambda: IxpNode("X1", ["X1"], location=("DE", "Berlin", None, None)),
+         "location must be a Location or null, got ('DE', 'Berlin', None, None)"),
+        (lambda: MembershipEdge("X1", 1, sources={"PDB"}),
+         "sources must hold only Source members, got 'PDB'"),
+        (lambda: MembershipEdge("X1", 1, sources={Source.PCH, AsType.ISP}),
+         "sources must hold only Source members, got <AsType.ISP: 'ISP'>"),
+    ], ids=["wrong-enum-as-type", "str-as-type", "str-status", "tuple-location",
+            "str-source", "wrong-enum-source"])
+    def test_enum_and_nested_fields_checked_by_type(self, record, message):
+        with pytest.raises(ValueError) as info:
+            record()
+        assert str(info.value) == message
+
 
 class TestByValue:
     @pytest.mark.parametrize("kind", [AsType, IxpStatus, Source, NodeClass])

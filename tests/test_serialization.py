@@ -285,6 +285,24 @@ class TestLoaderMessages:
             assert str(rejected.value) == "malformed graph document: " + message
 
 
+    def test_write_graph_writes_no_enum_the_reader_rejects(self, tmp_path):
+        # A wrong enum member would be written as its value ("as_type":
+        # "Active") and a bare string source has no .value; the records
+        # refuse both, so write_graph never gets such a graph.
+        written = tmp_path / "written.json"
+        for graph in (lambda: build_graph([], [AsNode(1, as_type=IxpStatus.ACTIVE)], []),
+                      lambda: build_graph([IxpNode("X", ["X"])], [AsNode(1)],
+                                          [MembershipEdge("X", 1, sources={"PDB"})])):
+            with pytest.raises(ValueError):
+                write_graph(graph(), written)
+            assert not written.exists()
+        doc = graph_to_dict(make_g0())
+        _as("as_type", "Active")(doc)
+        written.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FormatError, match="'Active' is not a valid AsType"):
+            read_graph(written)
+
+
 class TestFormatErrors:
     def test_not_json(self, tmp_path):
         path = tmp_path / "g.json"
