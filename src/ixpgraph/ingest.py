@@ -107,7 +107,7 @@ class MembershipRecord(NamedTuple):
     status: IxpStatus
     as_type: AsType | None = None
     as_prefix_count: int | None = None
-    # member_ip as (IP version, integer), parsed once by the row parser.
+    # member_ip as (IP version, integer): set by the row parser, else by sanitize.
     member_addr: tuple[int, int] | None = None
 
 
@@ -302,6 +302,9 @@ def sanitize(
         uid = key_to_uid.get((record.source, record.ixp_key))
         if uid is None:
             raise ValueError(f"record references unmerged IXP key {record.ixp_key!r}")
+        if record.member_addr is None and record.member_ip is not None:
+            ip = ipaddress.ip_address(record.member_ip)
+            record = record._replace(member_addr=(ip.version, int(ip)))
         rows.append((uid, record))
 
     reasons: dict[DiscardReason, ReasonTally] = {}

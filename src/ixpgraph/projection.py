@@ -10,27 +10,25 @@ bitmask over those indices, and each node's reach mask.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress, count
 from operator import or_
 
 from .model import BipartiteGraph, NodeClass
 
+BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes for compress()
+
 
 def bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Indices of the set bits of ``mask``, ascending, picked at C speed."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(BIT_FLAGS)))
 
 
 def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, list[int]]:
     """The nodes of ``node_class`` in sorted order, each other-class node's
     neighbours as a bitmask over those indices, and each node's reach mask:
-    the OR of its neighbours' masks, which holds the node itself unless it
-    has no neighbour. Node i's projection neighbours are ``reach[i] & ~(1 << i)``,
-    and the parallel edges of a pair are the masks holding both bits."""
+    its own bit OR its neighbours' masks, so it always holds the node. Node
+    i's projection neighbours are ``reach[i] & ~(1 << i)``, and the parallel
+    edges of a pair are the masks holding both bits."""
     if node_class is NodeClass.IXP:
         nodes, others = sorted(graph.ixps), graph.ases
         of_node, of_other = graph.members, graph.memberships
@@ -39,7 +37,7 @@ def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, lis
         of_node, of_other = graph.memberships, graph.members
     position = {v: i for i, v in enumerate(nodes)}
     masks = {o: sum(1 << position[v] for v in of_other(o)) for o in others}
-    reach = [reduce(or_, map(masks.get, of_node(v)), 0) for v in nodes]
+    reach = [reduce(or_, map(masks.get, of_node(v)), 1 << i) for i, v in enumerate(nodes)]
     return nodes, masks, reach
 
 

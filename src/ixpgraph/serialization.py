@@ -37,7 +37,7 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
     if not isinstance(data, dict):
         raise FormatError("graph document must be a JSON object")
     version = data.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"unsupported graph format version {version!r}")
     for key in ("ixps", "ases", "edges"):
         if not isinstance(data.get(key), list):
@@ -79,7 +79,7 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, UnknownEndpoint) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, UnknownEndpoint) as exc:
         raise FormatError(f"malformed graph document: {exc}") from exc
 
 
@@ -145,7 +145,7 @@ def read_graph(path) -> BipartiteGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        except ValueError as exc:  # bad JSON, not UTF-8, or an int past the digit limit
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         except RecursionError:
             raise FormatError(f"{path}: not valid JSON: nested too deeply") from None

@@ -782,7 +782,8 @@ class TestFatalInputs:
     line, no output and no new file."""
 
     @pytest.mark.parametrize("case", ["oversized-membership-field", "oversized-as-types-field",
-                                      "oversized-costs-field", "deep-json-graph"])
+                                      "oversized-costs-field", "deep-json-graph",
+                                      "non-object-graph-item"])
     def test_one_line_error_and_no_file(self, tmp_path, g0_file, case):
         big = "x" * 140_000
         pdb, pch = sanitize_fixture_files(tmp_path)
@@ -799,16 +800,21 @@ class TestFatalInputs:
             costs = tmp_path / "costs.csv"
             costs.write_text(f"ixp_id,cost\n{big},1\n", encoding="utf-8")
             argv = ["place", str(g0_file), "cover", "--targets", "all", "--costs", str(costs)]
-        else:
+        elif case == "deep-json-graph":
             deep = tmp_path / "deep.json"
             deep.write_text("[" * 100_000, encoding="utf-8")
             argv = ["metrics", str(deep), "degree-cdf"]
+        else:
+            odd = tmp_path / "odd.json"
+            odd.write_text('{"version": 1, "ixps": [1], "ases": [], "edges": []}', encoding="utf-8")
+            argv = ["metrics", str(odd), "degree-cdf"]
         before = sorted(tmp_path.iterdir())
         proc = subprocess.run([sys.executable, "-m", "ixpgraph.cli", *argv],
                               env=subprocess_env(), capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert sorted(tmp_path.iterdir()) == before
 
 

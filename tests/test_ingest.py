@@ -383,6 +383,18 @@ class TestSanitize:
             (None, None),
         ]
 
+    def test_hand_built_record_off_the_lan_dropped(self):
+        # A record built without member_addr is checked by its member_ip.
+        records = [
+            MembershipRecord(Source.PDB, "k", "Alpha", ("192.0.2.0/24",), 64500, "192.0.2.5",
+                             IxpStatus.ACTIVE),
+            MembershipRecord(Source.PDB, "k", "Alpha", ("192.0.2.0/24",), 64501, "10.9.9.9",
+                             IxpStatus.ACTIVE),
+        ]
+        graph, report = sanitize(records, merge_ixp_lists(records, []))
+        assert sorted(graph.edges) == [("IXP0001", 64500)]
+        assert report.reasons == {DiscardReason.IP_INCONSISTENT: ReasonTally(1, 1)}
+
     def test_ip_consistency_matches_ipaddress_containment(self):
         # Stage 2 tests each member address against its LAN by integer
         # masks, reading the member_addr the row parser sets.

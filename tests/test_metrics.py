@@ -233,6 +233,13 @@ class TestShortestPathIxpCounts:
             with pytest.raises(Disconnected):
                 shortest_path_ixp_counts(graph, sample_size=1, seed=seed)
 
+    def test_unreachable_count_excludes_the_source(self):
+        # AS 1 is at no IXP; its reach mask still holds itself, so the two
+        # ASes at X1 are all it cannot reach.
+        graph = graph_of({1: (), 2: ("X1",), 3: ("X1",)})
+        with pytest.raises(Disconnected, match=r"^2 AS nodes unreachable from AS 1$"):
+            shortest_path_ixp_counts(graph)
+
     def test_single_as_is_empty(self):
         graph = graph_of({1: ("X1",)})
         dist = shortest_path_ixp_counts(graph)
@@ -335,7 +342,7 @@ class TestRemotePeeringGainCdf:
     def test_matches_oracle_on_random_graphs(self):
         graphs = gain_test_graphs()
         # The cases the masks must get right: an AS with no membership (its
-        # reach mask lacks its own bit), a single-member IXP, no pairs at all.
+        # reach mask is its own bit alone), a single-member IXP, no pairs at all.
         assert any(not g.memberships(a) for g in graphs for a in g.ases)
         assert any(len(g.members(x)) == 1 for g in graphs for x in g.ixps)
         assert any(remote_peering_gain_cdf(g).total == 0 for g in graphs)

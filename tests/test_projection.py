@@ -55,7 +55,7 @@ class TestProjectG0:
         g0.ixps["X4"] = IxpNode("X4", ["X4"])
         graph = BipartiteGraph(ixps=g0.ixps, ases=g0.ases, edges=g0.edges)
         nodes, _, reach = index(graph, NodeClass.IXP)
-        assert nodes[3] == "X4" and reach[3] == 0
+        assert nodes[3] == "X4" and reach[3] == 1 << 3
         assert index(graph, NodeClass.AS)[1]["X4"] == 0
 
     def test_empty_graph(self):
@@ -71,6 +71,9 @@ class TestProjectG0:
         assert bits(0) == []
         assert bits(0b10110) == [1, 2, 4]
         assert bits(1 << 200) == [200]
+        # Dense, a lone top bit and alternating bits, at 5000 bits.
+        for m in ((1 << 5000) - 1, 1 << 4999, int("10" * 2500, 2), int("01" * 2500, 2)):
+            assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
 
     def test_partner_gains(self, g0):
         # A1 meets A2 and A3 at X1; each brings A4, which A1 cannot reach.

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -232,6 +233,12 @@ LOADER_MESSAGES = [
     ("missing-edge-asn", lambda doc: doc["edges"][0].pop("asn"), "malformed graph document: 'asn'"),
     ("edge-to-missing-as", _edge("asn", 99),
      "malformed graph document: edge ('X1', 99) references a missing vertex"),
+    ("int-ixp-item", lambda doc: doc.update(ixps=[1], ases=[], edges=[]),
+     "malformed graph document: 'int' object has no attribute 'get'"),
+    ("list-edge-item", lambda doc: doc.update(ixps=[], ases=[], edges=[[1]]),
+     "malformed graph document: 'list' object has no attribute 'get'"),
+    ("bool-version", lambda doc: doc.update(version=True), "unsupported graph format version True"),
+    ("float-version", lambda doc: doc.update(version=1.0), "unsupported graph format version 1.0"),
 ]
 
 
@@ -308,6 +315,13 @@ class TestFormatErrors:
         path = tmp_path / "g.json"
         path.write_text("definitely not json", encoding="utf-8")
         with pytest.raises(FormatError):
+            read_graph(path)
+
+    def test_number_past_the_int_digit_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"version": 1, "ixps": [], "ases": [], "edges": [%s]}' % ("9" * 5000),
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: not valid JSON: "):
             read_graph(path)
 
     def test_deeply_nested_json(self, tmp_path):
