@@ -214,8 +214,8 @@ def merge_ixp_lists(
     its value and no value is a prefix of another, so the pairs sort as
     their "source:key" texts do.
 
-    Prefixes are matched by lookup, not pairwise. Each distinct prefix (a
-    canonical CIDR text, as ``parse_dataset`` writes it) is keyed as
+    Prefixes are matched by lookup, not pairwise. Each distinct prefix (its
+    canonical CIDR text, host bits cleared as ``parse_dataset`` does) is keyed as
     (version, network address as int, length); two prefixes are equal or
     nested exactly when one's key is among the other's supernet keys
     (itself included), so each key looks up at most 33 (IPv4) or 129 (IPv6)
@@ -224,15 +224,17 @@ def merge_ixp_lists(
     names: dict[tuple[Source, str], set[str]] = {}
     prefixes: dict[tuple[Source, str], set[str]] = {}
     statuses: dict[tuple[Source, str], set[IxpStatus]] = {}
+    canonical: dict[str, str] = {}  # prefix text as given -> canonical CIDR text
     prefix_keys: dict[str, tuple[int, int, int]] = {}
     for record in list(pdb) + list(pch):
         key = (record.source, record.ixp_key)
         names.setdefault(key, set()).add(record.ixp_name)
-        prefixes.setdefault(key, set()).update(record.ixp_prefixes)
         for prefix in record.ixp_prefixes:
-            if prefix not in prefix_keys:
-                net = ipaddress.ip_network(prefix)
-                prefix_keys[prefix] = (net.version, int(net.network_address), net.prefixlen)
+            if prefix not in canonical:
+                net = ipaddress.ip_network(prefix, strict=False)
+                canonical[prefix] = text = str(net)
+                prefix_keys[text] = (net.version, int(net.network_address), net.prefixlen)
+        prefixes.setdefault(key, set()).update(map(canonical.get, record.ixp_prefixes))
         statuses.setdefault(key, set()).add(record.status)
 
     keys = sorted(names)

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
-from itertools import chain, compress, count
-from math import fsum, inf, isfinite, sqrt
+from functools import partial, reduce
+from itertools import chain, compress
+from math import fsum, inf, isfinite, lcm, sqrt
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InsufficientData
 from .model import AsType, BipartiteGraph, NodeClass
-from .projection import BIT_FLAGS, bits, index, partner_gains
+from .projection import BIT_FLAGS, bits, counter_add, index, partner_gains
 
 
 class Distribution(namedtuple("Distribution", "values total")):
@@ -249,72 +251,94 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     return sxy / spread
 
 
+_GUARD = 64  # bits of each far-pair reciprocal 2**P // σ kept past the largest path count σ
+
+
+def _far_pass(nb: list[int], sources: list[int], fraction=None) -> tuple[list, int]:
+    """Brandes' dependencies (2001) on the targets at BFS level 3 or more, per
+    source on exact path counts σ: D(w) = [level(w) >= 3] / σ_w + Σ_succ D, and
+    v gains σ_v Σ_succ D. 1 / σ is ``fraction(1, σ)`` if given, else 2**P // σ,
+    P being ``_GUARD`` bits past the largest σ so far. Returns totals and P."""
+    total, p = [0] * len(nb), 0
+    for s in sources:
+        sigma = [0] * len(nb)
+        sigma[s] = 1
+        seen = 1 << s
+        levels = [(seen, [s])]
+        while new := reduce(or_, map(nb.__getitem__, levels[-1][1])) & ~seen:
+            groups: dict[int, int] = {}
+            for v in levels[-1][1]:
+                groups[sigma[v]] = groups.get(sigma[v], 0) | 1 << v
+            level = bits(new)
+            for w in level:
+                sigma[w] = sum(c * (nb[w] & m).bit_count() for c, m in groups.items())
+            seen |= new
+            levels.append((new, level))
+        if len(levels) < 4:
+            continue  # no target at level 3 or more
+        if fraction:
+            recip = partial(fraction, 1)
+        else:
+            if (shift := max(sigma).bit_length() + _GUARD - p) > 0:
+                total, p = [t << shift for t in total], p + shift
+            recip = (1 << p).__floordiv__
+        dep = [0] * len(nb)
+        below = 0
+        for d in range(len(levels) - 1, 0, -1):
+            mask, level = levels[d]
+            for w in level:
+                # bits()' walk inline, picking dep itself: sum of D over w's successors.
+                succ = sum(compress(dep, bin(nb[w] & below)[:1:-1].encode().translate(BIT_FLAGS)))
+                total[w] += sigma[w] * succ
+                dep[w] = succ + recip(sigma[w]) if d >= 3 else succ
+            below = mask
+    return total, p
+
+
 def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict:
     """Normalized betweenness centrality on the simple projection onto
-    ``node_class`` (normalization (n-1)(n-2)/2 for undirected graphs).
+    ``node_class``: X(v) / ((n-1)(n-2)), with X(v) the sum of σ_st(v) / σ_st
+    over ordered pairs s != v != t, computed exactly and rounded once. It is
+    within a few ulp of networkx's float sums, not always equal to them.
 
-    Brandes' algorithm (2001) in networkx's order, with exact path counts:
-    sources in sorted node order, a level-by-level BFS on neighbour bitmasks
-    that keeps FIFO pop order, and dependencies accumulated in reverse pop
-    order. With the previous level grouped into one bitmask per path count
-    c, w gets the int ``sum(c * (nb[w] & mask_c).bit_count())``, rounded to
-    float once. So the values equal networkx's wherever its float path sums
-    are exact, and past 2**53 paths the counts stay exact where its round.
-    The dependency pass skips the step onto the source, which writes only
-    ``delta[s]`` (44% slower with it: ``bin()`` of a mask holding bit s has
-    s+1 digits), and adds ``coeff`` as is where every predecessor has one
-    path (``1.0 * coeff`` is exact; 9% slower without).
+    A pair at distance 2 has one shortest path through each of its
+    c = |N(s) & N(t)| common neighbours: its common mask goes into a
+    bit-sliced counter for c, and v's part is 2 Σ_c count_c(v) (L // c) / L,
+    with L the lcm of the c's. Pairs further apart come from ``_far_pass``,
+    run only from sources whose BFS reaches level 3. In fixed point each
+    floor leaves a total t low by at most ``t >> _GUARD`` rounded up; where
+    that bound does not round to the same float as t, the far pass is redone
+    with exact ``Fraction`` reciprocals.
     """
     nodes, _, reach = index(graph, node_class)
     if not nodes:
         raise EmptyGraph("projection has no nodes")
-    nb = [r & ~(1 << i) for i, r in enumerate(reach)]
     n = len(nodes)
-    centrality = [0.0] * n
-    for s in range(n):
-        sigma = [0] * n
-        sigma[s] = 1
-        seen = 1 << s
-        levels = [([s], seen)]
-        while True:
-            level = levels[-1][0]
-            before = seen
-            nxt = []
-            for v in level:
-                new = nb[v] & ~seen
-                if new:  # bits(0) still costs a call and a bin(); about 10% slower unskipped
-                    seen |= new
-                    nxt += bits(new)
-            if not nxt:
-                break
-            groups: dict[int, int] = {}
-            for v in level:
-                groups[sigma[v]] = groups.get(sigma[v], 0) | 1 << v
-            for w in nxt:
-                sigma[w] = sum(c * (nb[w] & m).bit_count() for c, m in groups.items())
-            levels.append((nxt, seen ^ before))
-        sigma = list(map(float, sigma))
-        delta = [0.0] * n
-        for d in range(len(levels) - 1, 0, -1):
-            level, previous = levels[d - 1]
-            if d == 1:
-                previous = 0  # no step onto the source
-            ones = all(sigma[v] == 1.0 for v in level)
-            for w in reversed(levels[d][0]):
-                coeff = (1 + delta[w]) / sigma[w]
-                # bits()' walk inline: a call and a list per successor was 6-14% slower.
-                flags = bin(nb[w] & previous)[:1:-1].encode().translate(BIT_FLAGS)
-                if ones:
-                    for v in compress(count(), flags):
-                        delta[v] += coeff
-                else:
-                    for v in compress(count(), flags):
-                        delta[v] += sigma[v] * coeff
-                centrality[w] += delta[w]
-    if n >= 3:
-        scale = 1 / ((n - 1) * (n - 2))
-        centrality = [c * scale for c in centrality]
-    return dict(zip(nodes, centrality))
+    nb = [r & ~(1 << i) for i, r in enumerate(reach)]
+    full, far = (1 << n) - 1, 0  # far: sources of a pair with no common neighbour
+    counters: dict[int, list[int]] = {}
+    for s, mask in enumerate(nb):
+        for t in bits((full ^ reach[s]) >> s << s):  # t > s, not adjacent
+            if common := mask & nb[t]:
+                counter_add(counters.setdefault(common.bit_count(), []), common)
+            else:  # at distance 3 or more, or apart
+                far |= 1 << s | 1 << t
+    multiple = lcm(*counters)
+    near = [0] * n
+    for c, planes in counters.items():
+        for k, plane in enumerate(planes):
+            weight = multiple // c << k + 1
+            for v in bits(plane):
+                near[v] += weight
+    norm = multiple * max((n - 1) * (n - 2), 1)
+    total, p = _far_pass(nb, bits(far))
+    values = [((a << p) + t * multiple) / (norm << p) for a, t in zip(near, total)]
+    if values != [((a << p) + (t - (-t >> _GUARD)) * multiple) / (norm << p)
+                  for a, t in zip(near, total)]:
+        from fractions import Fraction  # only when a bound fails to certify
+        total, _ = _far_pass(nb, bits(far), Fraction)
+        values = [float((a + t * multiple) / norm) for a, t in zip(near, total)]
+    return dict(zip(nodes, values))
 
 
 def clustering_coefficient(graph: BipartiteGraph, node_class: NodeClass) -> dict:

@@ -23,6 +23,18 @@ def bits(mask: int) -> list[int]:
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(BIT_FLAGS)))
 
 
+def counter_add(planes: list[int], mask: int) -> None:
+    """Add one at each set bit of ``mask`` to a bit-sliced counter, whose
+    plane k holds bit k of every position's count: the carry-save ripple of
+    Harley–Seal popcount's vertical counter (Muła, Kurz and Lemire, 2016)."""
+    for k, plane in enumerate(planes):
+        planes[k] = plane ^ mask
+        mask &= plane
+        if not mask:
+            return
+    planes.append(mask)
+
+
 def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, list[int]]:
     """The nodes of ``node_class`` in sorted order, each other-class node's
     neighbours as a bitmask over those indices, and each node's reach mask:

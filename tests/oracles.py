@@ -3,9 +3,10 @@
 These deliberately avoid the library's own adjacency caches and search
 code: everything is recomputed from the raw edge list with the most naive
 algorithm available, so agreement with the package is meaningful. The
-centrality and clustering oracles are networkx's own implementations on
-the materialized projection, which the package's kernels must match value
-for value. The graph-file oracle is the plain writer: a dict of the graph
+betweenness oracle is Brandes' algorithm in exact rationals, which the
+kernel must match bit for bit; networkx's float version is a second,
+near-equal oracle. The clustering oracle is networkx's, matched value for
+value. The graph-file oracle is the plain writer: a dict of the graph
 through ``json.dumps(sort_keys=True, indent=2)``.
 """
 
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
@@ -324,41 +327,42 @@ def nx_betweenness(mg: Multigraph) -> dict:
     return dict(nx.betweenness_centrality(_simple_graph(mg), normalized=True))
 
 
-def nx_order_betweenness(mg: Multigraph) -> dict:
-    """networkx's ``betweenness_centrality`` loop written out on
-    ``_simple_graph(mg)``, with each path count summed as an exact int and
-    turned into a float once: FIFO BFS over ``g[v]``, dependencies
-    accumulated in reverse pop order, and the sums multiplied by
-    ``1 / ((n-1)(n-2))`` as networkx's ``_rescale`` does."""
-    g = _simple_graph(mg)
-    betweenness = dict.fromkeys(g, 0.0)
-    for s in g:
-        popped, preds, dist, paths = [], {v: [] for v in g}, {s: 0}, dict.fromkeys(g, 0)
+def exact_betweenness(mg: Multigraph) -> dict:
+    """Normalized betweenness in exact rationals, rounded to float once.
+
+    Brandes' recursion (2001) from every source over a plain BFS on the
+    simple projection, written over one common denominator per source:
+    with L the lcm of the source's path counts, D(w) = L / σ_w + Σ_succ D
+    is an int, and v's dependency σ_v Σ_succ D / L is a ``Fraction``. Each
+    node's total is divided by (n-1)(n-2) as a ``Fraction``."""
+    adj: dict = {v: set() for v in mg.nodes}
+    for u, v in mg.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    totals = dict.fromkeys(adj, Fraction(0))
+    for s in adj:
+        order, succ, dist, paths = [], {v: [] for v in adj}, {s: 0}, dict.fromkeys(adj, 0)
         paths[s] = 1
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            popped.append(v)
-            for w in g[v]:
+            order.append(v)
+            for w in adj[v]:
                 if w not in dist:
                     queue.append(w)
                     dist[w] = dist[v] + 1
                 if dist[w] == dist[v] + 1:
                     paths[w] += paths[v]
-                    preds[w].append(v)
-        sigma = {v: float(c) for v, c in paths.items()}
-        delta = dict.fromkeys(popped, 0.0)
-        for w in reversed(popped):
-            coeff = (1 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                betweenness[w] += delta[w]
-    n = len(g)
-    if n >= 3:
-        scale = 1 / ((n - 1) * (n - 2))
-        betweenness = {v: b * scale for v, b in betweenness.items()}
-    return betweenness
+                    succ[v].append(w)
+        common = math.lcm(*(paths[v] for v in order))
+        below = {}
+        for v in reversed(order):
+            below[v] = sum(below[w] + common // paths[w] for w in succ[v])
+            if v != s:
+                totals[v] += Fraction(paths[v] * below[v], common)
+    n = len(adj)
+    norm = (n - 1) * (n - 2) if n >= 3 else 1
+    return {v: float(totals[v] / norm) for v in sorted(adj)}
 
 
 def nx_clustering(mg: Multigraph) -> dict:

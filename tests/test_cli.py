@@ -602,6 +602,7 @@ class TestAcrossInterpreters:
             ["metrics", graph, "table3", "--class", "ixp"],
             ["metrics", graph, "table3", "--class", "as"],
             ["metrics", graph, "betweenness"],
+            ["metrics", graph, "betweenness", "--class", "as"],  # runs the far pass
             ["metrics", graph, "clustering"],
             ["metrics", graph, "gain-cdf"],
             ["metrics", graph, "correlation"],
@@ -938,6 +939,22 @@ class TestCommandStartUp:
         # dataclasses pulls in inspect (with ast, dis and tokenize), and
         # statistics pulls in fractions and decimal.
         assert not loaded & {"dataclasses", "inspect", "statistics"}
+
+    def test_betweenness_with_far_pairs_imports_no_fractions(self, tmp_path):
+        # The IXP projection is the path X1 - X2 - X3 - X4 - X5, so the far
+        # pass runs; its fixed-point totals certify, and neither fractions
+        # nor decimal (3-4 ms to import) is loaded.
+        ixps = [f"X{i}" for i in range(1, 6)]
+        graph = build_graph([IxpNode(x, [x]) for x in ixps], [AsNode(a) for a in range(1, 5)],
+                            [MembershipEdge(x, a) for a in range(1, 5) for x in ixps[a - 1:a + 1]])
+        path = tmp_path / "path.json"
+        serialization.write_graph(graph, path)
+        proc = subprocess.run([sys.executable, "-c", self.PRELUDE, "metrics", str(path),
+                               "betweenness"], env=subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1:] == [
+            "X1,0.0", "X2,0.5", "X3,0.6666666666666666", "X4,0.5", "X5,0.0"]
+        assert not set(json.loads(proc.stderr.splitlines()[-1])) & {"fractions", "decimal"}
 
     @pytest.mark.parametrize("argv, code", [
         (["export", "{graph}", "--format", "edgelist"], 0),

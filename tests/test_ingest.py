@@ -395,6 +395,29 @@ class TestSanitize:
         assert sorted(graph.edges) == [("IXP0001", 64500)]
         assert report.reasons == {DiscardReason.IP_INCONSISTENT: ReasonTally(1, 1)}
 
+    def test_hand_built_prefix_with_host_bits_is_canonicalized(self):
+        # A record built in Python may hold 192.0.2.1/24, which the row
+        # parser would have written as 192.0.2.0/24: the merge, the LAN
+        # check and the graph treat it as that network.
+        def build(lan):
+            records = [
+                MembershipRecord(Source.PDB, "k", "Alpha", (lan,), 64500, "192.0.2.5",
+                                 IxpStatus.ACTIVE),
+                MembershipRecord(Source.PDB, "k", "Alpha", (lan,), 64501, "10.9.9.9",
+                                 IxpStatus.ACTIVE),
+            ]
+            pch = [MembershipRecord(Source.PCH, "p", "Beta", ("192.0.2.128/25",), 64502,
+                                    "192.0.2.200", IxpStatus.ACTIVE)]
+            identities = merge_ixp_lists(records, pch)
+            return identities, sanitize(records + pch, identities)
+
+        identities, (graph, report) = build("192.0.2.1/24")
+        assert (identities, graph, report) == (build("192.0.2.0/24")[0], *build("192.0.2.0/24")[1])
+        assert [i.peering_prefixes for i in identities.values()] == [
+            ("192.0.2.0/24", "192.0.2.128/25")]
+        assert sorted(graph.edges) == [("IXP0001", 64500), ("IXP0001", 64502)]
+        assert report.reasons == {DiscardReason.IP_INCONSISTENT: ReasonTally(1, 1)}
+
     def test_ip_consistency_matches_ipaddress_containment(self):
         # Stage 2 tests each member address against its LAN by integer
         # masks, reading the member_addr the row parser sets.

@@ -5,8 +5,12 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
+import networkx as nx
 import pytest
+
+import ixpgraph.metrics
 
 from ixpgraph.errors import (
     Disconnected,
@@ -45,9 +49,9 @@ from oracles import (
     bf_gain_cdf,
     bf_ixp_count_distribution,
     bf_project,
+    exact_betweenness,
     nx_betweenness,
     nx_clustering,
-    nx_order_betweenness,
     project,
 )
 
@@ -437,45 +441,103 @@ class TestCentralityAndClustering:
         assert list(values.items()) == list(expected.items())
         assert [type(v) for v in values.values()] == [type(v) for v in expected.values()]
 
+    @staticmethod
+    def assert_near(values, expected, rel):
+        # networkx sums floats in its own order, so it is a second oracle
+        # only to within a few ulp of the exact value.
+        assert list(values) == list(expected)
+        assert all(v == pytest.approx(expected[k], rel=rel, abs=0) for k, v in values.items())
+
+    def assert_betweenness(self, graph, node_class, rel=1e-12):
+        mg = project(graph, node_class)
+        values = betweenness_centrality(graph, node_class)
+        self.assert_exact(values, exact_betweenness(mg))
+        self.assert_near(values, nx_betweenness(mg), rel)
+        return values
+
+    @staticmethod
+    def shape(graph, node_class):
+        """(has a pair at distance 3 or more, is disconnected) for the
+        simple projection onto ``node_class``, from networkx."""
+        mg = project(graph, node_class)
+        g = nx.Graph(list(mg.edges))
+        g.add_nodes_from(mg.nodes)
+        far = any(d >= 3 for _, ds in nx.all_pairs_shortest_path_length(g) for d in ds.values())
+        return far, not nx.is_connected(g)
+
     @pytest.mark.parametrize("node_class", list(NodeClass))
     def test_kernels_equal_networkx(self, node_class):
         rng = random.Random(2001)
         graphs = [graph_of(m) for m in self.SMALL]
         graphs += [random_bipartite(rng, max_ixps=25, max_ases=40) for _ in range(60)]
         for graph in graphs:
-            mg = project(graph, node_class)
-            self.assert_exact(betweenness_centrality(graph, node_class), nx_betweenness(mg))
-            self.assert_exact(clustering_coefficient(graph, node_class), nx_clustering(mg))
-            self.assert_exact(nx_order_betweenness(mg), nx_betweenness(mg))
+            self.assert_betweenness(graph, node_class)
+            self.assert_exact(clustering_coefficient(graph, node_class),
+                              nx_clustering(project(graph, node_class)))
 
-    def test_betweenness_past_2_53_paths_keeps_exact_path_counts(self):
+    def test_betweenness_equals_exact_oracle_on_random_graphs(self):
+        # Dense draws, sparse draws and the giant components of sparse draws,
+        # in both classes: pairs at distance 3 or more (the far pass), with
+        # and without disconnected pairs, turn up often.
+        rng = random.Random(1611)
+        shapes = Counter()
+        for k in range(300):
+            graph = random_bipartite(rng, *((25, 40) if k % 4 == 0 else (30, 12)))
+            if k % 4 > 1:
+                graph = giant_component(graph)
+            for node_class in NodeClass:
+                if graph.ixps if node_class is NodeClass.IXP else graph.ases:
+                    self.assert_betweenness(graph, node_class)
+                    shapes[self.shape(graph, node_class)] += 1
+        # (far pairs, disconnected): 93, 109, 134 and 260 graphs at this seed.
+        assert shapes[True, True] >= 80 and shapes[True, False] >= 80
+        assert shapes[False, True] >= 80 and shapes[False, False] >= 80
+
+    def test_betweenness_fallback_when_certification_fails(self, monkeypatch):
+        # With no guard bits the fixed-point bound is twice the far total,
+        # too loose to certify, so the far pass reruns on Fractions.
+        passes = []
+        far_pass = ixpgraph.metrics._far_pass
+
+        def spy(nb, sources, fraction=None):
+            passes.append(fraction)
+            return far_pass(nb, sources, fraction)
+
+        monkeypatch.setattr(ixpgraph.metrics, "_far_pass", spy)
+        monkeypatch.setattr(ixpgraph.metrics, "_GUARD", 0)
+        rng = random.Random(53)
+        graphs = [random_bipartite(rng, max_ixps=30, max_ases=12) for _ in range(40)]
+        graphs = [g for g in graphs if self.shape(g, NodeClass.IXP)[0]]
+        assert len(graphs) >= 10
+        for graph in graphs + [self.layered_graph()]:
+            passes.clear()
+            self.assert_betweenness(graph, NodeClass.IXP)
+            assert passes == [None, Fraction]
+
+    @staticmethod
+    def layered_graph():
         # 60 layers of 3 IXPs, consecutive layers fully joined through one AS
-        # per IXP pair: path counts grow as powers of 3, and past 2**53
-        # networkx's float sums round (powers of 2 would stay exact), while
-        # the kernel's and the oracle's integer counts do not.
+        # per IXP pair: path counts grow as powers of 3, up to 3**59 > 2**93.
         layers = [[f"L{k:02d}X{i}" for i in range(3)] for k in range(60)]
         memberships = {}
         for upper, lower in zip(layers, layers[1:]):
             for a in upper:
                 for b in lower:
                     memberships[len(memberships) + 1] = (a, b)
-        graph = graph_of(memberships)
+        return graph_of(memberships)
+
+    def test_betweenness_past_2_53_paths_keeps_exact_path_counts(self):
+        # Past 2**53 paths networkx's float sums round (powers of 2 would
+        # stay exact), while the kernel's integer path counts do not.
+        graph = self.layered_graph()
         assert (len(graph.ixps), len(graph.ases)) == (180, 531)
-        mg = project(graph, NodeClass.IXP)
-        values = betweenness_centrality(graph, NodeClass.IXP)
-        self.assert_exact(values, nx_order_betweenness(mg))
-        rounded = nx_betweenness(mg)
-        assert values != rounded
-        assert all(v == pytest.approx(rounded[k], rel=1e-15, abs=0) for k, v in values.items())
+        values = self.assert_betweenness(graph, NodeClass.IXP, rel=1e-15)
+        assert values != nx_betweenness(project(graph, NodeClass.IXP))
 
     def test_betweenness_at_paper_density_equals_networkx(self):
         # The paper-scale shape at 200 IXPs, its degree cap scaled with it
         # (140, as 350 of 500): every BFS has depth 2 and path counts reach 159.
-        graph = paper_scale_graph(n_ixp=200, n_as=1400)
-        mg = project(graph, NodeClass.IXP)
-        expected = nx_betweenness(mg)
-        self.assert_exact(betweenness_centrality(graph, NodeClass.IXP), expected)
-        self.assert_exact(nx_order_betweenness(mg), expected)
+        self.assert_betweenness(paper_scale_graph(n_ixp=200, n_as=1400), NodeClass.IXP)
 
     def test_paper_scale_graph_default_unchanged(self):
         # The degree cap is 350 at 500 IXPs: the paper-scale graph that other

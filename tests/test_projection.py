@@ -11,7 +11,7 @@ from ixpgraph.model import (
     MembershipEdge,
     NodeClass,
 )
-from ixpgraph.projection import bits, index, partner_gains
+from ixpgraph.projection import bits, counter_add, index, partner_gains
 
 from conftest import build_graph, index_edges, random_bipartite
 from oracles import bf_project, project
@@ -74,6 +74,20 @@ class TestProjectG0:
         # Dense, a lone top bit and alternating bits, at 5000 bits.
         for m in ((1 << 5000) - 1, 1 << 4999, int("10" * 2500, 2), int("01" * 2500, 2)):
             assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+    def test_counter_add(self):
+        # Plane k of the counter holds bit k of each position's count.
+        rng = random.Random(1611)
+        for width in (1, 7, 300):
+            planes, counts = [], [0] * width
+            for _ in range(rng.randint(0, 200)):
+                mask = rng.getrandbits(width) & rng.getrandbits(width)
+                counter_add(planes, mask)
+                counts = [c + (mask >> i & 1) for i, c in enumerate(counts)]
+            assert [sum((p >> i & 1) << k for k, p in enumerate(planes))
+                    for i in range(width)] == counts
+            assert not planes or planes[-1]  # no empty top plane
+            assert len(planes) == max(counts).bit_length()
 
     def test_partner_gains(self, g0):
         # A1 meets A2 and A3 at X1; each brings A4, which A1 cannot reach.
