@@ -258,8 +258,9 @@ def cmd_place(args) -> int:
         asn = _parse_asn_token(args.asn)
     elif args.problem in ("cover", "budget"):
         targets = _parse_targets(args.targets)
-        costs = args.costs and _read_map_file(args.costs, ["ixp_id", "cost"], str)
-        weights = args.weights and _read_map_file(args.weights, ["asn", "weight"], _parse_asn_token)
+        costs = None if args.costs is None else _read_map_file(args.costs, ["ixp_id", "cost"], str)
+        weights = None if args.weights is None else _read_map_file(
+            args.weights, ["asn", "weight"], _parse_asn_token)
     graph = serialization.read_graph(args.graph)
     if args.problem == "tunnels":
         ranked = placement.rank_tunnels(graph, asn)

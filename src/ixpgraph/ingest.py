@@ -278,7 +278,8 @@ def merge_ixp_lists(
 
 
 def _record_priority(record: MembershipRecord) -> tuple:
-    # PDB data wins over PCH when collapsing duplicates.
+    # PDB data wins over PCH, for an edge's member_ip and for an AS's
+    # attributes; a row without a member_ip comes first within its source.
     return (0 if record.source is Source.PDB else 1, record.member_ip or "")
 
 
@@ -293,10 +294,13 @@ def sanitize(
     source, with their edges; (2) drop edges whose member_ip falls outside
     every peering prefix of the unified IXP; (3) collapse duplicate
     (ixp, asn) edges across sources, merging their sources sets; (4) keep
-    only the giant component. Each step tallies the edges it drops, and
-    a node under the step that drops its last edge; malformed rows count
-    as ParseError edges. A reason is in the report when either of its
-    tallies is non-zero.
+    only the giant component. Steps 1-3 are one pass over the rows in
+    priority order (PDB first), and a row's fate is the first of them that
+    drops it. An edge takes the first member_ip given among its kept rows;
+    an AS the first as_type and prefix count given among all of its rows.
+    Each step tallies the edges it drops, and a node under the step that
+    drops its last edge; malformed rows count as ParseError edges. A reason
+    is in the report when either of its tallies is non-zero.
     """
     key_to_uid = {key: uid for uid, ident in identities.items() for key in ident.source_keys}
     rows = []  # (unified IXP id, record)
@@ -308,95 +312,73 @@ def sanitize(
             ip = ipaddress.ip_address(record.member_ip)
             record = record._replace(member_addr=(ip.version, int(ip)))
         rows.append((uid, record))
+    rows.sort(key=lambda row: _record_priority(row[1]))
 
-    reasons: dict[DiscardReason, ReasonTally] = {}
-
-    def tally(reason: DiscardReason, nodes: int, edges: int) -> None:
-        if nodes or edges:
-            reasons[reason] = ReasonTally(nodes, edges)
-
-    def vertices(part: list[tuple[str, MembershipRecord]]) -> set:
-        return {r.asn for _, r in part} | {uid for uid, _ in part}
-
-    tally(DiscardReason.PARSE_ERROR, 0, parse_errors)
-
-    # (1) inactive / not-approved IXPs
     bad_uids = {uid for uid, ident in identities.items() if ident.status is not IxpStatus.ACTIVE}
-    stage1 = [row for row in rows if row[0] not in bad_uids]
-    kept = vertices(stage1)
-    tally(DiscardReason.INACTIVE_IXP,
-          len(bad_uids | (vertices(rows) - kept)), len(rows) - len(stage1))
-
-    # (2) member IPs outside the unified IXP's peering LAN
     nets = {
         uid: [(net.version, int(net.network_address), int(net.netmask))
               for net in map(ipaddress.ip_network, ident.peering_prefixes)]
         for uid, ident in identities.items()
     }
-
-    def ip_consistent(uid: str, record: MembershipRecord) -> bool:
-        if record.member_addr is None:
-            return True
-        version, ip = record.member_addr
-        return any(version == v and ip & mask == net for v, net, mask in nets[uid])
-
-    stage2 = [row for row in stage1 if ip_consistent(*row)]
-    tally(DiscardReason.IP_INCONSISTENT, len(kept - vertices(stage2)), len(stage1) - len(stage2))
-
-    # (3) duplicate collapse across sources
-    grouped: dict[tuple[str, int], list[MembershipRecord]] = {}
-    for uid, record in stage2:
-        grouped.setdefault((uid, record.asn), []).append(record)
-    tally(DiscardReason.DUPLICATE_COLLAPSED, 0, len(stage2) - len(grouped))
-
-    edges = {}
-    for (uid, asn), group in sorted(grouped.items()):
-        group = sorted(group, key=_record_priority)
-        member_ip = next((r.member_ip for r in group if r.member_ip is not None), None)
-        edges[(uid, asn)] = MembershipEdge(
-            ixp_id=uid,
-            asn=asn,
-            member_ip=member_ip,
-            sources=frozenset(r.source for r in group),
-        )
+    edge_tally = dict.fromkeys(DiscardReason, 0) | {DiscardReason.PARSE_ERROR: parse_errors}
+    linked = set()  # vertices with an edge left after (1)
+    edges: dict[tuple[str, int], MembershipEdge] = {}
+    as_types: dict[int, AsType | None] = {}
+    pfx_counts: dict[int, int | None] = {}
+    for uid, record in rows:
+        asn = record.asn
+        # Every row, kept or dropped, feeds its AS: the first known value wins.
+        if as_types.get(asn) is None:
+            as_types[asn] = record.as_type
+        if pfx_counts.get(asn) is None:
+            pfx_counts[asn] = record.as_prefix_count
+        # (1) inactive / not-approved IXPs
+        if uid in bad_uids:
+            edge_tally[DiscardReason.INACTIVE_IXP] += 1
+            continue
+        linked.update((uid, asn))
+        # (2) member IPs outside the unified IXP's peering LAN
+        if record.member_addr is not None:
+            version, ip = record.member_addr
+            if not any(version == v and ip & mask == net for v, net, mask in nets[uid]):
+                edge_tally[DiscardReason.IP_INCONSISTENT] += 1
+                continue
+        # (3) duplicate collapse across sources
+        edge = edges.get((uid, asn))
+        if edge is None:
+            edges[uid, asn] = MembershipEdge(uid, asn, record.member_ip, {record.source})
+            continue
+        edge_tally[DiscardReason.DUPLICATE_COLLAPSED] += 1
+        member_ip = record.member_ip if edge.member_ip is None else edge.member_ip
+        edges[uid, asn] = MembershipEdge(uid, asn, member_ip, edge.sources | {record.source})
     if not edges:
         raise EmptyGraph("no membership edges survive sanitization")
 
-    # AS attributes come from any record mentioning the AS, best source first.
-    as_nodes = {}
-    by_asn: dict[int, list[MembershipRecord]] = {}
-    for record in records:
-        by_asn.setdefault(record.asn, []).append(record)
-    for asn, group in by_asn.items():
-        group = sorted(group, key=_record_priority)
-        as_type = next((r.as_type for r in group if r.as_type is not None), None)
-        pfx_count = next((r.as_prefix_count for r in group if r.as_prefix_count is not None), None)
-        as_nodes[asn] = AsNode(
-            asn=asn,
-            as_type=as_type if as_type is not None else AsType.UNKNOWN,
-            prefix_count=pfx_count,
-        )
-
-    ixp_nodes = {
-        uid: IxpNode(
-            ixp_id=uid,
-            names=list(ident.names),
-            peering_prefixes=list(ident.peering_prefixes),
-            status=ident.status,
-        )
-        for uid, ident in identities.items()
-        if uid not in bad_uids
+    as_nodes = {
+        asn: AsNode(asn=asn, as_type=AsType.UNKNOWN if as_type is None else as_type,
+                    prefix_count=pfx_counts[asn])
+        for asn, as_type in as_types.items()
     }
-
+    ixp_nodes = {
+        uid: IxpNode(uid, list(ident.names), list(ident.peering_prefixes), status=ident.status)
+        for uid, ident in identities.items() if uid not in bad_uids
+    }
     graph = BipartiteGraph(ixps=ixp_nodes, ases=as_nodes, edges=edges)
 
-    # (4) giant component; nodes isolated at (1) or (2) are tallied there
+    # (4) giant component. A node is tallied under the step that drops its
+    # last edge: (1) takes the inactive IXPs and the ASes it leaves with no
+    # edge, (2) the vertices it leaves with no edge, (4) the rest it drops.
     giant = model.giant_component(graph)
-    report = DiscardReport(len(identities) + len(as_nodes), len(records) + parse_errors, reasons)
-    tally(DiscardReason.NOT_IN_GIANT_COMPONENT,
-          report.nodes_total_pre - report.nodes_discarded - giant.num_nodes,
-          graph.num_edges - giant.num_edges)
-    return giant, report
+    nodes_total_pre = len(identities) + len(as_nodes)
+    node_tally = dict.fromkeys(DiscardReason, 0)
+    node_tally[DiscardReason.INACTIVE_IXP] = len(bad_uids) + len(as_nodes.keys() - linked)
+    node_tally[DiscardReason.IP_INCONSISTENT] = len(linked - {v for pair in edges for v in pair})
+    node_tally[DiscardReason.NOT_IN_GIANT_COMPONENT] = (
+        nodes_total_pre - sum(node_tally.values()) - giant.num_nodes)
+    edge_tally[DiscardReason.NOT_IN_GIANT_COMPONENT] = graph.num_edges - giant.num_edges
+    reasons = {r: ReasonTally(node_tally[r], edge_tally[r])
+               for r in DiscardReason if node_tally[r] or edge_tally[r]}
+    return giant, DiscardReport(nodes_total_pre, len(records) + parse_errors, reasons)
 
 
 def attach_attributes(

@@ -129,16 +129,20 @@ def dumps_graph(graph: BipartiteGraph) -> str:
 
 def write_graph(graph: BipartiteGraph, path) -> None:
     """Write the graph atomically: a temp file in the target's directory is
-    renamed over the target, so a failed write leaves the old file intact."""
+    renamed over the target, so a failed write leaves the old file intact.
+    An ``OSError`` names ``path``, never the temp file."""
     target = Path(path)
+    if not target.name:
+        raise ValueError(f"cannot write a graph to {str(path)!r}: not a file name")
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(dumps_graph(graph))
         os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after a successful replace
 
 
 def read_graph(path) -> BipartiteGraph:

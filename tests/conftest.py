@@ -188,8 +188,12 @@ def sanitize_test_sets(seed: int = 7, count: int = 200) -> list[tuple[list, list
     Most sets have one inactive or not-approved IXP and a few fragments:
     IXPs whose members are at no other IXP, off the giant component.
     Core IXP 0 stays active and its first member has no address, so every
-    set keeps an edge."""
+    set keeps an edge. Each row may carry an AS type and a prefix count,
+    drawn from a second generator so that the rest of each set is the same
+    as without them; an AS's rows often disagree on both."""
     rng = random.Random(seed)
+    attributes = random.Random(f"attributes {seed}")
+    types = (None, None, *AsType)
     cases = []
     for _ in range(count):
         pdb, pch = [], []
@@ -227,6 +231,9 @@ def sanitize_test_sets(seed: int = 7, count: int = 200) -> list[tuple[list, list
                          for i, (asn, ip) in enumerate(again)]
                 pch += [_record(Source.PCH, f"p{k}", f"exchange-{k}", nested, asn, ip,
                                 IxpStatus.ACTIVE) for asn, ip in again]
+        pdb, pch = ([r._replace(as_type=attributes.choice(types),
+                                as_prefix_count=attributes.choice((None, attributes.randint(0, 9))))
+                     for r in part] for part in (pdb, pch))
         cases.append((pdb, pch, rng.choice((0, 0, rng.randint(1, 5)))))
     return cases
 

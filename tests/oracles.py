@@ -24,7 +24,16 @@ import networkx as nx
 
 from ixpgraph.errors import Uncoverable
 from ixpgraph.ingest import _STATUS_SEVERITY, IxpIdentity, normalize_ixp_name
-from ixpgraph.model import BipartiteGraph, IxpStatus, NodeClass
+from ixpgraph.model import (
+    AsNode,
+    AsType,
+    BipartiteGraph,
+    IxpNode,
+    IxpStatus,
+    MembershipEdge,
+    NodeClass,
+    Source,
+)
 from ixpgraph.placement import CoverageInstance, PlacementSolution
 from ixpgraph.serialization import FORMAT_VERSION
 
@@ -272,6 +281,52 @@ def bf_discard_report(records, identities, parse_errors: int = 0) -> dict:
         "edges_discarded": sum(t["edges"] for t in reasons.values()),
         "reasons": reasons,
     }
+
+
+def bf_sanitized_graph(records, identities) -> BipartiteGraph:
+    """``ingest.sanitize(...)[0]`` by applying the four stages one at a time
+    to a plain list of (unified IXP id, record) edges.
+
+    Rows are read in (PDB first, member_ip) order, a row without an address
+    first among its source's, ties in input order. Each edge left after
+    stage 4 takes the first member_ip among its rows left after stage 2 and
+    the union of their sources. Each AS left takes the first known as_type
+    and the first known prefix count among all its rows, dropped or not."""
+    def uid(record):
+        return next(u for u, ident in identities.items()
+                    if (record.source, record.ixp_key) in ident.source_keys)
+
+    def on_lan(u, record):
+        if record.member_ip is None:
+            return True
+        ip = ipaddress.ip_address(record.member_ip)
+        return any(ip.version == net.version and ip in net
+                   for net in map(ipaddress.ip_network, identities[u].peering_prefixes))
+
+    def first_known(values):
+        return next((v for v in values if v is not None), None)
+
+    rows = sorted(((uid(r), r) for r in records),
+                  key=lambda row: (row[1].source is not Source.PDB, row[1].member_ip or ""))
+    active = [(u, r) for u, r in rows if identities[u].status is IxpStatus.ACTIVE]
+    consistent = [(u, r) for u, r in active if on_lan(u, r)]
+    vertices = [u for u, i in identities.items() if i.status is IxpStatus.ACTIVE]
+    giant = nx_giant_component(vertices + sorted({r.asn for r in records}),
+                               sorted({(u, r.asn) for u, r in consistent}))
+    edges = []
+    for key in sorted({(u, r.asn) for u, r in consistent if u in giant}):
+        group = [r for u, r in consistent if (u, r.asn) == key]
+        edges.append(MembershipEdge(*key, first_known(r.member_ip for r in group),
+                                    frozenset(r.source for r in group)))
+    ases = []
+    for asn in sorted(v for v in giant if isinstance(v, int)):
+        group = [r for _, r in rows if r.asn == asn]
+        ases.append(AsNode(asn, first_known(r.as_type for r in group) or AsType.UNKNOWN,
+                           first_known(r.as_prefix_count for r in group)))
+    ixps = [IxpNode(u, list(identities[u].names), list(identities[u].peering_prefixes),
+                    status=identities[u].status) for u in sorted(identities) if u in giant]
+    return BipartiteGraph(ixps={x.ixp_id: x for x in ixps}, ases={a.asn: a for a in ases},
+                          edges={(e.ixp_id, e.asn): e for e in edges})
 
 
 def exhaustive_cover_oracle(

@@ -101,6 +101,21 @@ class TestBuild:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("out", ["nodir/g.json", "", "adir"],
+                             ids=["missing-directory", "empty", "directory"])
+    def test_failed_write_names_the_given_path(self, tmp_path, capsys, monkeypatch, out):
+        # Into "adir" the temp file is written, then fails to replace the
+        # directory and is removed.
+        monkeypatch.chdir(tmp_path)
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        (tmp_path / "adir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(capsys, "build", str(pdb), str(pch), out)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(out) in err and ".tmp" not in err, err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_json_report(self, tmp_path, capsys):
         pdb, pch = sanitize_fixture_files(tmp_path)
         code, out, _ = run(capsys, "build", str(pdb), str(pch),
@@ -369,6 +384,17 @@ class TestPlace:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("problem", ["cover", "budget"])
+    @pytest.mark.parametrize("flag", ["--costs", "--weights"])
+    def test_empty_map_file_path_is_one_line_error(self, g0_file, capsys, problem, flag):
+        # An empty path is a file that cannot be read, not "no file".
+        argv = ["place", str(g0_file), problem, "--targets", "all", flag, ""]
+        if problem == "budget":
+            argv += ["--budget", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(": ''\n") and err.count("\n") == 1
 
     def test_tunnels(self, g0_file, capsys):
         code, out, _ = run(capsys, "place", str(g0_file), "tunnels", "--as", "A1")

@@ -27,7 +27,7 @@ from conftest import (
     sanitize_test_sets,
     write_membership_csv,
 )
-from oracles import bf_discard_report, bf_merge_ixp_lists
+from oracles import bf_discard_report, bf_merge_ixp_lists, bf_sanitized_graph
 
 
 def parse(tmp_path, rows, source=Source.PDB, name="data.csv"):
@@ -450,6 +450,21 @@ class TestSanitize:
             seen.update(list(report["reasons"]))
         # Each reason is in some reports and missing from others.
         assert all(0 < seen[reason.value] < len(sets) for reason in DiscardReason), seen
+
+    def test_graph_matches_stage_by_stage_oracle(self):
+        seen = Counter()
+        for case, (pdb, pch, parse_errors) in enumerate(sanitize_test_sets()):
+            records, identities = pdb + pch, merge_ixp_lists(pdb, pch)
+            graph = sanitize(records, identities, parse_errors)[0]
+            assert graph == bf_sanitized_graph(records, identities), f"case {case}"
+            seen.update(len(edge.sources) for edge in graph.edges.values())
+            seen.update(node.as_type for node in graph.ases.values())
+            seen.update(node.prefix_count is None for node in graph.ases.values())
+            # An AS whose rows disagree, so that the winner rule decides.
+            seen["conflict"] += any(
+                len({r.as_type for r in records if r.asn == asn} - {None}) > 1
+                for asn in graph.ases)
+        assert all(seen[k] for k in (1, 2, True, False, "conflict", *AsType)), seen
 
     def test_report_dict_shape(self, tmp_path):
         _, report = self.run_fixture(tmp_path)
