@@ -135,6 +135,15 @@ def _decimal_flag(flag: str, raw: str, real: bool = False) -> int | float:
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _count_flag(flag: str, raw: str) -> int:
+    """A flag that counts something (a sample size, a bucket's lower end),
+    so at least 1."""
+    value = _decimal_flag(flag, raw)
+    if value < 1:
+        raise ValueError(f"{flag}: must be at least 1, got {value}")
+    return value
+
+
 def _parse_asn_token(token: str) -> int:
     """An AS number, optionally A- or AS-prefixed in any case."""
     try:
@@ -241,10 +250,10 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
     # reported at once, and ahead of a bad graph file.
     args.thresholds = [_decimal_flag("--thresholds", t.strip())
                        for t in args.thresholds.split(",") if t.strip()]
-    args.tail = _decimal_flag("--tail", args.tail)
+    args.tail = _count_flag("--tail", args.tail)
     args.seed = _decimal_flag("--seed", args.seed)
     if args.sample is not None:
-        args.sample = _decimal_flag("--sample", args.sample)
+        args.sample = _count_flag("--sample", args.sample)
     graph = serialization.read_graph(args.graph)
     _print_metric(entry[1](metrics, graph, args), args.json)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from functools import partial, reduce
-from itertools import chain, compress
+from itertools import compress
 from math import fsum, inf, isfinite, lcm, sqrt
 from operator import or_
 from typing import Iterable, NamedTuple
@@ -141,17 +141,21 @@ def shortest_path_ixp_counts(
     searched and each unordered pair touching the sample is tallied once;
     a sample covering all ASes reproduces the full enumeration exactly.
 
-    On the AS-class masks of ``projection.index``, a source's reach mask is
-    its first IXP level and each next level is the unreached members of the
-    IXPs touching the last, so sources with one reach mask share one BFS: a
-    target first reached at level k crosses k IXPs, and each level's new
-    ASes are counted with a popcount scaled by the class size. A target
-    inside the sample is also a source and counts half from each end; one
-    outside counts once. Raises Disconnected if some AS is unreachable from
-    a source.
+    On the AS-class masks of ``projection.index``, each IXP x gets its
+    rings: ring k-1 holds the ASes reachable crossing at most k IXPs, the
+    first being x. Ring 0 is x's members, ring 1 the OR of their reach masks,
+    and each deeper ring adds the members of the IXPs one step further out
+    in IXP space. Sources with one reach mask share one walk: the ASes
+    within k IXPs of a source are the OR of its IXPs' rings k-1, a target
+    first reached at level k crosses k IXPs, and each level's new ASes are
+    counted with a popcount scaled by the class size. A target inside the
+    sample is also a source and counts half from each end; one outside
+    counts once. Raises Disconnected if some AS is unreachable from a source.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
+    if sample_size is not None and sample_size <= 0:
+        raise ValueError("sample_size must be positive")
     asns, members, reach = index(graph, NodeClass.AS)
     n_as = len(asns)
     if n_as < 2:
@@ -159,8 +163,6 @@ def shortest_path_ixp_counts(
     if sample_size is None or sample_size >= n_as:
         sources = range(n_as)
     else:
-        if sample_size <= 0:
-            raise ValueError("sample_size must be positive")
         sources = random.Random(seed).sample(range(n_as), sample_size)
 
     outside = everyone = (1 << n_as) - 1
@@ -170,24 +172,46 @@ def shortest_path_ixp_counts(
         entry = classes.setdefault(reach[s], [0, asns[s]])
         entry[0] += 1
 
+    # IXP space: slot k is the k-th IXP of ``members``; near[k] is the ball of
+    # radius 1 around it, every IXP sharing a member with it.
+    slot = {x: k for k, x in enumerate(members)}
+    at = dict.fromkeys(asns, 0)
+    for x, k in slot.items():
+        for a in graph.members(x):
+            at[a] |= 1 << k
+    near = [reduce(or_, map(at.__getitem__, graph.members(x)), 0) for x in members]
+    full = reduce(or_, near, 0)  # every IXP with a member
+    member_masks = list(members.values())
+    union = reduce(or_, member_masks, 0)  # every AS at some IXP
+    reach_of = dict(zip(asns, reach))
+    # rings[x][k-1]: the ASes within k IXPs of IXP x, up to the first ring
+    # that holds every AS x ever reaches; a deeper ring equals the last.
+    rings: dict[str, list[int]] = {}
+    for x, k in slot.items():
+        if not members[x]:
+            continue
+        ring = [members[x], reduce(or_, map(reach_of.__getitem__, graph.members(x)))]
+        ball = frontier = near[k]
+        while ring[-1] != union:
+            frontier = reduce(or_, map(near.__getitem__, bits(frontier)), 0) & ~ball
+            if not frontier:
+                break
+            ball |= frontier
+            ring.append(union if ball == full else
+                        reduce(or_, map(member_masks.__getitem__, bits(frontier)), ring[-1]))
+        rings[x] = ring
+
     # Counted doubled so that a half-weight target stays an integer.
     doubled: Counter = Counter()
     for new, (size, asn) in classes.items():
-        unvisited = list(members.values())
+        own = [rings[x] for x in graph.memberships(asn)]
         reached = crossed = 0
         while new:
             crossed += 1
             reached |= new
             doubled[crossed] += size * (new.bit_count() + (new & outside).bit_count())
-            following = 0
-            rest = []
-            for mask in unvisited:
-                if mask & new:
-                    following |= mask
-                else:
-                    rest.append(mask)
-            unvisited = rest
-            new = following & ~reached
+            # A ring past its last is already in ``reached``.
+            new = reduce(or_, [r[crossed] for r in own if crossed < len(r)], 0) & ~reached
         if reached != everyone:
             raise Disconnected(
                 f"{n_as - reached.bit_count()} AS nodes unreachable from AS {asn}"
@@ -199,18 +223,32 @@ def shortest_path_ixp_counts(
 def multiplicity_distribution(graph: BipartiteGraph, node_class: NodeClass) -> Distribution:
     """Edge-multiplicity histogram of the projection onto ``node_class`` over
     all unordered node pairs of the class, multiplicity-0 pairs included.
-    Each node tallies its partners over its neighbours' member lists, so
-    every pair is counted from both ends and the tallies are halved."""
+
+    Each node adds its neighbours' member masks into one bit-sliced counter
+    (``projection.counter_add``), whose planes spell each partner's
+    multiplicity. Splitting the partners by plane bits, from the top plane
+    down, gives (multiplicity, mask) groups, each tallied by a popcount.
+    Every pair is counted from both ends and the tallies are halved."""
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
     nodes, masks, _ = index(graph, node_class)
-    lists: list[list[list[int]]] = [[] for _ in nodes]  # per node, its neighbours' member bits
-    for members in map(bits, masks.values()):
-        for i in members:
-            lists[i].append(members)
+    neighbours = graph.members if node_class is NodeClass.IXP else graph.memberships
     doubled: Counter = Counter()
-    for i, own in enumerate(lists):
-        doubled.update(m for j, m in Counter(chain.from_iterable(own)).items() if j != i)
+    for i, v in enumerate(nodes):
+        planes: list[int] = []
+        for o in neighbours(v):
+            counter_add(planes, masks[o])
+        groups = [(0, reduce(or_, planes, 0) & ~(1 << i))]
+        for k in range(len(planes) - 1, -1, -1):
+            split = []
+            for m, group in groups:
+                if high := group & planes[k]:
+                    split.append((m | 1 << k, high))
+                if low := group ^ high:
+                    split.append((m, low))
+            groups = split
+        for m, group in groups:
+            doubled[m] += group.bit_count()
     doubled[0] = len(nodes) * (len(nodes) - 1) - sum(doubled.values())
     return Distribution.from_counts({m: c // 2 for m, c in doubled.items()})
 

@@ -19,7 +19,9 @@ BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes for com
 
 
 def bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending, picked at C speed."""
+    """Indices of the set bits of ``mask``, ascending, picked at C speed.
+    The cost is O(bit length), not O(popcount): a sparse mask over many
+    nodes costs as much as a full one."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(BIT_FLAGS)))
 
 

@@ -880,6 +880,23 @@ class TestUsageErrors:
             assert out == ""
             assert err.startswith(f"error: {rest[-2]}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, value", [
+        (("table2", "--sample", "0"), 0),
+        (("table2", "--sample", "-3"), -3),
+        (("table3", "--tail", "0"), 0),
+        (("table3", "--tail", "-2"), -2),
+    ], ids=["sample-0", "sample-negative", "tail-0", "tail-negative"])
+    def test_count_flag_below_one_is_one_line_error(self, g0_file, tmp_path, capsys,
+                                                    argv, value):
+        # Checked before the graph loads, so also on a missing graph file and
+        # on a one-AS graph, where table2 has no pair to sample.
+        single = tmp_path / "single.json"
+        serialization.write_graph(build_graph([IxpNode("X1", ["X1"])], [AsNode(1)],
+                                              [MembershipEdge("X1", 1)]), single)
+        for graph in (g0_file, single, tmp_path / "missing.json"):
+            code, out, err = run(capsys, "metrics", str(graph), *argv)
+            assert (code, out, err) == (1, "", f"error: {argv[1]}: must be at least 1, got {value}\n")
+
     @pytest.mark.parametrize("argv, token", [
         (("tunnels", "--as", "x"), "'x'"),
         (("cover", "--targets", "1_0"), "'1_0'"),

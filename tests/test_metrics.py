@@ -249,9 +249,93 @@ class TestShortestPathIxpCounts:
         dist = shortest_path_ixp_counts(graph)
         assert dist.total == 0 and dist.values == ()
 
+    def test_invalid_sample_size_on_a_single_as(self):
+        graph = graph_of({1: ("X1",)})
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="^sample_size must be positive$"):
+                shortest_path_ixp_counts(graph, sample_size=k)
+
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):
             shortest_path_ixp_counts(BipartiteGraph())
+
+
+def ixp_chain(length: int, cycle: bool = False) -> dict[int, tuple[str, ...]]:
+    """Memberships of IXPs X0..X{length-1} in a row (a ring if ``cycle``):
+    AS 2k+1 sits at Xk alone and AS 2k+2 joins Xk to the next IXP, so the
+    IXP ball of X0 is full only after length - 1 steps."""
+    out = {}
+    for k in range(length):
+        out[2 * k + 1] = (f"X{k}",)
+        if k + 1 < length or cycle:
+            out[2 * k + 2] = (f"X{k}", f"X{(k + 1) % length}")
+    return out
+
+
+def with_lone_ixp(memberships: dict[int, tuple[str, ...]]) -> BipartiteGraph:
+    """The graph of ``memberships`` plus an IXP "E" with no member."""
+    ixps = sorted({x for xs in memberships.values() for x in xs} | {"E"})
+    return build_graph([IxpNode(x, [x]) for x in ixps],
+                       [AsNode(a) for a in sorted(memberships)],
+                       [MembershipEdge(x, a) for a, xs in memberships.items() for x in xs])
+
+
+class TestShortestPathIxpRings:
+    """Graphs whose IXP balls are still not full after two steps, so the
+    kernel's deeper rings carry the answer, each run full and sampled."""
+
+    CONNECTED = {
+        "chain-3": lambda: graph_of(ixp_chain(3)),
+        "chain-10": lambda: graph_of(ixp_chain(10)),
+        "chain-40": lambda: graph_of(ixp_chain(40)),
+        "cycle-9": lambda: graph_of(ixp_chain(9, cycle=True)),
+        # A member-less IXP never enters any ball, so no ball holds every IXP.
+        "lone-ixp": lambda: with_lone_ixp(ixp_chain(6)),
+        # Shortcuts and a lone IXP on a chain. ASes 102 and 103 share a reach
+        # mask but not an IXP set: Y's only member is 103, which is also at X1.
+        "shortcut": lambda: with_lone_ixp({**ixp_chain(10), 100: ("X2", "X7"),
+                                           101: ("X0", "X1"), 102: ("X1",),
+                                           103: ("X1", "Y")}),
+    }
+
+    @pytest.mark.parametrize("name", CONNECTED)
+    def test_matches_the_oracle(self, name):
+        graph = self.CONNECTED[name]()
+        n = len(graph.ases)
+        assert dict(shortest_path_ixp_counts(graph).values) == dict(bf_ixp_count_distribution(graph))
+        for k, seed in ((1, 0), (3, 5), (n // 2, 42), (n - 1, 7)):
+            sources = set(random.Random(seed).sample(range(n), k))
+            got = shortest_path_ixp_counts(graph, sample_size=k, seed=seed)
+            assert dict(got.values) == dict(bf_ixp_count_distribution(graph, sources))
+
+    def test_chain_crosses_every_ixp(self):
+        # The two lone ASes at the ends of a 40-IXP chain cross all 40.
+        dist = shortest_path_ixp_counts(graph_of(ixp_chain(40)))
+        assert dist.values[-1] == (40, 1)
+        assert dist.total == math.comb(80 - 1, 2)
+
+    @pytest.mark.parametrize("graph, sample, message", [
+        # Two chains: AS 1 reaches the 5 ASes of its own 3-IXP chain.
+        ({**ixp_chain(3), **{a + 100: tuple(x + "b" for x in xs)
+                             for a, xs in ixp_chain(4).items()}},
+         None, "7 AS nodes unreachable from AS 1"),
+        # An AS at no IXP, sorted first and then last.
+        ({1: (), **{a + 10: xs for a, xs in ixp_chain(10).items()}},
+         None, "19 AS nodes unreachable from AS 1"),
+        ({**ixp_chain(10), 999: ()}, None, "1 AS nodes unreachable from AS 1"),
+        # Sampled, the first sampled source names the message.
+        ({**ixp_chain(3), **{a + 100: tuple(x + "b" for x in xs)
+                             for a, xs in ixp_chain(4).items()}},
+         (3, 5), "5 AS nodes unreachable from AS 105"),
+        ({**ixp_chain(10), 999: ()}, (4, 1), "1 AS nodes unreachable from AS 5"),
+        ({**ixp_chain(10), 999: ()}, (4, 5), "19 AS nodes unreachable from AS 999"),
+    ], ids=["two-chains", "no-ixp-first", "no-ixp-last", "two-chains-sampled",
+            "no-ixp-sampled", "no-ixp-is-the-source"])
+    def test_disconnected_message(self, graph, sample, message):
+        graph = graph_of(graph)
+        kwargs = {} if sample is None else {"sample_size": sample[0], "seed": sample[1]}
+        with pytest.raises(Disconnected, match=f"^{message}$"):
+            shortest_path_ixp_counts(graph, **kwargs)
 
 
 class TestMultiplicityDistribution:
@@ -293,6 +377,38 @@ class TestMultiplicityDistribution:
         graph = graph_of({1: ("X1",)})
         dist = multiplicity_distribution(graph, NodeClass.IXP)
         assert dist.total == 0
+
+    SHARED = (1, 2, 3, 4, 7, 8, 9, 15, 16, 17)  # each side of a counter's plane boundaries
+
+    @staticmethod
+    def shared_pairs(hub: bool) -> BipartiteGraph:
+        """IXP pairs sharing c ASes and AS pairs sharing c IXPs, c over
+        ``SHARED``, plus IXP "E" and AS 9999 with no neighbour. With ``hub``
+        one IXP H and one AS 1 are the common end of every such pair, so
+        their counters hold all the multiplicities at once."""
+        edges = set()
+        for c in TestMultiplicityDistribution.SHARED:
+            for j in range(c):
+                asn = 1000 + 100 * c + j
+                edges |= {("H" if hub else f"P{c}", asn), (f"Q{c}", asn)}
+                ixp = f"Z{c}.{j}"
+                edges |= {(ixp, 1 if hub else 10 + c), (ixp, 30 + c)}
+        return build_graph([IxpNode(x, [x]) for x in sorted({x for x, _ in edges} | {"E"})],
+                           [AsNode(a) for a in sorted({a for _, a in edges} | {9999})],
+                           [MembershipEdge(x, a) for x, a in sorted(edges)])
+
+    @pytest.mark.parametrize("hub", [False, True], ids=["apart", "hub"])
+    @pytest.mark.parametrize("node_class", list(NodeClass))
+    def test_counter_plane_boundaries(self, node_class, hub):
+        graph = self.shared_pairs(hub)
+        pairs = bf_project(graph, node_class)
+        n = len(graph.ixps if node_class is NodeClass.IXP else graph.ases)
+        counts = Counter(len(vias) for vias in pairs.values())
+        assert set(self.SHARED) <= set(counts)
+        counts[0] = math.comb(n, 2) - len(pairs)
+        expected = Distribution.from_counts(counts)
+        dist = multiplicity_distribution(graph, node_class)
+        assert dist == expected and repr(dist) == repr(expected)
 
 
 class TestRemotePeeringGain:
