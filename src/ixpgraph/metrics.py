@@ -173,7 +173,9 @@ def shortest_path_ixp_counts(
         entry[0] += 1
 
     # IXP space: slot k is the k-th IXP of ``members``; near[k] is the ball of
-    # radius 1 around it, every IXP sharing a member with it.
+    # radius 1 around it, every IXP sharing a member with it. Not the IXP
+    # index's reach masks: those give a member-less IXP its own bit, and no
+    # ball would ever equal ``full``.
     slot = {x: k for k, x in enumerate(members)}
     at = dict.fromkeys(asns, 0)
     for x, k in slot.items():

@@ -281,8 +281,10 @@ def with_lone_ixp(memberships: dict[int, tuple[str, ...]]) -> BipartiteGraph:
 
 
 class TestShortestPathIxpRings:
-    """Graphs whose IXP balls are still not full after two steps, so the
-    kernel's deeper rings carry the answer, each run full and sampled."""
+    """Graphs whose IXP balls fill slowly or never: a 3-IXP chain fills in
+    two steps, longer chains and the cycle later, and no ball ever holds a
+    member-less IXP. So the kernel's deeper rings carry the answer. Each
+    graph runs full and sampled."""
 
     CONNECTED = {
         "chain-3": lambda: graph_of(ixp_chain(3)),
