@@ -13,12 +13,12 @@ from collections import Counter, namedtuple
 from functools import partial, reduce
 from itertools import compress
 from math import fsum, inf, isfinite, lcm, sqrt
-from operator import or_
+from operator import or_, sub
 from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InsufficientData
 from .model import AsType, BipartiteGraph, NodeClass
-from .projection import BIT_FLAGS, bits, counter_add, index, partner_gains
+from .projection import BIT_FLAGS, bits, counter_add, index
 
 
 class Distribution(namedtuple("Distribution", "values total")):
@@ -172,27 +172,22 @@ def shortest_path_ixp_counts(
         entry = classes.setdefault(reach[s], [0, asns[s]])
         entry[0] += 1
 
-    # IXP space: slot k is the k-th IXP of ``members``; near[k] is the ball of
-    # radius 1 around it, every IXP sharing a member with it. Not the IXP
-    # index's reach masks: those give a member-less IXP its own bit, and no
-    # ball would ever equal ``full``.
-    slot = {x: k for k, x in enumerate(members)}
-    at = dict.fromkeys(asns, 0)
-    for x, k in slot.items():
-        for a in graph.members(x):
-            at[a] |= 1 << k
-    near = [reduce(or_, map(at.__getitem__, graph.members(x)), 0) for x in members]
+    # IXP space, on the IXP index: near[k] is the ball of radius 1 around
+    # IXP k, every IXP sharing a member with it. A member-less IXP's ball is
+    # 0, not its own bit, so that ``full`` holds only IXPs with a member.
+    ixps, _, near = index(graph, NodeClass.IXP)
+    member_masks = [members[x] for x in ixps]
+    near = [r if m else 0 for r, m in zip(near, member_masks)]
     full = reduce(or_, near, 0)  # every IXP with a member
-    member_masks = list(members.values())
     union = reduce(or_, member_masks, 0)  # every AS at some IXP
     reach_of = dict(zip(asns, reach))
     # rings[x][k-1]: the ASes within k IXPs of IXP x, up to the first ring
     # that holds every AS x ever reaches; a deeper ring equals the last.
     rings: dict[str, list[int]] = {}
-    for x, k in slot.items():
-        if not members[x]:
+    for k, x in enumerate(ixps):
+        if not member_masks[k]:
             continue
-        ring = [members[x], reduce(or_, map(reach_of.__getitem__, graph.members(x)))]
+        ring = [member_masks[k], reduce(or_, map(reach_of.__getitem__, graph.members(x)))]
         ball = frontier = near[k]
         while ring[-1] != union:
             frontier = reduce(or_, map(near.__getitem__, bits(frontier)), 0) & ~ball
@@ -256,11 +251,19 @@ def multiplicity_distribution(graph: BipartiteGraph, node_class: NodeClass) -> D
 
 
 def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
-    """Gain distribution over all ordered co-located AS pairs."""
+    """Gain distribution over all ordered co-located AS pairs.
+
+    On the AS reach masks R, the gain of i through j is the ASes j meets
+    that i does not, |R_j| - |R_i & R_j|. The intersection is symmetric, so
+    one AND and popcount per unordered pair i < j gives both gains."""
     _, _, reach = index(graph, NodeClass.AS)
+    size = [r.bit_count() for r in reach]
     tally: Counter = Counter()
-    for i in range(len(reach)):
-        tally.update(partner_gains(reach, i)[1])
+    for i, r in enumerate(reach):
+        js = bits(r, i + 1)
+        common = list(map(int.bit_count, map(r.__and__, map(reach.__getitem__, js))))
+        tally.update(map(sub, map(size.__getitem__, js), common))
+        tally.update(map(size[i].__sub__, common))
     return Distribution.from_counts(tally)
 
 
@@ -358,7 +361,7 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
     full, far = (1 << n) - 1, 0  # far: sources of a pair with no common neighbour
     counters: dict[int, list[int]] = {}
     for s, mask in enumerate(nb):
-        for t in bits((full ^ reach[s]) >> s << s):  # t > s, not adjacent
+        for t in bits(full ^ reach[s], s + 1):  # t > s, not adjacent
             if common := mask & nb[t]:
                 counter_add(counters.setdefault(common.bit_count(), []), common)
             else:  # at distance 3 or more, or apart

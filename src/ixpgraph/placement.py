@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NoLocationData, Uncoverable, UnknownNode, UnknownTarget
 from .model import BipartiteGraph, NodeClass
-from .projection import index, partner_gains
+from .projection import bits, index
 
 
 class CoverageInstance(namedtuple("CoverageInstance", "universe candidates cost weight")):
@@ -164,8 +164,10 @@ def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     if asn not in graph.ases:
         raise UnknownNode(f"unknown AS {asn}")
     asns, _, reach = index(graph, NodeClass.AS)
-    partners, gains = partner_gains(reach, asns.index(asn))
-    return sorted(zip([asns[j] for j in partners], gains), key=lambda bg: (-bg[1], bg[0]))
+    i = asns.index(asn)
+    missing = ~reach[i]  # a partner's gain: the ASes it meets that asn does not
+    gains = [(asns[j], (reach[j] & missing).bit_count()) for j in bits(reach[i] & ~(1 << i))]
+    return sorted(gains, key=lambda bg: (-bg[1], bg[0]))
 
 
 def site_selection_score(graph: BipartiteGraph, location: tuple[str, str]) -> float:

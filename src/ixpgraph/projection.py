@@ -4,7 +4,9 @@ IXPs i and j are joined in the IXP projection by one parallel edge per AS
 that is a member of both; the AS projection swaps the roles. Every
 projection metric reads the projection off one bitmask index: the nodes
 of the class in sorted order, each other-class node's neighbours as a
-bitmask over those indices, and each node's reach mask.
+bitmask over those indices, and each node's reach mask. ``index`` is the
+only code that builds masks from the graph; ``bits`` lists their set
+bits, from a given index up.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .model import BipartiteGraph, NodeClass
 BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to 0/1 bytes for compress()
 
 
-def bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending, picked at C speed.
-    The cost is O(bit length), not O(popcount): a sparse mask over many
-    nodes costs as much as a full one."""
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(BIT_FLAGS)))
+def bits(mask: int, low: int = 0) -> list[int]:
+    """Indices of the set bits of ``mask`` at or above ``low``, ascending,
+    picked at C speed. The cost is O(bit length - low), not O(popcount): a
+    sparse mask over many nodes costs as much as a full one."""
+    return list(compress(count(low), bin(mask >> low)[:1:-1].encode().translate(BIT_FLAGS)))
 
 
 def counter_add(planes: list[int], mask: int) -> None:
@@ -49,16 +51,7 @@ def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, lis
     else:
         nodes, others = sorted(graph.ases), graph.ixps
         of_node, of_other = graph.memberships, graph.members
-    position = {v: i for i, v in enumerate(nodes)}
-    masks = {o: sum(1 << position[v] for v in of_other(o)) for o in others}
-    reach = [reduce(or_, map(masks.get, of_node(v)), 1 << i) for i, v in enumerate(nodes)]
+    bit = {v: 1 << i for i, v in enumerate(nodes)}
+    masks = {o: sum(map(bit.__getitem__, of_other(o))) for o in others}
+    reach = [reduce(or_, map(masks.get, of_node(v)), bit[v]) for v in nodes]
     return nodes, masks, reach
-
-
-def partner_gains(reach: list[int], i: int) -> tuple[list[int], list[int]]:
-    """On the AS-class reach masks: the ASes co-located with AS i (the set
-    bits j != i of ``reach[i]``) and the remote-peering gain of i through
-    each, the ASes j meets that i does not: ``(reach[j] & ~reach[i]).bit_count()``."""
-    partners = bits(reach[i] & ~(1 << i))
-    missing = ~reach[i]
-    return partners, [(reach[j] & missing).bit_count() for j in partners]

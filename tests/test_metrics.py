@@ -171,18 +171,26 @@ class TestShortestPathIxpCounts:
         graph = graph_of({1: ("X1",), 2: ("X1", "X2"), 3: ("X2",)})
         assert shortest_path_ixp_counts(graph).values == ((1, 2), (2, 1))
 
+    @staticmethod
+    def random_graphs(rng: random.Random) -> list:
+        """Five small connected graphs, then 40 with at least 10 IXPs, whose
+        ids come in as X1, X2, ..., X10, out of sorted order (X1, X10, X2)."""
+        graphs = [giant_component(random_bipartite(rng, max_ixps=8, max_ases=25))
+                  for _ in range(5)]
+        while len(graphs) < 45:
+            graph = giant_component(random_bipartite(rng, max_ixps=14, max_ases=25))
+            if len(graph.ixps) >= 10:
+                graphs.append(graph)
+        return graphs
+
     def test_matches_naive_oracle_on_random_graphs(self):
-        rng = random.Random(11)
-        for _ in range(5):
-            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25))
+        for graph in self.random_graphs(random.Random(11)):
             expected = bf_ixp_count_distribution(graph)
             got = shortest_path_ixp_counts(graph)
             assert dict(got.values) == dict(expected)
 
     def test_sampled_matches_oracle_on_random_graphs(self):
-        rng = random.Random(17)
-        for _ in range(5):
-            graph = giant_component(random_bipartite(rng, max_ixps=8, max_ases=25))
+        for graph in self.random_graphs(random.Random(17)):
             n = len(graph.ases)
             for k, seed in ((1, 0), (2, 5), (n // 2, 42), (n - 1, 7)):
                 if not 0 < k < n:

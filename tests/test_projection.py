@@ -11,7 +11,7 @@ from ixpgraph.model import (
     MembershipEdge,
     NodeClass,
 )
-from ixpgraph.projection import bits, counter_add, index, partner_gains
+from ixpgraph.projection import bits, counter_add, index
 
 from conftest import build_graph, index_edges, random_bipartite
 from oracles import bf_project, project
@@ -74,6 +74,16 @@ class TestProjectG0:
         # Dense, a lone top bit and alternating bits, at 5000 bits.
         for m in ((1 << 5000) - 1, 1 << 4999, int("10" * 2500, 2), int("01" * 2500, 2)):
             assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+        # Only the set bits at or above ``low``: low 0, on a set bit, between
+        # set bits, and past the top bit.
+        assert bits(0b10110, 0) == [1, 2, 4]
+        assert bits(0b10110, 2) == [2, 4]
+        assert bits(0b10110, 3) == [4]
+        assert bits(0b10110, 5) == bits(0b10110, 300) == []
+        assert bits(0, 7) == []
+        m = int("01" * 2500, 2)
+        for low in (0, 1, 2, 2501, 4998, 4999, 5000):
+            assert bits(m, low) == [i for i in range(low, 5000) if m >> i & 1]
 
     def test_counter_add(self):
         # Plane k of the counter holds bit k of each position's count.
@@ -88,13 +98,6 @@ class TestProjectG0:
                     for i in range(width)] == counts
             assert not planes or planes[-1]  # no empty top plane
             assert len(planes) == max(counts).bit_length()
-
-    def test_partner_gains(self, g0):
-        # A1 meets A2 and A3 at X1; each brings A4, which A1 cannot reach.
-        _, _, reach = index(g0, NodeClass.AS)
-        assert partner_gains(reach, 0) == ([1, 2], [1, 1])
-        # A2 already reaches every AS, so no partner brings it anything.
-        assert partner_gains(reach, 1) == ([0, 2, 3], [0, 0, 0])
 
 
 class TestMultiplicity:
