@@ -39,7 +39,8 @@ class MetricOutput(NamedTuple):
 
 
 def _require_types(graph: BipartiteGraph) -> None:
-    if all(node.as_type is AsType.UNKNOWN for node in graph.ases.values()):
+    # An empty graph goes on to the kernel, which names it empty.
+    if graph.num_nodes and all(node.as_type is AsType.UNKNOWN for node in graph.ases.values()):
         raise InsufficientData(
             "metric needs AS types, but no AS in the graph has one attached"
         )

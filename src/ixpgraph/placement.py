@@ -7,6 +7,7 @@ here are the classic deterministic greedy approximations.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
@@ -36,6 +37,10 @@ class CoverageInstance(namedtuple("CoverageInstance", "universe candidates cost 
             raise ValueError("costs must be finite and positive")
         if not all(0 < w < math.inf for w in weight.values()):
             raise ValueError("weights must be finite and positive")
+        try:  # then every subset sum the solvers take is finite too
+            math.fsum(weight.values())
+        except OverflowError:
+            raise ValueError("weights must have a finite sum") from None
         return tuple.__new__(cls, (universe, candidates, cost, weight))
 
 
@@ -46,14 +51,12 @@ class PlacementSolution(NamedTuple):
     total_weight: float
 
 
-def _solution(instance: CoverageInstance, chosen: Iterable[str]) -> PlacementSolution:
-    chosen = tuple(chosen)
-    covered = frozenset().union(*(instance.candidates[c] for c in chosen)) if chosen else frozenset()
+def _solution(instance: CoverageInstance, chosen: list[str], covered) -> PlacementSolution:
     return PlacementSolution(
-        chosen=chosen,
-        covered=covered,
+        chosen=tuple(chosen),
+        covered=frozenset(covered),
         total_cost=sum(instance.cost[c] for c in chosen),
-        total_weight=sum(instance.weight[a] for a in covered),
+        total_weight=math.fsum(instance.weight[a] for a in covered),
     )
 
 
@@ -85,30 +88,33 @@ def build_instance(
 
 
 def _greedy(instance: CoverageInstance, ratio, budget: float) -> PlacementSolution:
-    """Picks, round after round, the affordable candidate that adds weight
-    with the least key ``(ratio(cost, new_weight), -new_weight, ixp_id)``,
-    until no candidate left within the budget adds any. A chosen
-    candidate adds no weight, so it is never picked twice."""
+    """Lazy greedy (Minoux 1978; CELF): picks, round after round, the
+    affordable candidate that adds weight with the least key
+    ``(ratio(cost, new_weight), -new_weight, ixp_id)``, until none adds any.
+    An fsum never grows as the set shrinks, so a stale heap key is a lower
+    bound and a popped candidate whose fresh key still leads is the full
+    scan's pick. Adding nothing or costing more than the budget left is
+    final, so such a candidate is dropped for good."""
     chosen = []
     covered: set[int] = set()
     remaining = budget
-    while True:
-        best = None
-        best_key = None
-        for ixp_id, subset in instance.candidates.items():
-            if instance.cost[ixp_id] > remaining:
-                continue
-            new_weight = sum(instance.weight[a] for a in subset - covered)
-            if new_weight <= 0:
-                continue
-            key = (ratio(instance.cost[ixp_id], new_weight), -new_weight, ixp_id)
-            if best_key is None or key < best_key:
-                best, best_key = ixp_id, key
-        if best is None:
-            return _solution(instance, chosen)
-        chosen.append(best)
-        covered |= instance.candidates[best]
-        remaining -= instance.cost[best]
+    # Every candidate enters below any computed key (whose -new_weight is
+    # finite), so each is keyed once against the empty cover before a pick.
+    heap = [(-math.inf, -math.inf, ixp_id) for ixp_id in sorted(instance.candidates)]
+    while heap:
+        ixp_id = heapq.heappop(heap)[2]
+        new = instance.candidates[ixp_id] - covered
+        if not new or instance.cost[ixp_id] > remaining:
+            continue
+        new_weight = math.fsum(instance.weight[a] for a in new)
+        key = (ratio(instance.cost[ixp_id], new_weight), -new_weight, ixp_id)
+        if heap and heap[0] < key:
+            heapq.heappush(heap, key)
+            continue
+        chosen.append(ixp_id)
+        covered |= new
+        remaining -= instance.cost[ixp_id]
+    return _solution(instance, chosen, covered)
 
 
 def greedy_set_cover(instance: CoverageInstance) -> PlacementSolution:
@@ -118,12 +124,11 @@ def greedy_set_cover(instance: CoverageInstance) -> PlacementSolution:
     weight; ties go to the larger newly covered weight, then to the
     lexicographically smallest ixp_id, making the pick order total.
     """
-    coverable = frozenset().union(*instance.candidates.values()) if instance.candidates else frozenset()
-    residue = instance.universe - coverable
+    solution = _greedy(instance, lambda cost, new_weight: cost / new_weight, math.inf)
+    residue = instance.universe - solution.covered
     if residue:
         raise Uncoverable(residue)
-
-    return _greedy(instance, lambda cost, new_weight: cost / new_weight, math.inf)
+    return solution
 
 
 def budgeted_max_coverage(instance: CoverageInstance, budget: float) -> PlacementSolution:
@@ -140,18 +145,10 @@ def budgeted_max_coverage(instance: CoverageInstance, budget: float) -> Placemen
 
     greedy = _greedy(instance, lambda cost, new_weight: -new_weight / cost, budget)
 
-    singles = [
-        ixp_id for ixp_id in instance.candidates if instance.cost[ixp_id] <= budget
-    ]
-    if singles:
-        best_single = min(
-            singles,
-            key=lambda c: (-sum(instance.weight[a] for a in instance.candidates[c]), c),
-        )
-        single = _solution(instance, [best_single])
-        if single.total_weight > greedy.total_weight:
-            return single
-    return greedy
+    singles = (_solution(instance, [c], s) for c, s in sorted(instance.candidates.items())
+               if instance.cost[c] <= budget)
+    single = max(singles, key=lambda s: s.total_weight, default=greedy)
+    return single if single.total_weight > greedy.total_weight else greedy
 
 
 def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:

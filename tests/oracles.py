@@ -7,7 +7,8 @@ betweenness oracle is Brandes' algorithm in exact rationals, which the
 kernel must match bit for bit; networkx's float version is a second,
 near-equal oracle. The clustering oracle is networkx's, matched value for
 value. The graph-file oracle is the plain writer: a dict of the graph
-through ``json.dumps(sort_keys=True, indent=2)``.
+through ``json.dumps(sort_keys=True, indent=2)``. The placement greedy's
+oracle rescans every candidate on each pick.
 """
 
 from __future__ import annotations
@@ -365,6 +366,54 @@ def exhaustive_cover_oracle(
     if best is None:
         raise Uncoverable(instance.universe - frozenset().union(*instance.candidates.values()))
     return best
+
+
+def _bf_solution(instance: CoverageInstance, chosen) -> PlacementSolution:
+    covered = frozenset(a for c in chosen for a in instance.candidates[c])
+    return PlacementSolution(
+        chosen=tuple(chosen),
+        covered=covered,
+        total_cost=sum(instance.cost[c] for c in chosen),
+        total_weight=math.fsum(instance.weight[a] for a in covered),
+    )
+
+
+def scan_greedy(instance: CoverageInstance, budget: float | None = None) -> PlacementSolution:
+    """The coverage greedy by a full rescan of every candidate per pick.
+
+    Without a budget: the cost-per-new-weight cover, raising Uncoverable
+    for what no candidate covers. With one: the new-weight-per-cost greedy
+    within it, or the heaviest affordable single candidate (lowest id on
+    ties) when that weighs strictly more. New weights are ``fsum``s, and
+    each pick is the least ``(ratio, -new_weight, ixp_id)``.
+    """
+    remaining = math.inf if budget is None else budget
+    chosen: list[str] = []
+    covered: set[int] = set()
+    while True:
+        keys = []
+        for ixp_id in sorted(instance.candidates):
+            cost = instance.cost[ixp_id]
+            new_weight = math.fsum(instance.weight[a] for a in instance.candidates[ixp_id]
+                                   if a not in covered)
+            if cost <= remaining and new_weight > 0:
+                ratio = cost / new_weight if budget is None else -new_weight / cost
+                keys.append((ratio, -new_weight, ixp_id))
+        if not keys:
+            break
+        best = min(keys)[2]
+        chosen.append(best)
+        covered |= instance.candidates[best]
+        remaining -= instance.cost[best]
+    greedy = _bf_solution(instance, chosen)
+    if budget is None:
+        if greedy.covered != instance.universe:
+            raise Uncoverable(instance.universe - greedy.covered)
+        return greedy
+    singles = [_bf_solution(instance, [c]) for c in sorted(instance.candidates)
+               if instance.cost[c] <= budget]
+    single = min(singles, key=lambda s: (-s.total_weight, s.chosen), default=greedy)
+    return single if single.total_weight > greedy.total_weight else greedy
 
 
 def harmonic(n: int) -> float:

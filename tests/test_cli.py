@@ -244,6 +244,18 @@ class TestMetrics:
             assert code == 1
             assert "AS types" in err
 
+    @pytest.mark.parametrize("which", ["table1", "member-types", "member-types-cdf"])
+    def test_type_metric_on_empty_graph(self, tmp_path, capsys, which):
+        # An empty graph is named as such, not blamed on missing AS types.
+        path = tmp_path / "empty.json"
+        serialization.write_graph(BipartiteGraph(), path)
+        assert run(capsys, "metrics", str(path), which) == (
+            1, "", "error: graph has no vertices\n")
+        # With an IXP but no AS, it is still the AS types that are missing.
+        serialization.write_graph(build_graph([IxpNode("X1", ["X1"])], [], []), path)
+        assert run(capsys, "metrics", str(path), which) == (
+            1, "", "error: metric needs AS types, but no AS in the graph has one attached\n")
+
     def test_gain_cdf_csv(self, g0_file, capsys):
         _, out, _ = run(capsys, "metrics", str(g0_file), "gain-cdf")
         assert out == "gain,count,cdf\n0,6,0.6\n1,4,1.0\n"
@@ -395,6 +407,36 @@ class TestPlace:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.endswith(": ''\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [",", " , ,", "@"], ids=["comma", "commas", "empty-file"])
+    def test_empty_target_list_is_one_line_error(self, g0_file, tmp_path, capsys, spec):
+        if spec == "@":
+            empty = tmp_path / "targets.txt"
+            empty.write_text("\n", encoding="utf-8")
+            spec += str(empty)
+        assert run(capsys, "place", str(g0_file), "cover", "--targets", spec) == (
+            1, "", "error: empty target list\n")
+
+    @pytest.mark.parametrize("flag, row", [("--costs", "X1,1,2"), ("--weights", "4,1,2")])
+    def test_map_file_row_of_three_fields_is_one_line_error(self, g0_file, tmp_path, capsys,
+                                                           flag, row):
+        path = tmp_path / "values.csv"
+        header = "ixp_id,cost" if flag == "--costs" else "asn,weight"
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        assert run(capsys, "place", str(g0_file), "cover", "--targets", "all",
+                   flag, str(path)) == (1, "", f"error: {path}: expected 2 columns, got 3\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["4,0"], "weights must be finite and positive"),
+        # Each weight is finite; their sum is not.
+        ([f"{a},1{'0' * 308}" for a in (2, 3)], "weights must have a finite sum"),
+    ], ids=["zero", "overflowing-sum"])
+    def test_bad_weights_are_one_line_error(self, g0_file, tmp_path, capsys, rows, message):
+        path = tmp_path / "weights.csv"
+        path.write_text("\n".join(["asn,weight", *rows]) + "\n", encoding="utf-8")
+        for problem in (["cover"], ["budget", "--budget", "1"]):
+            assert run(capsys, "place", str(g0_file), *problem, "--targets", "all",
+                       "--weights", str(path)) == (1, "", f"error: {message}\n")
 
     def test_tunnels(self, g0_file, capsys):
         code, out, _ = run(capsys, "place", str(g0_file), "tunnels", "--as", "A1")

@@ -139,6 +139,11 @@ class TestBipartiteGraph:
         with pytest.raises(UnknownNode):
             g0.memberships(99)
 
+    def test_equality_with_another_type_is_not_implemented(self, g0):
+        assert BipartiteGraph().__eq__(object()) is NotImplemented
+        assert (BipartiteGraph() == object()) is False
+        assert g0 != "g0"
+
     def test_counts(self, g0):
         assert g0.num_nodes == 7
         assert g0.num_edges == 7

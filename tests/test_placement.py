@@ -26,7 +26,7 @@ from ixpgraph.placement import (
 )
 
 from conftest import build_graph, gain_test_graphs, make_g0
-from oracles import bf_gain, exhaustive_cover_oracle, harmonic
+from oracles import bf_gain, exhaustive_cover_oracle, harmonic, scan_greedy
 
 
 def instance_of(candidates: dict[str, set[int]],
@@ -54,6 +54,48 @@ def random_instance(rng: random.Random, max_candidates: int = 12) -> CoverageIns
     universe = set().union(*candidates.values())
     weight = {a: rng.uniform(0.5, 3.0) for a in universe}
     return instance_of(candidates, cost, weight)
+
+
+def tied_instance(rng: random.Random) -> CoverageInstance:
+    """A random instance full of near-ties: costs drawn from three prices,
+    so cost ties are common; decimal weights such as 0.1 and 0.7, whose
+    float sums depend on order; and ASNs spread over 32 bits, so a set's
+    iteration order follows the order its elements went in."""
+    asns = rng.sample(range(1, 2**32), rng.randint(1, 15))
+    prices = [rng.choice((0.1, 0.3, 0.7, 1.1, 2.5)) for _ in range(2)] + [rng.uniform(0.1, 3.0)]
+    candidates = {}
+    for i in range(rng.randint(1, 12)):
+        subset = {a for a in asns if rng.random() < 0.4}
+        if subset:
+            candidates[f"X{i:02d}"] = subset
+    if not candidates:
+        candidates = {"X00": {asns[0]}}
+    cost = {c: rng.choice(prices) for c in candidates}
+    weight = {a: rng.choice((0.1, 0.2, 0.3, 0.7, 1.1, rng.uniform(0.1, 3.0))) for a in asns}
+    return instance_of(candidates, cost, weight)
+
+
+def tied_budgets(rng: random.Random, instance: CoverageInstance) -> tuple[float, ...]:
+    """A budget below every cost, one equal to a cost, and one in between
+    the cheapest cost and the sum of all costs."""
+    costs = sorted(instance.cost.values())
+    return (costs[0] * rng.uniform(0.1, 0.99), rng.choice(costs),
+            rng.uniform(costs[0], sum(costs)))
+
+
+def shuffled(rng: random.Random, instance: CoverageInstance) -> CoverageInstance:
+    """The same instance with every dict and set filled in a shuffled order."""
+    def mixed(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    return CoverageInstance(
+        universe=frozenset(mixed(instance.universe)),
+        candidates={c: frozenset(mixed(instance.candidates[c])) for c in mixed(instance.candidates)},
+        cost={c: instance.cost[c] for c in mixed(instance.cost)},
+        weight={a: instance.weight[a] for a in mixed(instance.weight)},
+    )
 
 
 class TestCoverageInstance:
@@ -87,6 +129,15 @@ class TestCoverageInstance:
     def test_nonpositive_cost_rejected(self):
         with pytest.raises(ValueError):
             instance_of({"X1": {1}}, cost={"X1": 0.0})
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf")])
+    def test_weight_not_finite_and_positive_rejected(self, bad):
+        with pytest.raises(ValueError, match="^weights must be finite and positive$"):
+            instance_of({"X1": {1, 2}}, weight={1: 1.0, 2: bad})
+
+    def test_weights_with_an_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="^weights must have a finite sum$"):
+            instance_of({"X1": {1, 2}}, weight={1: 1e308, 2: 1e308})
 
 
 class TestBuildInstance:
@@ -254,6 +305,39 @@ class TestDeterminism:
             assert greedy_set_cover(instance) == greedy_set_cover(instance)
             assert (budgeted_max_coverage(instance, 3.0)
                     == budgeted_max_coverage(instance, 3.0))
+
+
+class TestAgainstScanOracle:
+    def test_equals_full_scan_on_near_ties(self):
+        rng = random.Random(22)
+        for _ in range(1200):
+            instance = tied_instance(rng)
+            assert greedy_set_cover(instance) == scan_greedy(instance)
+            for budget in tied_budgets(rng, instance):
+                assert budgeted_max_coverage(instance, budget) == scan_greedy(instance, budget)
+
+    def test_equals_full_scan_when_ratios_overflow(self):
+        # Weight over cost past the float range: budget keys tie at -inf and
+        # fall to the newly covered weight.
+        rng = random.Random(24)
+        for _ in range(300):
+            candidates = {f"X{i}": {a for a in range(1, 9) if rng.random() < 0.4} or {1}
+                          for i in range(rng.randint(1, 6))}
+            cost = {c: rng.choice((1e-300, 2e-300, 1e-10, 1.0)) for c in candidates}
+            weight = {a: rng.choice((1e300, 1e299, 5.0)) for a in range(1, 9)}
+            instance = instance_of(candidates, cost, weight)
+            assert greedy_set_cover(instance) == scan_greedy(instance)
+            for budget in (1e-300, 1e-10, 1.0, 3.0):
+                assert budgeted_max_coverage(instance, budget) == scan_greedy(instance, budget)
+
+    def test_solution_does_not_depend_on_build_order(self):
+        rng = random.Random(23)
+        for _ in range(1000):
+            instance = tied_instance(rng)
+            again = shuffled(rng, instance)
+            assert greedy_set_cover(again) == greedy_set_cover(instance)
+            for budget in tied_budgets(rng, instance):
+                assert budgeted_max_coverage(again, budget) == budgeted_max_coverage(instance, budget)
 
 
 class TestRankTunnels:
