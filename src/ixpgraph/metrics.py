@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
 from math import fsum, inf, isfinite, lcm, sqrt
 from operator import or_, sub
@@ -294,15 +294,13 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     return sxy / spread
 
 
-_GUARD = 64  # bits of each far-pair reciprocal 2**P // σ kept past the largest path count σ
-
-
-def _far_pass(nb: list[int], sources: list[int], fraction=None) -> tuple[list, int]:
+def _far_pass(nb: list[int], sources: list[int]) -> tuple[list[int], int]:
     """Brandes' dependencies (2001) on the targets at BFS level 3 or more, per
     source on exact path counts σ: D(w) = [level(w) >= 3] / σ_w + Σ_succ D, and
-    v gains σ_v Σ_succ D. 1 / σ is ``fraction(1, σ)`` if given, else 2**P // σ,
-    P being ``_GUARD`` bits past the largest σ so far. Returns totals and P."""
-    total, p = [0] * len(nb), 0
+    v gains σ_v Σ_succ D. Every D is an integer count of 1 / L, L the lcm of
+    the σ of every far target so far, and the totals are rescaled as L grows.
+    Returns the totals, in units of 1 / L, and L."""
+    total, scale = [0] * len(nb), 1
     for s in sources:
         sigma = [0] * len(nb)
         sigma[s] = 1
@@ -319,12 +317,9 @@ def _far_pass(nb: list[int], sources: list[int], fraction=None) -> tuple[list, i
             levels.append((new, level))
         if len(levels) < 4:
             continue  # no target at level 3 or more
-        if fraction:
-            recip = partial(fraction, 1)
-        else:
-            if (shift := max(sigma).bit_length() + _GUARD - p) > 0:
-                total, p = [t << shift for t in total], p + shift
-            recip = (1 << p).__floordiv__
+        grown = lcm(scale, *{sigma[w] for _, level in levels[3:] for w in level})
+        if grown != scale:
+            total, scale = [t * (grown // scale) for t in total], grown
         dep = [0] * len(nb)
         below = 0
         for d in range(len(levels) - 1, 0, -1):
@@ -333,9 +328,9 @@ def _far_pass(nb: list[int], sources: list[int], fraction=None) -> tuple[list, i
                 # bits()' walk inline, picking dep itself: sum of D over w's successors.
                 succ = sum(compress(dep, bin(nb[w] & below)[:1:-1].encode().translate(BIT_FLAGS)))
                 total[w] += sigma[w] * succ
-                dep[w] = succ + recip(sigma[w]) if d >= 3 else succ
+                dep[w] = succ + scale // sigma[w] if d >= 3 else succ
             below = mask
-    return total, p
+    return total, scale
 
 
 def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict:
@@ -348,10 +343,8 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
     c = |N(s) & N(t)| common neighbours: its common mask goes into a
     bit-sliced counter for c, and v's part is 2 Σ_c count_c(v) (L // c) / L,
     with L the lcm of the c's. Pairs further apart come from ``_far_pass``,
-    run only from sources whose BFS reaches level 3. In fixed point each
-    floor leaves a total t low by at most ``t >> _GUARD`` rounded up; where
-    that bound does not round to the same float as t, the far pass is redone
-    with exact ``Fraction`` reciprocals.
+    run only from sources whose BFS reaches level 3, in units of its own
+    common multiple; the two parts meet over the product of both multiples.
     """
     nodes, _, reach = index(graph, node_class)
     if not nodes:
@@ -374,14 +367,8 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
             for v in bits(plane):
                 near[v] += weight
     norm = multiple * max((n - 1) * (n - 2), 1)
-    total, p = _far_pass(nb, bits(far))
-    values = [((a << p) + t * multiple) / (norm << p) for a, t in zip(near, total)]
-    if values != [((a << p) + (t - (-t >> _GUARD)) * multiple) / (norm << p)
-                  for a, t in zip(near, total)]:
-        from fractions import Fraction  # only when a bound fails to certify
-        total, _ = _far_pass(nb, bits(far), Fraction)
-        values = [float((a + t * multiple) / norm) for a, t in zip(near, total)]
-    return dict(zip(nodes, values))
+    total, scale = _far_pass(nb, bits(far))
+    return {v: (a * scale + t * multiple) / (norm * scale) for v, a, t in zip(nodes, near, total)}
 
 
 def clustering_coefficient(graph: BipartiteGraph, node_class: NodeClass) -> dict:

@@ -93,27 +93,29 @@ def _greedy(instance: CoverageInstance, ratio, budget: float) -> PlacementSoluti
     ``(ratio(cost, new_weight), -new_weight, ixp_id)``, until none adds any.
     An fsum never grows as the set shrinks, so a stale heap key is a lower
     bound and a popped candidate whose fresh key still leads is the full
-    scan's pick. Adding nothing or costing more than the budget left is
-    final, so such a candidate is dropped for good."""
+    scan's pick. A candidate is affordable while the exact sum of the chosen
+    costs and its own is within the budget; a correctly rounded fsum has
+    the exact sum's sign. Adding nothing or being unaffordable is final, so
+    such a candidate is dropped for good."""
     chosen = []
     covered: set[int] = set()
-    remaining = budget
     # Every candidate enters below any computed key (whose -new_weight is
     # finite), so each is keyed once against the empty cover before a pick.
     heap = [(-math.inf, -math.inf, ixp_id) for ixp_id in sorted(instance.candidates)]
     while heap:
         ixp_id = heapq.heappop(heap)[2]
         new = instance.candidates[ixp_id] - covered
-        if not new or instance.cost[ixp_id] > remaining:
+        cost = instance.cost[ixp_id]
+        if not new or budget < math.inf and math.fsum(
+                [-budget, *map(instance.cost.__getitem__, chosen), cost]) > 0:
             continue
         new_weight = math.fsum(instance.weight[a] for a in new)
-        key = (ratio(instance.cost[ixp_id], new_weight), -new_weight, ixp_id)
+        key = (ratio(cost, new_weight), -new_weight, ixp_id)
         if heap and heap[0] < key:
             heapq.heappush(heap, key)
             continue
         chosen.append(ixp_id)
         covered |= new
-        remaining -= instance.cost[ixp_id]
     return _solution(instance, chosen, covered)
 
 

@@ -358,7 +358,7 @@ def exhaustive_cover_oracle(
                     continue
                 key = (sol.total_cost, len(combo), combo)
             else:
-                if sol.total_cost > budget:
+                if sum(Fraction(instance.cost[c]) for c in combo) > budget:
                     continue
                 key = (-sol.total_weight, sol.total_cost, combo)
             if best_key is None or key < best_key:
@@ -384,10 +384,11 @@ def scan_greedy(instance: CoverageInstance, budget: float | None = None) -> Plac
     Without a budget: the cost-per-new-weight cover, raising Uncoverable
     for what no candidate covers. With one: the new-weight-per-cost greedy
     within it, or the heaviest affordable single candidate (lowest id on
-    ties) when that weighs strictly more. New weights are ``fsum``s, and
-    each pick is the least ``(ratio, -new_weight, ixp_id)``.
+    ties) when that weighs strictly more. New weights are ``fsum``s, each
+    pick is the least ``(ratio, -new_weight, ixp_id)``, and a candidate is
+    affordable when the exact sum of its cost and the chosen ones is within
+    the budget.
     """
-    remaining = math.inf if budget is None else budget
     chosen: list[str] = []
     covered: set[int] = set()
     while True:
@@ -396,7 +397,9 @@ def scan_greedy(instance: CoverageInstance, budget: float | None = None) -> Plac
             cost = instance.cost[ixp_id]
             new_weight = math.fsum(instance.weight[a] for a in instance.candidates[ixp_id]
                                    if a not in covered)
-            if cost <= remaining and new_weight > 0:
+            affordable = budget is None or sum(
+                map(Fraction, [cost, *(instance.cost[c] for c in chosen)])) <= budget
+            if affordable and new_weight > 0:
                 ratio = cost / new_weight if budget is None else -new_weight / cost
                 keys.append((ratio, -new_weight, ixp_id))
         if not keys:
@@ -404,7 +407,6 @@ def scan_greedy(instance: CoverageInstance, budget: float | None = None) -> Plac
         best = min(keys)[2]
         chosen.append(best)
         covered |= instance.candidates[best]
-        remaining -= instance.cost[best]
     greedy = _bf_solution(instance, chosen)
     if budget is None:
         if greedy.covered != instance.universe:

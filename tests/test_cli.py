@@ -1027,8 +1027,8 @@ class TestCommandStartUp:
 
     def test_betweenness_with_far_pairs_imports_no_fractions(self, tmp_path):
         # The IXP projection is the path X1 - X2 - X3 - X4 - X5, so the far
-        # pass runs; its fixed-point totals certify, and neither fractions
-        # nor decimal (3-4 ms to import) is loaded.
+        # pass runs on exact integer totals, and neither fractions nor
+        # decimal (3-4 ms to import) is loaded.
         ixps = [f"X{i}" for i in range(1, 6)]
         graph = build_graph([IxpNode(x, [x]) for x in ixps], [AsNode(a) for a in range(1, 5)],
                             [MembershipEdge(x, a) for a in range(1, 5) for x in ixps[a - 1:a + 1]])

@@ -5,12 +5,9 @@ import hashlib
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import networkx as nx
 import pytest
-
-import ixpgraph.metrics
 
 from ixpgraph.errors import (
     Disconnected,
@@ -618,27 +615,6 @@ class TestCentralityAndClustering:
         # (far pairs, disconnected): 93, 109, 134 and 260 graphs at this seed.
         assert shapes[True, True] >= 80 and shapes[True, False] >= 80
         assert shapes[False, True] >= 80 and shapes[False, False] >= 80
-
-    def test_betweenness_fallback_when_certification_fails(self, monkeypatch):
-        # With no guard bits the fixed-point bound is twice the far total,
-        # too loose to certify, so the far pass reruns on Fractions.
-        passes = []
-        far_pass = ixpgraph.metrics._far_pass
-
-        def spy(nb, sources, fraction=None):
-            passes.append(fraction)
-            return far_pass(nb, sources, fraction)
-
-        monkeypatch.setattr(ixpgraph.metrics, "_far_pass", spy)
-        monkeypatch.setattr(ixpgraph.metrics, "_GUARD", 0)
-        rng = random.Random(53)
-        graphs = [random_bipartite(rng, max_ixps=30, max_ases=12) for _ in range(40)]
-        graphs = [g for g in graphs if self.shape(g, NodeClass.IXP)[0]]
-        assert len(graphs) >= 10
-        for graph in graphs + [self.layered_graph()]:
-            passes.clear()
-            self.assert_betweenness(graph, NodeClass.IXP)
-            assert passes == [None, Fraction]
 
     @staticmethod
     def layered_graph():

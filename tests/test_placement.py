@@ -1,6 +1,8 @@
 """Coverage solvers, tunnel ranking, and site scoring."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -261,6 +263,33 @@ class TestBudgetedMaxCoverage:
             instance = random_instance(rng)
             budget = rng.uniform(0.5, 6.0)
             assert budgeted_max_coverage(instance, budget).total_cost <= budget + 1e-9
+
+    def test_float_costs_summing_past_budget(self):
+        # 0.1 + 0.2 + 0.3 as binary floats sum to just over 0.6.
+        instance = instance_of({"A": {1}, "B": {2}, "C": {3}},
+                               cost={"A": 0.1, "B": 0.2, "C": 0.3})
+        assert sum(map(Fraction, (0.1, 0.2, 0.3))) > Fraction(0.6)
+        assert budgeted_max_coverage(instance, 0.6).chosen == ("A", "B")
+
+    def test_exact_cost_sum_within_budget(self):
+        # Decimal costs and budgets, whose float sums round either way.
+        rng = random.Random(52)
+        for _ in range(1000):
+            instance = random_instance(rng)
+            cost = {c: rng.randint(1, 30) / 10 for c in instance.candidates}
+            instance = CoverageInstance(instance.universe, instance.candidates, cost, instance.weight)
+            budget = rng.randint(1, 60) / 10
+            chosen = budgeted_max_coverage(instance, budget).chosen
+            assert sum(Fraction(cost[c]) for c in chosen) <= Fraction(budget)
+
+    def test_costs_near_float_maximum(self):
+        top = sys.float_info.max
+        instance = instance_of({"A": {1}, "B": {2}, "C": {3}},
+                               cost={"A": top / 2, "B": top / 2, "C": top})
+        for budget in (top, top / 2, top * 0.75):
+            solution = budgeted_max_coverage(instance, budget)
+            assert sum(Fraction(instance.cost[c]) for c in solution.chosen) <= Fraction(budget)
+        assert budgeted_max_coverage(instance, top).chosen == ("A", "B")
 
 
 class TestExhaustiveOracle:
