@@ -130,6 +130,8 @@ def greedy_set_cover(instance: CoverageInstance) -> PlacementSolution:
     residue = instance.universe - solution.covered
     if residue:
         raise Uncoverable(residue)
+    if math.isinf(solution.total_cost):  # finite costs, but too many of them
+        raise ValueError("costs of the chosen IXPs must have a finite sum")
     return solution
 
 

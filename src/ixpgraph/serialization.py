@@ -4,15 +4,23 @@ The JSON writer is deterministic byte for byte: keys are sorted, arrays
 are emitted in a fixed order (IXPs by id, ASes by number, edges by
 (ixp_id, asn)), and the file ends with a single newline. Writing the
 same graph twice produces identical files, which makes snapshots
-diffable.
+diffable. The reader keeps what it validated in a cache beside the file
+(see ``read_graph``).
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
 import json
+import marshal
 import os
+import stat
+import sys
 from pathlib import Path
 
+from . import model
 from .errors import FormatError, UnknownEndpoint
 from .model import (
     AsNode,
@@ -27,6 +35,7 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
+_CACHE_FORMAT = b"ixpgraph graph cache 1"
 _str = json.encoder.encode_basestring_ascii  # json.dumps's escaper by default
 
 
@@ -127,6 +136,18 @@ def dumps_graph(graph: BipartiteGraph) -> str:
             f'\n  "ixps": {_array(ixps, "  ")},\n  "version": {FORMAT_VERSION}\n}}\n')
 
 
+def _write_atomically(target: Path, render) -> None:
+    """Write ``render()``'s bytes to a temp file in ``target``'s directory and
+    rename it over ``target``, so a failed write leaves the old file intact."""
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(render())
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after a successful replace
+
+
 def write_graph(graph: BipartiteGraph, path) -> None:
     """Write the graph atomically: a temp file in the target's directory is
     renamed over the target, so a failed write leaves the old file intact.
@@ -134,26 +155,126 @@ def write_graph(graph: BipartiteGraph, path) -> None:
     target = Path(path)
     if not target.name:
         raise ValueError(f"cannot write a graph to {str(path)!r}: not a file name")
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(dumps_graph(graph))
-        os.replace(tmp, target)
+        _write_atomically(target, lambda: dumps_graph(graph).encode())
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        tmp.unlink(missing_ok=True)  # already gone after a successful replace
 
 
 def read_graph(path) -> BipartiteGraph:
-    with open(path, encoding="utf-8") as fh:
+    """The graph a graph file holds, read and validated from its bytes once.
+
+    A regular file (not a pipe, and not named through a symlink) gets a cache
+    file beside it, ``.<name>.ixpgraph``, holding the validated graph. It is
+    keyed by a SHA-256 over the file's bytes, the source of this module and of
+    ``model``, and the interpreter's cache tag and marshal version. A later
+    read of the same bytes by the same code rebuilds the graph from the cache
+    without parsing or checking again. A cache that is missing, stale, corrupt,
+    a symlink or owned by another user than the file's owner is ignored and
+    rewritten; an error reading or writing it is ignored. A file that fails
+    validation writes no cache."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+        st = os.fstat(fh.fileno())
+    cache = _cache_path(path, st)
+    if cache is not None:
+        digest = _code_hash().copy()
+        digest.update(raw)
+        key = digest.digest()
+        graph = _load_cache(cache, key, st.st_uid)
+        if graph is not None:
+            return graph
+    try:  # decoded as a text-mode read would: UTF-8 only, universal newlines
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, not UTF-8, or an int past the digit limit
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
+    graph = graph_from_dict(data)
+    if cache is not None:
         try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, not UTF-8, or an int past the digit limit
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
-    return graph_from_dict(data)
+            _write_atomically(cache, lambda: _cache_bytes(key, graph))
+        except OSError:
+            pass  # an unwritable directory, say: the graph file stays the authority
+    return graph
+
+
+def _cache_path(path, st: os.stat_result) -> Path | None:
+    """Where the cache of the graph file at ``path``, whose open file ``st``
+    describes, lives; ``None`` when it gets none: when it is no regular file,
+    when ``path`` is a symlink (``/dev/stdin``, say) or when the reading code's
+    source cannot be read."""
+    if not stat.S_ISREG(st.st_mode) or _code_hash() is None:
+        return None
+    try:
+        if not os.path.samestat(os.lstat(path), st):
+            return None
+    except OSError:
+        return None
+    path = Path(path)
+    return path.with_name(f".{path.name}.ixpgraph")
+
+
+@functools.cache
+def _code_hash():
+    """A SHA-256 over what a cache entry's validity rests on apart from the
+    graph bytes: the cache format, the interpreter's cache tag and marshal
+    version, and the source of the reading and checking code; ``None`` when
+    that source cannot be read."""
+    digest = hashlib.sha256(_CACHE_FORMAT)
+    digest.update(f"\0{sys.implementation.cache_tag}\0{marshal.version}".encode())
+    try:
+        for name in (model.__file__, __file__):
+            source = Path(name).read_bytes()
+            digest.update(len(source).to_bytes(8, "big") + source)
+    except OSError:  # run from a zip archive, say
+        return None
+    return digest
+
+
+def _cache_bytes(key: bytes, graph: BipartiteGraph) -> bytes:
+    """``key``, the payload's SHA-256, then the payload: the graph's IXP, AS
+    and edge rows in dict order, each distinct ``sources`` set once."""
+    sets: dict[frozenset, int] = {}
+    edges = [(e.ixp_id, e.asn, e.member_ip, sets.setdefault(e.sources, len(sets)))
+             for e in graph.edges.values()]
+    payload = marshal.dumps((
+        [(n.ixp_id, n.names, n.peering_prefixes, n.location and tuple(n.location),
+          n.status.value) for n in graph.ixps.values()],
+        [(n.asn, n.as_type.value, n.prefix_count) for n in graph.ases.values()],
+        edges,
+        [[s.value for s in sources] for sources in sets],
+    ))
+    return key + hashlib.sha256(payload).digest() + payload
+
+
+def _load_cache(cache: Path, key: bytes, owner: int) -> BipartiteGraph | None:
+    """The graph in ``cache`` when it is a regular file owned by ``owner`` and
+    holds an intact payload stored under ``key``; ``None`` otherwise."""
+    try:
+        # No symlink is followed, and a pipe put here cannot block the open.
+        fd = os.open(cache, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        with open(fd, "rb") as fh:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode) or st.st_uid != owner:
+                return None
+            blob = fh.read()
+    except OSError:
+        return None
+    payload = memoryview(blob)[64:]
+    if blob[:32] != key or hashlib.sha256(payload).digest() != blob[32:64]:
+        return None
+    ixp_rows, as_rows, edge_rows, source_rows = marshal.loads(payload)
+    new = tuple.__new__
+    status, as_type = IxpStatus._value2member_map_, AsType._value2member_map_
+    ixps = {row[0]: new(IxpNode, (*row[:3], row[3] and new(Location, row[3]), status[row[4]]))
+            for row in ixp_rows}
+    ases = {asn: new(AsNode, (asn, as_type[kind], count)) for asn, kind, count in as_rows}
+    sets = [frozenset(map(Source._value2member_map_.__getitem__, values))
+            for values in source_rows]
+    edges = {(ixp_id, asn): new(MembershipEdge, (ixp_id, asn, ip, sets[k]))
+             for ixp_id, asn, ip, k in edge_rows}
+    return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
 
 
 def membership_edgelist(graph: BipartiteGraph) -> str:

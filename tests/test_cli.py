@@ -5,6 +5,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from ixpgraph.cli import _parse_asn_token, _read_map_file, main
 from ixpgraph.ingest import attach_attributes, parse_dataset
 from ixpgraph.model import (
     AsNode,
+    AsType,
     BipartiteGraph,
     IxpNode,
     Location,
@@ -29,6 +31,7 @@ from conftest import (
     build_graph,
     make_g0,
     paper_scale_graph,
+    random_bipartite,
     sanitize_fixture_files,
     write_membership_csv,
 )
@@ -437,6 +440,19 @@ class TestPlace:
         for problem in (["cover"], ["budget", "--budget", "1"]):
             assert run(capsys, "place", str(g0_file), *problem, "--targets", "all",
                        "--weights", str(path)) == (1, "", f"error: {message}\n")
+
+    def test_cover_costs_with_an_overflowing_sum_are_one_line_error(self, tmp_path, capsys):
+        # 21 IXPs, 5 ASes, each AS a member somewhere; every cost is finite,
+        # the sum of those the cover picks is not.
+        graph = random_bipartite(random.Random(11131))
+        assert (len(graph.ixps), len(graph.ases)) == (21, 5)
+        path, costs = tmp_path / "g.json", tmp_path / "costs.csv"
+        serialization.write_graph(graph, path)
+        costs.write_text("ixp_id,cost\n" + "".join(f"{x},1{'0' * 308}\n" for x in graph.ixps),
+                         encoding="utf-8")
+        assert run(capsys, "place", str(path), "cover", "--targets", "all",
+                   "--costs", str(costs)) == (
+            1, "", "error: costs of the chosen IXPs must have a finite sum\n")
 
     def test_tunnels(self, g0_file, capsys):
         code, out, _ = run(capsys, "place", str(g0_file), "tunnels", "--as", "A1")
@@ -1127,3 +1143,83 @@ class TestTracedBenchmarkModules:
         missing = {(module, function) for module, function in traced_targets()
                    if not hasattr(importlib.import_module(f"ixpgraph.{module}"), function)}
         assert missing == self.KNOWN_GAPS
+
+
+@pytest.fixture(scope="module")
+def bench_commands(tmp_path_factory):
+    """The paper-scale graph with AS types, prefix counts and locations, and
+    the command lines of the paper-suite and reach benchmark workloads on it."""
+    rng = random.Random(42)
+    graph = paper_scale_graph()
+    metros = [("DE", "Frankfurt"), ("GR", "Athens"), ("NL", "Amsterdam"), ("US", "Ashburn")]
+    for ixp_id, node in graph.ixps.items():
+        country, city = rng.choice(metros)
+        graph.ixps[ixp_id] = node._replace(location=Location(
+            country, city, round(rng.uniform(-90, 90), 4), round(rng.uniform(-180, 180), 4)))
+    for asn, node in graph.ases.items():
+        graph.ases[asn] = node._replace(as_type=rng.choice(list(AsType)),
+                                        prefix_count=rng.randint(0, 5000))
+    work = tmp_path_factory.mktemp("bench")
+    path = work / "graph.json"
+    serialization.write_graph(graph, path)
+    costs, weights, targets = work / "costs.csv", work / "weights.csv", work / "targets.txt"
+    costs.write_text("ixp_id,cost\n" + "".join(
+        f"{x},{round(rng.uniform(1, 10), 1)}\n" for x in graph.ixps if rng.random() < 0.8),
+        encoding="utf-8")
+    weights.write_text("asn,weight\n" + "".join(
+        f"{a},{rng.choice([1, 2, 5, 10])}\n" for a in graph.ases if rng.random() < 0.8),
+        encoding="utf-8")
+    targets.write_text("".join(f"AS{a}\n" for a in rng.sample(sorted(graph.ases), 470)),
+                       encoding="utf-8")
+    priced = ["--costs", str(costs), "--weights", str(weights)]
+    top = sorted(graph.ases, key=lambda a: (-len(graph.memberships(a)), a))[:5]
+    metrics = [["degree-cdf", "--class", "ixp"], ["degree-cdf", "--class", "as"],
+               ["member-types-cdf"], ["table1"], ["correlation"], ["table2"],
+               ["table2", "--sample", "500", "--seed", "42"], ["table3", "--class", "ixp"],
+               ["table3", "--class", "as"], ["betweenness"], ["clustering"], ["gain-cdf"]]
+    places = [*(["tunnels", "--as", str(a)] for a in top),
+              ["cover", "--targets", "all"], ["cover", "--targets", f"@{targets}", *priced],
+              *(["budget", "--targets", "all", "--budget", b, *priced] for b in ("5", "20")),
+              *(["site", "--country", c, "--city", city] for c, city in metros[:3])]
+    return path, ([["metrics", str(path), *m] for m in metrics]
+                  + [["place", str(path), *p] for p in places])
+
+
+class TestGraphCache:
+    """A command prints the same from a cached graph as from its JSON."""
+
+    def test_every_bench_command_prints_the_same_cold_and_warm(self, bench_commands, capsys,
+                                                               monkeypatch):
+        path, commands = bench_commands
+        validated, validate = [], serialization.graph_from_dict
+        monkeypatch.setattr(serialization, "graph_from_dict",
+                            lambda data: validated.append(1) or validate(data))
+        cache = path.with_name(f".{path.name}.ixpgraph")
+        for argv in commands:
+            cache.unlink(missing_ok=True)
+            cold = run(capsys, *argv)
+            assert cache.is_file()
+            warm = run(capsys, *argv)
+            assert cold == warm and cold[0] == 0 and cold[2] == "", argv
+        assert len(validated) == len(commands)  # each warm run read the cache
+
+    def test_unwritable_cache_path_changes_nothing(self, g0_file, capsys):
+        want = run(capsys, "export", str(g0_file), "--format", "json")
+        g0_file.with_name(f".{g0_file.name}.ixpgraph").unlink()
+        g0_file.with_name(f".{g0_file.name}.ixpgraph").mkdir()
+        for _ in range(2):
+            proc = subprocess.run([sys.executable, "-m", "ixpgraph.cli", "export", str(g0_file),
+                                   "--format", "json"],
+                                  env=subprocess_env(), capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == want
+        assert sorted(p.name for p in g0_file.parent.iterdir()) == [
+            f".{g0_file.name}.ixpgraph", g0_file.name]
+
+    def test_standard_input_is_not_cached(self, g0_file, capsys):
+        want = run(capsys, "export", str(g0_file), "--format", "edgelist")
+        with open(g0_file, "rb") as stdin:
+            proc = subprocess.run([sys.executable, "-m", "ixpgraph.cli", "export", "/dev/stdin",
+                                   "--format", "edgelist"], stdin=stdin,
+                                  env=subprocess_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        assert not list(Path("/dev").glob(".*.ixpgraph"))

@@ -1,14 +1,19 @@
 """Canonical graph JSON and edgelist export."""
 
+import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import threading
+from pathlib import Path
 
 import pytest
 
 import oracles
 
+from ixpgraph import model, serialization
 from ixpgraph.errors import FormatError
 from ixpgraph.model import (
     AsNode,
@@ -382,3 +387,203 @@ class TestEdgelists:
         from ixpgraph.model import BipartiteGraph
 
         assert membership_edgelist(BipartiteGraph()) == ""
+
+
+def _records(graph: BipartiteGraph) -> list:
+    """Every record of the graph, with its type and its fields' types, in the
+    order of the graph's dicts and adjacency maps."""
+    def typed(record):
+        return type(record), [(type(f), f) for f in record]
+    return [
+        [(key, typed(n), n.location and typed(n.location)) for key, n in graph.ixps.items()],
+        [(key, typed(n)) for key, n in graph.ases.items()],
+        [(key, typed(e), {type(s) for s in e.sources}) for key, e in graph.edges.items()],
+        [(key, list(v)) for key, v in graph._ixp_members.items()],
+        [(key, list(v)) for key, v in graph._as_memberships.items()],
+    ]
+
+
+@pytest.fixture
+def graph_reads(monkeypatch):
+    """The number of graph documents validated since the test began: a read
+    that hits the cache validates none."""
+    calls = []
+    monkeypatch.setattr(serialization, "graph_from_dict",
+                        lambda data: calls.append(1) or graph_from_dict(data))
+    return calls
+
+
+def _cache_of(path):
+    return path.with_name(f".{path.name}.ixpgraph")
+
+
+class TestGraphCache:
+    """read_graph keeps the validated graph in ``.<name>.ixpgraph`` beside a
+    regular file and rebuilds it from there while the bytes are unchanged."""
+
+    @pytest.mark.parametrize("case", [*range(200), "paper-scale", "empty"])
+    def test_hit_equals_miss(self, tmp_path, graph_reads, case):
+        path = tmp_path / "g.json"
+        if isinstance(case, int):  # the writer-oracle's graphs, arrays in a seeded order
+            graph = random_attributed_graph(case)
+            doc = graph_to_dict(graph)
+            for key in ("ixps", "ases", "edges"):
+                random.Random(case).shuffle(doc[key])
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            graph = paper_scale_graph() if case == "paper-scale" else BipartiteGraph()
+            write_graph(graph, path)
+        miss = read_graph(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".g.json.ixpgraph", "g.json"]
+        hit = read_graph(path)
+        assert len(graph_reads) == 1
+        assert hit == miss == graph
+        assert _records(hit) == _records(miss)
+        assert dumps_graph(hit) == dumps_graph(miss)
+
+    def test_edited_reader_source_misses(self, tmp_path, graph_reads, monkeypatch):
+        # A later reader that tightens a check in model.py must not trust
+        # what this one validated.
+        path, _ = self._cached_file(tmp_path)
+        edited = tmp_path.parent / f"{tmp_path.name}-model.py"
+        edited.write_bytes(Path(model.__file__).read_bytes() + b"# a tightened check\n")
+        monkeypatch.setattr(model, "__file__", str(edited))
+        serialization._code_hash.cache_clear()
+        try:
+            self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+        finally:
+            serialization._code_hash.cache_clear()
+            edited.unlink()
+
+    def _cached_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+        read_graph(path)
+        return path, _cache_of(path)
+
+    def _ignored_and_rewritten(self, path, graph_reads, want):
+        before = len(graph_reads)
+        assert read_graph(path) == want
+        assert len(graph_reads) == before + 1  # ignored: the file was validated
+        cache = _cache_of(path)
+        assert cache.is_file() and not cache.is_symlink()
+        assert cache.stat().st_uid == path.stat().st_uid
+        assert read_graph(path) == want
+        assert len(graph_reads) == before + 1  # rewritten: the next read hits
+        assert sorted(p.name for p in path.parent.iterdir()) == [cache.name, path.name]
+
+    def test_stale_cache_is_ignored(self, tmp_path, graph_reads):
+        path, cache = self._cached_file(tmp_path)
+        write_graph(make_g0(), path)  # the cache still holds the old graph
+        self._ignored_and_rewritten(path, graph_reads, make_g0())
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
+        lambda blob: blob[:40] + bytes([blob[40] ^ 1]) + blob[41:],
+        lambda blob: blob[:len(blob) // 2],
+        lambda blob: blob[:20],
+        lambda blob: b"",
+    ], ids=["payload-bit", "digest-bit", "truncated-payload", "truncated-header", "empty"])
+    def test_damaged_cache_is_ignored(self, tmp_path, graph_reads, damage):
+        path, cache = self._cached_file(tmp_path)
+        cache.write_bytes(damage(cache.read_bytes()))
+        self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+
+    def test_cache_of_other_code_is_ignored(self, tmp_path, graph_reads, monkeypatch):
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialization, "_code_hash",
+                          lambda: hashlib.sha256(b"another version of the reader"))
+            read_graph(path)
+        self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+
+    def test_symlinked_cache_is_ignored(self, tmp_path, graph_reads):
+        path, cache = self._cached_file(tmp_path)
+        elsewhere = tmp_path.parent / f"{tmp_path.name}-cache"
+        cache.rename(elsewhere)  # a good cache, reached through a link
+        cache.symlink_to(elsewhere)
+        self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+        elsewhere.unlink()
+
+    def test_pipe_in_place_of_the_cache_is_ignored(self, tmp_path, graph_reads):
+        path, cache = self._cached_file(tmp_path)
+        cache.unlink()
+        os.mkfifo(cache)  # opening it for reading would wait for a writer
+        self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                        reason="only root can give a file to another user")
+    def test_cache_of_another_user_is_ignored(self, tmp_path, graph_reads):
+        path, cache = self._cached_file(tmp_path)
+        os.chown(cache, path.stat().st_uid + 4242, -1)
+        self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+
+    def test_unwritable_cache_path_is_skipped(self, tmp_path, graph_reads):
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+        _cache_of(path).mkdir()
+        for _ in range(2):
+            assert read_graph(path) == attributed_graph()
+        assert len(graph_reads) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".g.json.ixpgraph", "g.json"]
+        assert not any(_cache_of(path).iterdir())
+
+    @pytest.mark.parametrize("mutate, message", [case[1:] for case in LOADER_MESSAGES],
+                             ids=[case[0] for case in LOADER_MESSAGES])
+    def test_malformed_graph_writes_no_cache(self, tmp_path, mutate, message):
+        doc = graph_to_dict(make_g0())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(FormatError) as info:
+                read_graph(path)
+            assert str(info.value) == message
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        lambda text: text.encode("utf-16"),
+        lambda text: text.encode("utf-16-le"),
+        lambda text: text.replace("\n", "\r\n").encode().replace(b"Exchange 1", b"Exchange \xfc"),
+        lambda text: text.replace("\n", "\r\n").encode().replace(b'"asn": 1,', b'"asn": ,'),
+        lambda text: text.replace("\n", "\r").encode()[:-9],
+    ], ids=["utf-8-bom", "utf-16", "utf-16-le", "crlf-bad-byte", "crlf-bad-value", "cr-cut"])
+    def test_undecodable_file_keeps_the_text_read_message(self, tmp_path, encode):
+        path = tmp_path / "g.json"
+        path.write_bytes(encode(dumps_graph(make_g0())))
+        with pytest.raises(ValueError) as text_read:  # how the file read as text fails
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+        with pytest.raises(FormatError) as info:
+            read_graph(path)
+        assert str(info.value) == f"{path}: not valid JSON: {text_read.value}"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    def test_pipe_is_not_cached(self, tmp_path, graph_reads):
+        fifo = tmp_path / "g.json"
+        os.mkfifo(fifo)
+        text = dumps_graph(attributed_graph()).encode()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(text)
+
+        for _ in range(2):
+            writer = threading.Thread(target=feed, daemon=True)
+            writer.start()
+            assert read_graph(fifo) == attributed_graph()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert len(graph_reads) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    def test_symlinked_graph_is_not_cached(self, tmp_path, graph_reads):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        write_graph(attributed_graph(), target)
+        link.symlink_to(target)
+        for _ in range(2):
+            assert read_graph(link) == attributed_graph()
+        assert len(graph_reads) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
