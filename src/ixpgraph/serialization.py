@@ -136,16 +136,20 @@ def dumps_graph(graph: BipartiteGraph) -> str:
             f'\n  "ixps": {_array(ixps, "  ")},\n  "version": {FORMAT_VERSION}\n}}\n')
 
 
-def _write_atomically(target: Path, render) -> None:
-    """Write ``render()``'s bytes to a temp file in ``target``'s directory and
-    rename it over ``target``, so a failed write leaves the old file intact."""
+def _write_atomically(target: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file in ``target``'s directory and rename it
+    over ``target``, so a failed write leaves the old file intact. The temp
+    file is created new: a file or symlink already at its path is an error,
+    never written through."""
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(render())
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)  # already gone after a successful replace
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_graph(graph: BipartiteGraph, path) -> None:
@@ -155,8 +159,9 @@ def write_graph(graph: BipartiteGraph, path) -> None:
     target = Path(path)
     if not target.name:
         raise ValueError(f"cannot write a graph to {str(path)!r}: not a file name")
+    data = dumps_graph(graph).encode()
     try:
-        _write_atomically(target, lambda: dumps_graph(graph).encode())
+        _write_atomically(target, data)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
@@ -171,8 +176,9 @@ def read_graph(path) -> BipartiteGraph:
     read of the same bytes by the same code rebuilds the graph from the cache
     without parsing or checking again. A cache that is missing, stale, corrupt,
     a symlink or owned by another user than the file's owner is ignored and
-    rewritten; an error reading or writing it is ignored. A file that fails
-    validation writes no cache."""
+    rewritten; an error reading or writing it is ignored. Only the file's owner
+    writes the cache: another reader uses the owner's cache but never writes
+    one. A file that fails validation writes no cache."""
     with open(path, "rb") as fh:
         raw = fh.read()
         st = os.fstat(fh.fileno())
@@ -191,9 +197,9 @@ def read_graph(path) -> BipartiteGraph:
     except RecursionError:
         raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
     graph = graph_from_dict(data)
-    if cache is not None:
+    if cache is not None and os.geteuid() == st.st_uid:  # only the file's owner writes beside it
         try:
-            _write_atomically(cache, lambda: _cache_bytes(key, graph))
+            _write_atomically(cache, _cache_bytes(key, graph))
         except OSError:
             pass  # an unwritable directory, say: the graph file stays the authority
     return graph

@@ -97,6 +97,36 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
 
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.json"
+        write_graph(make_g0(), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError) as info:
+            write_graph(build_graph([], [], []), path)
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    def test_link_planted_at_the_temp_path_is_not_followed(self, tmp_path):
+        path = tmp_path / "g.json"
+        write_graph(make_g0(), path)
+        before = path.read_bytes()
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"not a graph")
+        planted = tmp_path / f".g.json.{os.getpid()}.tmp"
+        planted.symlink_to(victim)
+        with pytest.raises(FileExistsError) as info:
+            write_graph(build_graph([], [], []), path)
+        assert info.value.filename == str(path)
+        assert victim.read_bytes() == b"not a graph"
+        assert path.read_bytes() == before and not path.is_symlink()
+        assert planted.is_symlink()
+
     def test_trailing_newline(self):
         assert dumps_graph(make_g0()).endswith("}\n")
 
@@ -518,6 +548,50 @@ class TestGraphCache:
         path, cache = self._cached_file(tmp_path)
         os.chown(cache, path.stat().st_uid + 4242, -1)
         self._ignored_and_rewritten(path, graph_reads, attributed_graph())
+
+    def test_link_planted_at_the_temp_path_is_not_followed(self, tmp_path, graph_reads):
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"not a cache")
+        planted = tmp_path / f"..g.json.ixpgraph.{os.getpid()}.tmp"
+        planted.symlink_to(victim)
+        for _ in range(2):
+            assert read_graph(path) == attributed_graph()
+        assert len(graph_reads) == 2  # the write was skipped
+        assert victim.read_bytes() == b"not a cache"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [planted.name, "g.json", "victim"]
+
+    def _read_by_another_user(self, path, cache, graph_reads):
+        """A reader other than the file's owner uses the owner's cache, and
+        once that is stale, validates the file on every read without
+        writing a cache of its own over the owner's."""
+        before = len(graph_reads)
+        assert read_graph(path) == attributed_graph()
+        assert len(graph_reads) == before  # the owner's cache hit
+        blob, owner = cache.read_bytes(), cache.stat().st_uid
+        document = path.read_bytes()
+        path.write_bytes(document.replace(b"\"Uno\"", b"\"Una\""))
+        for _ in range(2):
+            assert read_graph(path) != attributed_graph()
+        assert len(graph_reads) == before + 2
+        assert cache.read_bytes() == blob and cache.stat().st_uid == owner
+        assert sorted(p.name for p in path.parent.iterdir()) == [cache.name, path.name]
+
+    def test_reader_other_than_the_owner_writes_no_cache(self, tmp_path, graph_reads,
+                                                         monkeypatch):
+        path, cache = self._cached_file(tmp_path)
+        monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 4242)
+        self._read_by_another_user(path, cache, graph_reads)
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                        reason="only root can give a file to another user")
+    def test_root_writes_no_cache_beside_another_users_file(self, tmp_path, graph_reads):
+        path, cache = self._cached_file(tmp_path)
+        other = path.stat().st_uid + 4242
+        for name in (path, cache):
+            os.chown(name, other, -1)
+        self._read_by_another_user(path, cache, graph_reads)
 
     def test_unwritable_cache_path_is_skipped(self, tmp_path, graph_reads):
         path = tmp_path / "g.json"
