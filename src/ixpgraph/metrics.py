@@ -256,6 +256,8 @@ def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
     On the AS reach masks R, the gain of i through j is the ASes j meets
     that i does not, |R_j| - |R_i & R_j|. The intersection is symmetric, so
     one AND and popcount per unordered pair i < j gives both gains."""
+    if graph.num_nodes == 0:
+        raise EmptyGraph("graph has no vertices")
     _, _, reach = index(graph, NodeClass.AS)
     size = [r.bit_count() for r in reach]
     tally: Counter = Counter()

@@ -55,7 +55,7 @@ def _solution(instance: CoverageInstance, chosen: list[str], covered) -> Placeme
     return PlacementSolution(
         chosen=tuple(chosen),
         covered=frozenset(covered),
-        total_cost=sum(instance.cost[c] for c in chosen),
+        total_cost=sum((instance.cost[c] for c in chosen), 0.0),
         total_weight=math.fsum(instance.weight[a] for a in covered),
     )
 

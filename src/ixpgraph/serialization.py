@@ -86,8 +86,6 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                 raise FormatError(f"duplicate edge {(ixp_id, asn)}")
             edges[ixp_id, asn] = edge
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
-    except FormatError:
-        raise
     except (AttributeError, KeyError, TypeError, ValueError, UnknownEndpoint) as exc:
         raise FormatError(f"malformed graph document: {exc}") from exc
 
@@ -175,10 +173,10 @@ def read_graph(path) -> BipartiteGraph:
     ``model``, and the interpreter's cache tag and marshal version. A later
     read of the same bytes by the same code rebuilds the graph from the cache
     without parsing or checking again. A cache that is missing, stale, corrupt,
-    a symlink or owned by another user than the file's owner is ignored and
-    rewritten; an error reading or writing it is ignored. Only the file's owner
-    writes the cache: another reader uses the owner's cache but never writes
-    one. A file that fails validation writes no cache."""
+    a symlink or another user's is ignored and rewritten, and an error reading
+    or writing it is ignored. Only the file's owner reads or writes its cache,
+    as ``marshal`` is not safe on another user's bytes. A file that fails
+    validation writes no cache."""
     with open(path, "rb") as fh:
         raw = fh.read()
         st = os.fstat(fh.fileno())
@@ -187,7 +185,7 @@ def read_graph(path) -> BipartiteGraph:
         digest = _code_hash().copy()
         digest.update(raw)
         key = digest.digest()
-        graph = _load_cache(cache, key, st.st_uid)
+        graph = _load_cache(cache, key)
         if graph is not None:
             return graph
     try:  # decoded as a text-mode read would: UTF-8 only, universal newlines
@@ -197,7 +195,7 @@ def read_graph(path) -> BipartiteGraph:
     except RecursionError:
         raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
     graph = graph_from_dict(data)
-    if cache is not None and os.geteuid() == st.st_uid:  # only the file's owner writes beside it
+    if cache is not None:
         try:
             _write_atomically(cache, _cache_bytes(key, graph))
         except OSError:
@@ -207,13 +205,12 @@ def read_graph(path) -> BipartiteGraph:
 
 def _cache_path(path, st: os.stat_result) -> Path | None:
     """Where the cache of the graph file at ``path``, whose open file ``st``
-    describes, lives; ``None`` when it gets none: when it is no regular file,
-    when ``path`` is a symlink (``/dev/stdin``, say) or when the reading code's
-    source cannot be read."""
-    if not stat.S_ISREG(st.st_mode) or _code_hash() is None:
-        return None
+    describes, lives; ``None`` when it gets none: when it is no regular file of
+    this process's effective user, when ``path`` is a symlink (``/dev/stdin``,
+    say) or when the reading code's source cannot be read."""
     try:
-        if not os.path.samestat(os.lstat(path), st):
+        if (not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or _code_hash() is None
+                or not os.path.samestat(os.lstat(path), st)):
             return None
     except OSError:
         return None
@@ -254,15 +251,15 @@ def _cache_bytes(key: bytes, graph: BipartiteGraph) -> bytes:
     return key + hashlib.sha256(payload).digest() + payload
 
 
-def _load_cache(cache: Path, key: bytes, owner: int) -> BipartiteGraph | None:
-    """The graph in ``cache`` when it is a regular file owned by ``owner`` and
-    holds an intact payload stored under ``key``; ``None`` otherwise."""
+def _load_cache(cache: Path, key: bytes) -> BipartiteGraph | None:
+    """The graph in ``cache`` when it is a regular file of this process's
+    effective user holding an intact payload under ``key``; ``None`` otherwise."""
     try:
         # No symlink is followed, and a pipe put here cannot block the open.
         fd = os.open(cache, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
         with open(fd, "rb") as fh:
             st = os.fstat(fd)
-            if not stat.S_ISREG(st.st_mode) or st.st_uid != owner:
+            if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid():
                 return None
             blob = fh.read()
     except OSError:

@@ -300,7 +300,7 @@ class TestMetrics:
         assert lines[1] == "1,1.0"
         assert len(lines) == 5
 
-    @pytest.mark.parametrize("which", ["table3", "betweenness", "clustering"])
+    @pytest.mark.parametrize("which", ["table3", "betweenness", "clustering", "gain-cdf"])
     @pytest.mark.parametrize("node_class", ["ixp", "as"])
     def test_projection_metric_on_empty_graph(self, tmp_path, capsys, which, node_class):
         path = tmp_path / "empty.json"
@@ -365,6 +365,20 @@ class TestPlace:
         payload = json.loads(out)
         assert payload["chosen"] == ["X1"]
         assert payload["total_weight"] == 3.0
+
+    @pytest.mark.parametrize("graph, argv", [
+        ("g0", ["budget", "--budget", "0.5", "--targets", "all"]),
+        ("empty", ["cover", "--targets", "all"]),
+    ], ids=["budget-below-every-cost", "empty-graph"])
+    def test_nothing_chosen_prints_a_float_cost(self, g0_file, tmp_path, capsys, graph, argv):
+        path = g0_file
+        if graph == "empty":
+            path = tmp_path / "empty.json"
+            serialization.write_graph(BipartiteGraph(), path)
+        code, out, err = run(capsys, "place", str(path), *argv)
+        assert (code, err) == (0, "")
+        assert '"total_cost": 0.0,' in out
+        assert json.loads(out)["chosen"] == []
 
     def test_custom_costs(self, g0_file, tmp_path, capsys):
         costs = tmp_path / "costs.csv"

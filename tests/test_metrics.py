@@ -495,6 +495,10 @@ class TestRemotePeeringGainCdf:
         dist = remote_peering_gain_cdf(graph)
         assert all(0 <= gain <= len(graph.ases) - 2 for gain, _ in dist.values)
 
+    def test_empty_graph(self):
+        with pytest.raises(EmptyGraph):
+            remote_peering_gain_cdf(BipartiteGraph())
+
 
 class TestDegreePrefixCorrelation:
     def test_perfect_positive(self):

@@ -216,7 +216,7 @@ class TestGreedySetCover:
     def test_empty_universe(self):
         solution = greedy_set_cover(instance_of({}))
         assert solution.chosen == ()
-        assert solution.total_cost == 0.0
+        assert solution.total_cost == 0.0 and type(solution.total_cost) is float
 
     def test_covers_universe_when_coverable(self):
         rng = random.Random(5)

@@ -563,18 +563,18 @@ class TestGraphCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == [planted.name, "g.json", "victim"]
 
     def _read_by_another_user(self, path, cache, graph_reads):
-        """A reader other than the file's owner uses the owner's cache, and
-        once that is stale, validates the file on every read without
-        writing a cache of its own over the owner's."""
-        before = len(graph_reads)
-        assert read_graph(path) == attributed_graph()
-        assert len(graph_reads) == before  # the owner's cache hit
+        """A reader other than the file's owner neither uses nor writes the
+        cache: it validates the file on every read, while the owner's cache is
+        current and once it is stale, and leaves that cache as it was."""
         blob, owner = cache.read_bytes(), cache.stat().st_uid
-        document = path.read_bytes()
-        path.write_bytes(document.replace(b"\"Uno\"", b"\"Una\""))
+        before = len(graph_reads)
+        for _ in range(2):
+            assert read_graph(path) == attributed_graph()
+        assert len(graph_reads) == before + 2  # the owner's current cache was not read
+        path.write_bytes(path.read_bytes().replace(b"\"Uno\"", b"\"Una\""))
         for _ in range(2):
             assert read_graph(path) != attributed_graph()
-        assert len(graph_reads) == before + 2
+        assert len(graph_reads) == before + 4
         assert cache.read_bytes() == blob and cache.stat().st_uid == owner
         assert sorted(p.name for p in path.parent.iterdir()) == [cache.name, path.name]
 
@@ -592,6 +592,29 @@ class TestGraphCache:
         for name in (path, cache):
             os.chown(name, other, -1)
         self._read_by_another_user(path, cache, graph_reads)
+
+    def test_reader_other_than_the_owner_ignores_a_crafted_cache(self, tmp_path, graph_reads,
+                                                                 monkeypatch):
+        # The owner's cache is marshal data that the records' checks never saw:
+        # here, under the right key and payload digest, AS numbers they refuse.
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+        new = tuple.__new__
+        ixps = {"X1": new(IxpNode, ("X1", [], [], None, IxpStatus.ACTIVE))}
+        ases = {asn: new(AsNode, (asn, AsType.UNKNOWN, None)) for asn in ("one", True)}
+        edges = {("X1", asn): new(MembershipEdge, ("X1", asn, None, frozenset({Source.OTHER})))
+                 for asn in ases}
+        digest = serialization._code_hash().copy()
+        digest.update(path.read_bytes())
+        crafted = serialization._cache_bytes(digest.digest(), BipartiteGraph(ixps, ases, edges))
+        cache = _cache_of(path)
+        cache.write_bytes(crafted)
+        monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 4242)
+        graph = read_graph(path)
+        assert graph == attributed_graph()
+        assert _records(graph) == _records(attributed_graph())
+        assert len(graph_reads) == 1
+        assert cache.read_bytes() == crafted
 
     def test_unwritable_cache_path_is_skipped(self, tmp_path, graph_reads):
         path = tmp_path / "g.json"
