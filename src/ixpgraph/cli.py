@@ -20,6 +20,7 @@ import gc
 import json
 import re
 import sys
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from . import serialization
@@ -47,8 +48,8 @@ def _require_types(graph: BipartiteGraph) -> None:
 
 
 def _cdf_output(column: str, dist: metrics.Distribution) -> MetricOutput:
-    cdf = dict(dist.cdf())
-    rows = [(value, count, cdf[value]) for value, count in dist.values]
+    running = accumulate(count for _, count in dist.values)
+    rows = [(value, count, acc / dist.total) for (value, count), acc in zip(dist.values, running)]
     return MetricOutput((column, "count", "cdf"), rows)
 
 
@@ -78,9 +79,11 @@ def _metric_member_types_cdf(metrics, graph, args) -> MetricOutput:
 
 def _metric_table1(metrics, graph, args) -> MetricOutput:
     _require_types(graph)
+    shares = metrics.type_share_by_degree(graph, args.thresholds)
     rows = [
-        (row.label, 100 * row.content, 100 * row.enterprise, 100 * row.isp)
-        for row in metrics.type_share_by_degree(graph, args.thresholds)
+        ("All ASes" if t == 0 else f"ASes with degree >{t}",
+         100 * f.content, 100 * f.enterprise, 100 * f.isp)
+        for t, f in zip(args.thresholds, shares)
     ]
     return MetricOutput(
         ("subset", "content", "enterprise", "isp"),
@@ -96,7 +99,12 @@ def _metric_table2(metrics, graph, args) -> MetricOutput:
 
 def _metric_table3(metrics, graph, args) -> MetricOutput:
     dist = metrics.multiplicity_distribution(graph, _CLASS[args.node_class])
-    return _percent_output("multiplicity", dist.bucket_tail(args.tail), dist.total)
+    # Multiplicities of --tail and up share one ">=k" row, shown only when
+    # some pair has one.
+    rows = [(str(m), count) for m, count in dist.values if m < args.tail]
+    if tail := sum(count for m, count in dist.values if m >= args.tail):
+        rows.append((f">={args.tail}", tail))
+    return _percent_output("multiplicity", rows, dist.total)
 
 
 def _metric_gain_cdf(metrics, graph, args) -> MetricOutput:

@@ -39,32 +39,8 @@ class Distribution(namedtuple("Distribution", "values total")):
         items = tuple(sorted((v, c) for v, c in counts.items() if c))
         return cls(values=items, total=sum(c for _, c in items))
 
-    def cdf(self) -> list[tuple[float, float]]:
-        """Running cumulative fractions, one entry per distinct value."""
-        out = []
-        acc = 0
-        for v, c in self.values:
-            acc += c
-            out.append((v, acc / self.total))
-        return out
-
-    def bucket_tail(self, tail_min: int) -> list[tuple[str, int]]:
-        """Collapse all values >= tail_min into one presentation bucket."""
-        head = [(str(v), c) for v, c in self.values if v < tail_min]
-        tail = sum(c for v, c in self.values if v >= tail_min)
-        if tail:
-            head.append((f">={tail_min}", tail))
-        return head
-
 
 class TypeFractions(NamedTuple):
-    content: float
-    enterprise: float
-    isp: float
-
-
-class TypeShareRow(NamedTuple):
-    label: str
     content: float
     enterprise: float
     isp: float
@@ -81,12 +57,14 @@ def degree_distribution(graph: BipartiteGraph, node_class: NodeClass) -> Distrib
     return Distribution.from_counts(Counter(degrees))
 
 
+_TYPED = (AsType.CONTENT, AsType.ENTERPRISE, AsType.ISP)  # in TypeFractions' order
+
+
 def _type_fractions(graph: BipartiteGraph, asns) -> TypeFractions:
     """Content, enterprise and ISP shares among ``asns``; 0.0 each if empty."""
     counts = Counter(graph.ases[a].as_type for a in asns)
     total = len(asns)
-    return TypeFractions(*(counts[t] / total if total else 0.0
-                           for t in (AsType.CONTENT, AsType.ENTERPRISE, AsType.ISP)))
+    return TypeFractions(*(counts[t] / total if total else 0.0 for t in _TYPED))
 
 
 def member_type_fractions(graph: BipartiteGraph) -> dict[str, TypeFractions]:
@@ -101,32 +79,31 @@ def member_type_fractions(graph: BipartiteGraph) -> dict[str, TypeFractions]:
 
 
 def type_fraction_distribution(graph: BipartiteGraph, as_type: AsType) -> Distribution:
-    """Distribution over IXPs of the member fraction of one AS type."""
-    fractions = member_type_fractions(graph)
-    column = {AsType.CONTENT: 0, AsType.ENTERPRISE: 1, AsType.ISP: 2}[as_type]
-    return Distribution.from_counts(Counter(f[column] for f in fractions.values()))
+    """Distribution over IXPs of the member fraction of one AS type, one of
+    the three that ``TypeFractions`` holds."""
+    if as_type not in _TYPED:
+        raise ValueError(f"as_type must be one of {', '.join(t.value for t in _TYPED)}, "
+                         f"got {as_type!r}")
+    column = _TYPED.index(as_type)
+    return Distribution.from_counts(
+        Counter(f[column] for f in member_type_fractions(graph).values()))
 
 
 def type_share_by_degree(graph: BipartiteGraph,
-                         thresholds: Iterable[int]) -> tuple[TypeShareRow, ...]:
-    """AS-type shares among ASes above each degree threshold, one row each.
+                         thresholds: Iterable[int]) -> tuple[TypeFractions, ...]:
+    """AS-type shares among the ASes above each degree threshold, one
+    ``TypeFractions`` per threshold, in the order given.
 
-    Threshold 0 is the "All ASes" row and uses every AS regardless of
-    degree; threshold t > 0 restricts to ASes with degree > t. Shares are
-    typed-count / subset size, with Unknown excluded from numerators.
+    Threshold 0 uses every AS regardless of degree; threshold t > 0
+    restricts to ASes with degree > t. Shares are typed-count / subset
+    size, with Unknown excluded from numerators.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph("graph has no vertices")
-    rows = []
-    for t in thresholds:
-        if t == 0:
-            subset = list(graph.ases)
-            label = "All ASes"
-        else:
-            subset = [a for a in graph.ases if len(graph.memberships(a)) > t]
-            label = f"ASes with degree >{t}"
-        rows.append(TypeShareRow(label, *_type_fractions(graph, subset)))
-    return tuple(rows)
+    return tuple(
+        _type_fractions(graph, graph.ases if t == 0 else
+                        [a for a in graph.ases if len(graph.memberships(a)) > t])
+        for t in thresholds)
 
 
 def shortest_path_ixp_counts(

@@ -217,6 +217,11 @@ class TestMetrics:
     def test_table3_as_csv(self, g0_file, capsys):
         _, out, _ = run(capsys, "metrics", str(g0_file), "table3", "--class", "as")
         assert out.splitlines()[1:] == ["0,1,16.7", "1,4,66.7", "2,1,16.7"]
+        # Multiplicities of --tail and up share one row, shown only if not empty.
+        _, out, _ = run(capsys, "metrics", str(g0_file), "table3", "--class", "as", "--tail", "2")
+        assert out.splitlines()[1:] == ["0,1,16.7", "1,4,66.7", ">=2,1,16.7"]
+        _, out, _ = run(capsys, "metrics", str(g0_file), "table3", "--class", "as", "--tail", "3")
+        assert out.splitlines()[1:] == ["0,1,16.7", "1,4,66.7", "2,1,16.7"]
 
     def test_table1_csv(self, typed_g0_file, capsys):
         code, out, _ = run(capsys, "metrics", str(typed_g0_file), "table1",
@@ -699,6 +704,13 @@ class TestAcrossInterpreters:
             ["metrics", graph, "table2"],
             ["metrics", graph, "table3", "--class", "ixp"],
             ["metrics", graph, "table3", "--class", "as"],
+            ["metrics", graph, "table3", "--class", "as", "--tail", "2"],
+            ["metrics", graph, "degree-cdf", "--class", "ixp"],
+            ["metrics", graph, "degree-cdf", "--class", "as"],
+            ["metrics", "typed.json", "member-types"],
+            ["metrics", "typed.json", "member-types-cdf", "--type", "content"],
+            ["metrics", "typed.json", "table1", "--thresholds", "0,1,2"],
+            ["metrics", "typed.json", "table1", "--json"],
             ["metrics", graph, "betweenness"],
             ["metrics", graph, "betweenness", "--class", "as"],  # runs the far pass
             ["metrics", graph, "clustering"],

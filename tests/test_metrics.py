@@ -78,19 +78,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution(values=((2, 1), (1, 1)), total=2)
 
-    def test_cdf_runs_to_one(self):
-        dist = Distribution.from_counts({1: 1, 2: 1, 5: 2})
-        cdf = dist.cdf()
-        assert cdf == [(1, 0.25), (2, 0.5), (5, 1.0)]
-
-    def test_bucket_tail(self):
-        dist = Distribution.from_counts({0: 4, 1: 2, 5: 1, 9: 1})
-        assert dist.bucket_tail(5) == [("0", 4), ("1", 2), (">=5", 2)]
-
-    def test_bucket_tail_without_tail(self):
-        dist = Distribution.from_counts({0: 4, 1: 2})
-        assert dist.bucket_tail(5) == [("0", 4), ("1", 2)]
-
 
 class TestDegreeDistribution:
     def test_g0_as_class(self, g0):
@@ -134,13 +121,15 @@ class TestMemberTypeFractions:
         assert dist.values == ((0.0, 1), (1 / 3, 1), (1.0, 1))
         assert dist.total == 3
 
+    def test_fraction_distribution_of_unknown_type(self, g0_typed):
+        with pytest.raises(ValueError, match="Content, Enterprise, ISP"):
+            type_fraction_distribution(g0_typed, AsType.UNKNOWN)
+
 
 class TestTypeShareByDegree:
     def test_g0_thresholds(self, g0_typed):
         all_row, deg1_row = type_share_by_degree(g0_typed, [0, 1])
-        assert all_row.label == "All ASes"
         assert (all_row.content, all_row.enterprise, all_row.isp) == (0.25, 0.25, 0.5)
-        assert deg1_row.label == "ASes with degree >1"
         assert (deg1_row.content, deg1_row.enterprise, deg1_row.isp) == (1 / 3, 0.0, 2 / 3)
 
     def test_empty_subset_gives_zeros(self, g0_typed):
