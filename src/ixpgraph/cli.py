@@ -221,7 +221,15 @@ def cmd_build(args) -> int:
         args.pdb, args.pch, args.as_types, args.locations
     )
     serialization.write_graph(result.graph, args.out_graph)
-    report = result.report.to_dict()
+    reasons = result.report.reasons
+    report = {
+        "nodes_total_pre": result.report.nodes_total_pre,
+        "edges_total_pre": result.report.edges_total_pre,
+        "nodes_discarded": sum(tally.nodes for tally in reasons.values()),
+        "edges_discarded": sum(tally.edges for tally in reasons.values()),
+        # DiscardReason is a str, so reasons sort by name.
+        "reasons": {reason.value: tally._asdict() for reason, tally in sorted(reasons.items())},
+    }
     if args.json:
         _print_json(
             {
@@ -259,6 +267,10 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
     # reported at once, and ahead of a bad graph file.
     args.thresholds = [_decimal_flag("--thresholds", t.strip())
                        for t in args.thresholds.split(",") if t.strip()]
+    if not args.thresholds:
+        raise ValueError("--thresholds: no degree given")
+    if min(args.thresholds) < 0:
+        raise ValueError(f"--thresholds: must be at least 0, got {min(args.thresholds)}")
     args.tail = _count_flag("--tail", args.tail)
     args.seed = _decimal_flag("--seed", args.seed)
     if args.sample is not None:
@@ -272,6 +284,8 @@ def cmd_place(args) -> int:
     from . import placement
     if args.problem == "budget":  # flags and their files are read before the graph loads
         budget = _decimal_flag("--budget", args.budget, real=True)
+        if not 0 < budget < float("inf"):  # a long enough decimal overflows
+            raise ValueError(f"--budget: must be finite and positive, got {budget}")
     if args.problem == "tunnels":
         asn = _parse_asn_token(args.asn)
     elif args.problem in ("cover", "budget"):

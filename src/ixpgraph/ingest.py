@@ -74,26 +74,6 @@ class DiscardReport(NamedTuple):
     edges_total_pre: int
     reasons: dict[DiscardReason, ReasonTally]
 
-    @property
-    def nodes_discarded(self) -> int:
-        return sum(t.nodes for t in self.reasons.values())
-
-    @property
-    def edges_discarded(self) -> int:
-        return sum(t.edges for t in self.reasons.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes_total_pre": self.nodes_total_pre,
-            "edges_total_pre": self.edges_total_pre,
-            "nodes_discarded": self.nodes_discarded,
-            "edges_discarded": self.edges_discarded,
-            "reasons": {
-                reason.value: {"nodes": tally.nodes, "edges": tally.edges}
-                for reason, tally in sorted(self.reasons.items(), key=lambda kv: kv[0].value)
-            },
-        }
-
 
 class MembershipRecord(NamedTuple):
     """One validated row of a membership dataset."""

@@ -24,7 +24,14 @@ from itertools import combinations
 import networkx as nx
 
 from ixpgraph.errors import Uncoverable
-from ixpgraph.ingest import _STATUS_SEVERITY, IxpIdentity, normalize_ixp_name
+from ixpgraph.ingest import (
+    _STATUS_SEVERITY,
+    DiscardReason,
+    DiscardReport,
+    IxpIdentity,
+    ReasonTally,
+    normalize_ixp_name,
+)
 from ixpgraph.model import (
     AsNode,
     AsType,
@@ -234,8 +241,8 @@ def nx_giant_component(nodes, edges) -> set:
                key=lambda c: (-len(c), -sum(1 for x, _ in edges if x in c), min(map(str, c))))
 
 
-def bf_discard_report(records, identities, parse_errors: int = 0) -> dict:
-    """``ingest.sanitize(...)[1].to_dict()`` by applying the four stages one
+def bf_discard_report(records, identities, parse_errors: int = 0) -> DiscardReport:
+    """``ingest.sanitize(...)[1]`` by applying the four stages one
     at a time to a plain list of (unified IXP id, record) edges.
 
     Each stage's edge tally is the edges it drops; its node tally is the
@@ -266,22 +273,20 @@ def bf_discard_report(records, identities, parse_errors: int = 0) -> dict:
     vertices = [u for u, i in identities.items() if i.status is IxpStatus.ACTIVE]
     giant = nx_giant_component(vertices + sorted({r.asn for r in records}), collapsed)
     stages = [
-        ("InactiveIxp", tagged, active, ends(active)),
-        ("IpInconsistent", active, consistent, ends(consistent)),
-        ("DuplicateCollapsed", consistent, collapsed, ends(collapsed)),
-        ("NotInGiantComponent", collapsed, [e for e in collapsed if e[0] in giant], giant),
+        (DiscardReason.INACTIVE_IXP, tagged, active, ends(active)),
+        (DiscardReason.IP_INCONSISTENT, active, consistent, ends(consistent)),
+        (DiscardReason.DUPLICATE_COLLAPSED, consistent, collapsed, ends(collapsed)),
+        (DiscardReason.NOT_IN_GIANT_COMPONENT, collapsed,
+         [e for e in collapsed if e[0] in giant], giant),
     ]
-    reasons = {"ParseError": {"nodes": 0, "edges": parse_errors}}
+    reasons = {DiscardReason.PARSE_ERROR: ReasonTally(0, parse_errors)}
     for reason, before, after, kept in stages:
-        reasons[reason] = {"nodes": len(ends(before) - kept), "edges": len(before) - len(after)}
-    reasons = {k: t for k, t in sorted(reasons.items()) if t["nodes"] or t["edges"]}
-    return {
-        "nodes_total_pre": len(identities) + len({r.asn for r in records}),
-        "edges_total_pre": len(records) + parse_errors,
-        "nodes_discarded": sum(t["nodes"] for t in reasons.values()),
-        "edges_discarded": sum(t["edges"] for t in reasons.values()),
-        "reasons": reasons,
-    }
+        reasons[reason] = ReasonTally(len(ends(before) - kept), len(before) - len(after))
+    return DiscardReport(
+        nodes_total_pre=len(identities) + len({r.asn for r in records}),
+        edges_total_pre=len(records) + parse_errors,
+        reasons={reason: tally for reason, tally in reasons.items() if any(tally)},
+    )
 
 
 def bf_sanitized_graph(records, identities) -> BipartiteGraph:

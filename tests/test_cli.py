@@ -126,7 +126,19 @@ class TestBuild:
         assert code == 0
         payload = json.loads(out)
         assert payload["ixps"] == 2 and payload["edges"] == 4
-        assert payload["report"]["reasons"]["InactiveIxp"] == {"nodes": 1, "edges": 1}
+        report = payload["report"]
+        assert set(report) == {"nodes_total_pre", "edges_total_pre",
+                               "nodes_discarded", "edges_discarded", "reasons"}
+        reasons = report["reasons"]
+        assert reasons["InactiveIxp"] == {"nodes": 1, "edges": 1}
+        assert list(reasons) == sorted(reasons)
+        assert report["nodes_discarded"] == sum(t["nodes"] for t in reasons.values()) == 3
+        assert report["edges_discarded"] == sum(t["edges"] for t in reasons.values()) == 4
+        # The text report gives the same totals and reasons, in the same order.
+        code, out, _ = run(capsys, "build", str(pdb), str(pch), str(tmp_path / "g.json"))
+        assert code == 0
+        assert out.splitlines()[1:] == ["discarded: 3 of 8 nodes, 4 of 8 edges"] + [
+            f"  {reason}: {t['nodes']} nodes, {t['edges']} edges" for reason, t in reasons.items()]
 
     def test_attribute_files(self, tmp_path, capsys):
         pdb, pch = sanitize_fixture_files(tmp_path)
@@ -952,17 +964,27 @@ class TestUsageErrors:
         ("metrics", "table2", "--sample", "1_0"),
         ("metrics", "table2", "--seed", "٤"),
         ("metrics", "table1", "--thresholds", "0,1_0"),
+        # argparse reads "-1,0" as an option unless it follows "=".
+        ("metrics", "table1", "--thresholds=-1,0"),
+        ("metrics", "table1", "--thresholds", ""),
+        ("metrics", "table1", "--thresholds", ",,"),
         ("place", "budget", "--targets", "all", "--budget", "1_0"),
-    ], ids=["tail", "sample", "seed", "thresholds", "budget"])
-    def test_lax_numeric_flag_is_one_line_error(self, g0_file, tmp_path, capsys, argv):
+        ("place", "budget", "--targets", "all", "--budget", "-1"),
+        ("place", "budget", "--targets", "all", "--budget", "0"),
+        ("place", "budget", "--targets", "all", "--budget", "1" + "0" * 309),
+    ], ids=["tail", "sample", "seed", "thresholds", "thresholds-negative",
+            "thresholds-empty", "thresholds-commas", "budget", "budget-negative",
+            "budget-0", "budget-overflow"])
+    def test_lax_numeric_flag_is_one_line_error(self, typed_g0_file, tmp_path, capsys, argv):
         # The flag is parsed before the graph loads: a missing graph file
         # gives the same error.
         command, *rest = argv
-        for graph in (g0_file, tmp_path / "missing.json"):
+        flag = rest[-1].partition("=")[0] if rest[-1].startswith("--") else rest[-2]
+        for graph in (typed_g0_file, tmp_path / "missing.json"):
             code, out, err = run(capsys, command, str(graph), *rest)
             assert code == 1
             assert out == ""
-            assert err.startswith(f"error: {rest[-2]}: ") and err.count("\n") == 1
+            assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, value", [
         (("table2", "--sample", "0"), 0),

@@ -1,11 +1,13 @@
 """Dataset parsing, IXP identity merging, sanitization, attributes."""
 
 import ipaddress
+import json
 import random
 from collections import Counter
 
 import pytest
 
+from ixpgraph.cli import main
 from ixpgraph.errors import EmptyGraph, FormatError
 from ixpgraph.ingest import (
     DiscardReason,
@@ -272,8 +274,10 @@ class TestSanitize:
         graph, report = self.run_fixture(tmp_path)
         assert report.nodes_total_pre == 8
         assert report.edges_total_pre == 8
-        assert report.nodes_total_pre - report.nodes_discarded == graph.num_nodes
-        assert report.edges_total_pre - report.edges_discarded == graph.num_edges
+        nodes_discarded = sum(tally.nodes for tally in report.reasons.values())
+        edges_discarded = sum(tally.edges for tally in report.reasons.values())
+        assert report.nodes_total_pre - nodes_discarded == graph.num_nodes
+        assert report.edges_total_pre - edges_discarded == graph.num_edges
 
     def test_surviving_graph(self, tmp_path):
         graph, _ = self.run_fixture(tmp_path)
@@ -366,7 +370,8 @@ class TestSanitize:
             DiscardReason.INACTIVE_IXP: ReasonTally(2, 1),
             DiscardReason.IP_INCONSISTENT: ReasonTally(3, 2),
         }
-        assert report.nodes_total_pre == 9 and report.nodes_discarded == 5
+        assert report.nodes_total_pre == 9
+        assert sum(tally.nodes for tally in report.reasons.values()) == 5
         assert sorted(graph.ixps) == ["IXP0001", "IXP0002"]
         assert sorted(graph.ases) == [64502, 64503]
         assert graph.num_edges == 3
@@ -445,11 +450,11 @@ class TestSanitize:
         seen = Counter()
         for case, (pdb, pch, parse_errors) in enumerate(sets):
             records, identities = pdb + pch, merge_ixp_lists(pdb, pch)
-            report = sanitize(records, identities, parse_errors)[1].to_dict()
+            report = sanitize(records, identities, parse_errors)[1]
             assert report == bf_discard_report(records, identities, parse_errors), f"case {case}"
-            seen.update(list(report["reasons"]))
+            seen.update(list(report.reasons))
         # Each reason is in some reports and missing from others.
-        assert all(0 < seen[reason.value] < len(sets) for reason in DiscardReason), seen
+        assert all(0 < seen[reason] < len(sets) for reason in DiscardReason), seen
 
     def test_graph_matches_stage_by_stage_oracle(self):
         seen = Counter()
@@ -466,12 +471,22 @@ class TestSanitize:
                 for asn in graph.ases)
         assert all(seen[k] for k in (1, 2, True, False, "conflict", *AsType)), seen
 
-    def test_report_dict_shape(self, tmp_path):
+    def test_report_dict_shape(self, tmp_path, capsys):
+        # The CLI shapes the report; its JSON carries sanitize's tallies as-is.
         _, report = self.run_fixture(tmp_path)
-        data = report.to_dict()
+        pdb_path, pch_path = sanitize_fixture_files(tmp_path)
+        assert main(["build", str(pdb_path), str(pch_path), str(tmp_path / "g.json"),
+                     "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)["report"]
         assert set(data) == {"nodes_total_pre", "edges_total_pre",
                              "nodes_discarded", "edges_discarded", "reasons"}
         assert list(data["reasons"]) == sorted(data["reasons"])
+        assert data["reasons"] == {reason.value: {"nodes": tally.nodes, "edges": tally.edges}
+                                   for reason, tally in report.reasons.items()}
+        assert (data["nodes_total_pre"], data["edges_total_pre"]) == (
+            report.nodes_total_pre, report.edges_total_pre)
+        assert data["nodes_discarded"] == sum(t.nodes for t in report.reasons.values())
+        assert data["edges_discarded"] == sum(t.edges for t in report.reasons.values())
 
     def test_reports_do_not_share_reasons(self, tmp_path):
         _, first = self.run_fixture(tmp_path)
@@ -635,7 +650,7 @@ class TestBuildFromFiles:
         assert result.graph.num_edges == 4
         assert result.graph.ases[65001].as_type is AsType.ISP
         assert result.attribute_warnings == 1
-        assert result.report.nodes_discarded == 3
+        assert sum(tally.nodes for tally in result.report.reasons.values()) == 3
 
     def test_deterministic_output(self, tmp_path):
         from ixpgraph.serialization import dumps_graph
