@@ -10,6 +10,7 @@ Nodes and edges are immutable records. A graph is not changed once built:
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from collections import namedtuple
 from enum import Enum
@@ -222,6 +223,13 @@ class BipartiteGraph:
                 raise ValueError(f"edge keyed ({ixp_id!r}, {asn}) disagrees with its fields")
             members[ixp_id].add(asn)
             memberships[asn].add(ixp_id)
+
+    @functools.cached_property
+    def edges(self) -> dict[tuple[str, int], MembershipEdge]:
+        """Set by ``__init__``. A graph that ``serialization.read_graph``
+        rebuilds from its cache skips ``__init__``: it is given its adjacency
+        and a ``_make_edges`` that makes its edge records here, when first read."""
+        return self.__dict__.pop("_make_edges")()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

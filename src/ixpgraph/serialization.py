@@ -35,7 +35,7 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
-_CACHE_FORMAT = b"ixpgraph graph cache 1"
+_CACHE_FORMAT = b"ixpgraph graph cache 2"
 _str = json.encoder.encode_basestring_ascii  # json.dumps's escaper by default
 
 
@@ -236,24 +236,35 @@ def _code_hash():
 
 
 def _cache_bytes(key: bytes, graph: BipartiteGraph) -> bytes:
-    """``key``, the payload's SHA-256, then the payload: the graph's IXP, AS
-    and edge rows in dict order, each distinct ``sources`` set once."""
+    """``key``, the payload's SHA-256, then the payload: the graph's IXP and AS
+    rows in dict order, each IXP's member ASNs and each AS's IXP ids in edge
+    order, and the edge section, the edge rows marshalled apart with each
+    distinct ``sources`` set once."""
+    members = {ixp_id: [] for ixp_id in graph.ixps}
+    memberships = {asn: [] for asn in graph.ases}
     sets: dict[frozenset, int] = {}
-    edges = [(e.ixp_id, e.asn, e.member_ip, sets.setdefault(e.sources, len(sets)))
-             for e in graph.edges.values()]
+    edges = []
+    for e in graph.edges.values():
+        members[e.ixp_id].append(e.asn)
+        memberships[e.asn].append(e.ixp_id)
+        edges.append((e.ixp_id, e.asn, e.member_ip, sets.setdefault(e.sources, len(sets))))
     payload = marshal.dumps((
         [(n.ixp_id, n.names, n.peering_prefixes, n.location and tuple(n.location),
           n.status.value) for n in graph.ixps.values()],
         [(n.asn, n.as_type.value, n.prefix_count) for n in graph.ases.values()],
-        edges,
-        [[s.value for s in sources] for sources in sets],
+        list(members.values()),
+        list(memberships.values()),
+        marshal.dumps((edges, [[s.value for s in sources] for sources in sets])),
     ))
     return key + hashlib.sha256(payload).digest() + payload
 
 
 def _load_cache(cache: Path, key: bytes) -> BipartiteGraph | None:
     """The graph in ``cache`` when it is a regular file of this process's
-    effective user holding an intact payload under ``key``; ``None`` otherwise."""
+    effective user holding an intact payload under ``key``; ``None`` otherwise.
+    Each adjacency set is built from one list in edge order, so it iterates as
+    the miss's, built by one ``add`` per edge, does. The edge records are made
+    on first use."""
     try:
         # No symlink is followed, and a pipe put here cannot block the open.
         fd = os.open(cache, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
@@ -267,17 +278,28 @@ def _load_cache(cache: Path, key: bytes) -> BipartiteGraph | None:
     payload = memoryview(blob)[64:]
     if blob[:32] != key or hashlib.sha256(payload).digest() != blob[32:64]:
         return None
-    ixp_rows, as_rows, edge_rows, source_rows = marshal.loads(payload)
+    ixp_rows, as_rows, members, memberships, edge_section = marshal.loads(payload)
     new = tuple.__new__
     status, as_type = IxpStatus._value2member_map_, AsType._value2member_map_
     ixps = {row[0]: new(IxpNode, (*row[:3], row[3] and new(Location, row[3]), status[row[4]]))
             for row in ixp_rows}
     ases = {asn: new(AsNode, (asn, as_type[kind], count)) for asn, kind, count in as_rows}
+    graph = BipartiteGraph.__new__(BipartiteGraph)
+    vars(graph).update(ixps=ixps, ases=ases,
+                       _ixp_members=dict(zip(ixps, map(set, members))),
+                       _as_memberships=dict(zip(ases, map(set, memberships))),
+                       _make_edges=functools.partial(_edges, edge_section))
+    return graph
+
+
+def _edges(section: bytes) -> dict[tuple[str, int], MembershipEdge]:
+    """The edge records a cache's edge section holds, keyed in dict order."""
+    rows, source_rows = marshal.loads(section)
+    new = tuple.__new__
     sets = [frozenset(map(Source._value2member_map_.__getitem__, values))
             for values in source_rows]
-    edges = {(ixp_id, asn): new(MembershipEdge, (ixp_id, asn, ip, sets[k]))
-             for ixp_id, asn, ip, k in edge_rows}
-    return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
+    return {(ixp_id, asn): new(MembershipEdge, (ixp_id, asn, ip, sets[k]))
+            for ixp_id, asn, ip, k in rows}
 
 
 def membership_edgelist(graph: BipartiteGraph) -> str:

@@ -1238,18 +1238,25 @@ class TestGraphCache:
 
     def test_every_bench_command_prints_the_same_cold_and_warm(self, bench_commands, capsys,
                                                                monkeypatch):
+        # A warm read makes no edge record until one is read: no metric or
+        # placement does, and both exports do.
         path, commands = bench_commands
+        exports = [["export", str(path), "--format", fmt] for fmt in ("json", "edgelist")]
         validated, validate = [], serialization.graph_from_dict
         monkeypatch.setattr(serialization, "graph_from_dict",
                             lambda data: validated.append(1) or validate(data))
+        graphs, read = [], serialization.read_graph
+        monkeypatch.setattr(serialization, "read_graph",
+                            lambda name: graphs.append(read(name)) or graphs[-1])
         cache = path.with_name(f".{path.name}.ixpgraph")
-        for argv in commands:
+        for argv in [*commands, *exports]:
             cache.unlink(missing_ok=True)
             cold = run(capsys, *argv)
             assert cache.is_file()
             warm = run(capsys, *argv)
             assert cold == warm and cold[0] == 0 and cold[2] == "", argv
-        assert len(validated) == len(commands)  # each warm run read the cache
+            assert ("edges" in vars(graphs[-1])) == (argv in exports), argv
+        assert len(validated) == len(commands) + len(exports)  # each warm run read the cache
 
     def test_unwritable_cache_path_changes_nothing(self, g0_file, capsys):
         want = run(capsys, "export", str(g0_file), "--format", "json")

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import marshal
 import os
 import random
 import re
@@ -447,6 +448,14 @@ def _cache_of(path):
     return path.with_name(f".{path.name}.ixpgraph")
 
 
+def _flip_in_edge_section(blob: bytes) -> bytes:
+    """``blob`` with one bit flipped in the middle of its edge section, the
+    part of the payload a hit decodes only when ``edges`` is first read."""
+    section = marshal.loads(blob[64:])[-1]
+    at = blob.index(section) + len(section) // 2
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+
+
 class TestGraphCache:
     """read_graph keeps the validated graph in ``.<name>.ixpgraph`` beside a
     regular file and rebuilds it from there while the bytes are unchanged."""
@@ -467,6 +476,11 @@ class TestGraphCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == [".g.json.ixpgraph", "g.json"]
         hit = read_graph(path)
         assert len(graph_reads) == 1
+        assert "edges" not in vars(hit)  # made on first use, from the adjacency's own rows
+        assert ([(key, list(v)) for key, v in hit._ixp_members.items()]
+                == [(key, list(v)) for key, v in miss._ixp_members.items()])
+        assert ([(key, list(v)) for key, v in hit._as_memberships.items()]
+                == [(key, list(v)) for key, v in miss._as_memberships.items()])
         assert hit == miss == graph
         assert _records(hit) == _records(miss)
         assert dumps_graph(hit) == dumps_graph(miss)
@@ -513,7 +527,9 @@ class TestGraphCache:
         lambda blob: blob[:len(blob) // 2],
         lambda blob: blob[:20],
         lambda blob: b"",
-    ], ids=["payload-bit", "digest-bit", "truncated-payload", "truncated-header", "empty"])
+        _flip_in_edge_section,
+    ], ids=["payload-bit", "digest-bit", "truncated-payload", "truncated-header", "empty",
+            "edge-section-bit"])
     def test_damaged_cache_is_ignored(self, tmp_path, graph_reads, damage):
         path, cache = self._cached_file(tmp_path)
         cache.write_bytes(damage(cache.read_bytes()))
