@@ -408,7 +408,7 @@ def attach_attributes(
             except (KeyError, ValueError):
                 warnings += 1
 
-    return BipartiteGraph(ixps=ixps, ases=ases, edges=dict(graph.edges)), warnings
+    return BipartiteGraph(ixps=ixps, ases=ases, edges=graph.edges), warnings
 
 
 class BuildResult(NamedTuple):

@@ -9,7 +9,7 @@ degree-vs-prefix correlation, and generic centrality/clustering metrics.
 from __future__ import annotations
 
 import random
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import reduce
 from itertools import compress
 from math import fsum, inf, isfinite, lcm, sqrt
@@ -21,18 +21,12 @@ from .model import AsType, BipartiteGraph, NodeClass
 from .projection import BIT_FLAGS, bits, counter_add, index
 
 
-class Distribution(namedtuple("Distribution", "values total")):
-    """A histogram: sorted (value, count) pairs plus the population total."""
+class Distribution(NamedTuple):
+    """A histogram: (value, count) pairs in increasing value order, no count
+    zero, plus the population total, their sum."""
 
-    __slots__ = ()
-
-    def __new__(cls, values: tuple[tuple[float, int], ...], total: int):
-        if sum(c for _, c in values) != total:
-            raise ValueError("distribution counts do not sum to total")
-        vs = [v for v, _ in values]
-        if any(a >= b for a, b in zip(vs, vs[1:])):
-            raise ValueError("distribution values must be strictly increasing")
-        return tuple.__new__(cls, (values, total))
+    values: tuple[tuple[float, int], ...]
+    total: int
 
     @classmethod
     def from_counts(cls, counts: dict) -> "Distribution":

@@ -245,14 +245,14 @@ class BipartiteGraph:
         return len(self.edges)
 
     def members(self, ixp_id: str) -> set[int]:
-        """ASNs with a membership at the given IXP."""
+        """ASNs with a membership at the given IXP: the graph's own set, not to be changed."""
         try:
             return self._ixp_members[ixp_id]
         except KeyError:
             raise UnknownNode(f"unknown IXP {ixp_id!r}") from None
 
     def memberships(self, asn: int) -> set[str]:
-        """IXP ids the given AS is a member of."""
+        """IXP ids the given AS is a member of: the graph's own set, not to be changed."""
         try:
             return self._as_memberships[asn]
         except KeyError:

@@ -140,9 +140,9 @@ def _write_atomically(target: Path, data: bytes) -> None:
     file is created new: a file or symlink already at its path is an error,
     never written through."""
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+    fh = open(tmp, "xb")  # O_CREAT | O_EXCL, which refuses a symlink too
     try:
-        with open(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, target)
     except BaseException:
@@ -175,8 +175,9 @@ def read_graph(path) -> BipartiteGraph:
     without parsing or checking again. A cache that is missing, stale, corrupt,
     a symlink or another user's is ignored and rewritten, and an error reading
     or writing it is ignored. Only the file's owner reads or writes its cache,
-    as ``marshal`` is not safe on another user's bytes. A file that fails
-    validation writes no cache."""
+    as ``marshal`` is not safe on another user's bytes, so where ``os`` has no
+    ``geteuid`` (not POSIX) there is no cache and every read parses and checks
+    the JSON. A file that fails validation writes no cache."""
     with open(path, "rb") as fh:
         raw = fh.read()
         st = os.fstat(fh.fileno())
@@ -205,9 +206,12 @@ def read_graph(path) -> BipartiteGraph:
 
 def _cache_path(path, st: os.stat_result) -> Path | None:
     """Where the cache of the graph file at ``path``, whose open file ``st``
-    describes, lives; ``None`` when it gets none: when it is no regular file of
-    this process's effective user, when ``path`` is a symlink (``/dev/stdin``,
-    say) or when the reading code's source cannot be read."""
+    describes, lives; ``None`` when it gets none: when the platform has no file
+    owners (no ``os.geteuid``), when it is no regular file of this process's
+    effective user, when ``path`` is a symlink (``/dev/stdin``, say) or when
+    the reading code's source cannot be read."""
+    if not hasattr(os, "geteuid"):  # no file owners, so no trust rule for a cache
+        return None
     try:
         if (not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or _code_hash() is None
                 or not os.path.samestat(os.lstat(path), st)):

@@ -25,9 +25,21 @@ from ixpgraph.model import (
 )
 
 
+def _merge_edge(edges: dict, edge: MembershipEdge) -> None:
+    """Put ``edge`` in ``edges``; an existing (ixp_id, asn) edge instead gains
+    its sources, and keeps its member_ip unless it has none."""
+    key = (edge.ixp_id, edge.asn)
+    existing = edges.get(key)
+    edges[key] = edge if existing is None else existing._replace(
+        sources=existing.sources | edge.sources,
+        member_ip=edge.member_ip if existing.member_ip is None else existing.member_ip,
+    )
+
+
 def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGraph:
-    """Add a membership edge; re-adding an existing (ixp_id, asn) pair merges
-    the sources sets instead of duplicating.
+    """A new graph: ``graph`` with a membership edge added; re-adding an
+    existing (ixp_id, asn) pair merges the sources sets instead of
+    duplicating. ``graph`` itself is not changed.
 
     Raises UnknownEndpoint if either vertex is absent. When merging, an
     already recorded member_ip wins over the incoming one.
@@ -36,29 +48,19 @@ def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGrap
         raise UnknownEndpoint(f"unknown IXP {edge.ixp_id!r}")
     if edge.asn not in graph.ases:
         raise UnknownEndpoint(f"unknown AS {edge.asn}")
-    key = (edge.ixp_id, edge.asn)
-    existing = graph.edges.get(key)
-    if existing is None:
-        graph.edges[key] = edge
-        graph.members(edge.ixp_id).add(edge.asn)
-        graph.memberships(edge.asn).add(edge.ixp_id)
-    else:
-        graph.edges[key] = existing._replace(
-            sources=existing.sources | edge.sources,
-            member_ip=edge.member_ip if existing.member_ip is None else existing.member_ip,
-        )
-    return graph
+    edges = dict(graph.edges)
+    _merge_edge(edges, edge)
+    return BipartiteGraph(ixps=graph.ixps, ases=graph.ases, edges=edges)
 
 
 def build_graph(ixps, ases, memberships) -> BipartiteGraph:
-    """A graph from node and edge iterables, edges added by ``add_membership``."""
-    graph = BipartiteGraph(
-        ixps={n.ixp_id: n for n in ixps},
-        ases={n.asn: n for n in ases},
-    )
+    """A graph from node and edge iterables, built once; repeated (ixp_id,
+    asn) pairs merge as in ``add_membership``, the first member_ip winning."""
+    edges: dict = {}
     for edge in memberships:
-        add_membership(graph, edge)
-    return graph
+        _merge_edge(edges, edge)
+    return BipartiteGraph(ixps={n.ixp_id: n for n in ixps}, ases={n.asn: n for n in ases},
+                          edges=edges)
 
 
 # G0: the hand-checked toy fixture. IXPs X1..X3, ASes 1..4; A1 is at X1 and

@@ -502,8 +502,9 @@ class TestPlace:
         assert payload["score"] == pytest.approx(1 / 3)
 
     def test_uncoverable(self, tmp_path, capsys):
-        graph = make_g0()
-        graph.ases[9] = AsNode(9)  # in the graph, member of nothing
+        g0 = make_g0()
+        graph = BipartiteGraph(ixps=g0.ixps, ases={**g0.ases, 9: AsNode(9)},  # 9 is at no IXP
+                               edges=g0.edges)
         path = tmp_path / "g.json"
         serialization.write_graph(graph, path)
         code, _, err = run(capsys, "place", str(path), "cover", "--targets", "1,9")
@@ -632,6 +633,37 @@ class TestWithoutNetworkx:
             for node_class in ("ixp", "as"):
                 argv = ("metrics", str(g0_file), which, "--class", node_class)
                 assert self.cli(*argv) == run(capsys, *argv)[1]
+
+
+class TestWithoutPosixNames:
+    """Graph files are written and read where ``os`` lacks the POSIX-only
+    names, as on Windows: the temp file needs only exclusive create, and with
+    no ``geteuid`` there are no file owners, so no cache."""
+
+    @pytest.mark.parametrize("names, reads", [
+        (("geteuid", "O_NOFOLLOW", "O_NONBLOCK"), True),
+        (("O_NOFOLLOW",), False),  # a platform with geteuid has the open flags too
+    ])
+    def test_same_bytes_without_the_names(self, tmp_path, capsys, monkeypatch, names, reads):
+        pdb, pch = sanitize_fixture_files(tmp_path)
+        path = tmp_path / "graph.json"
+        commands = [("build", str(pdb), str(pch), str(path))]
+        if reads:
+            commands += [("export", str(path), "--format", "json"),
+                         ("export", str(path), "--format", "edgelist"),
+                         ("metrics", str(path), "degree-cdf"),
+                         ("place", str(path), "tunnels", "--as", "65003")]
+        for name in names:
+            monkeypatch.delattr(os, name)
+        without = [run(capsys, *argv) for argv in commands]
+        built = path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.json", "pch.csv", "pdb.csv"]
+        monkeypatch.undo()
+        path.unlink()
+        assert [run(capsys, *argv) for argv in commands] == without
+        assert path.read_bytes() == built
+        assert (tmp_path / ".graph.json.ixpgraph").is_file() == reads
+        assert all(code == 0 and err == "" for code, _, err in without)
 
 
 def _interpreters() -> list[str]:

@@ -70,14 +70,6 @@ class TestDistribution:
         assert dist.values == ((1, 2), (3, 1))
         assert dist.total == 3
 
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution(values=((1, 1),), total=5)
-
-    def test_non_increasing_values_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution(values=((2, 1), (1, 1)), total=2)
-
 
 class TestDegreeDistribution:
     def test_g0_as_class(self, g0):

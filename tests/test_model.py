@@ -157,20 +157,20 @@ class TestBipartiteGraph:
 class TestAddMembership:
     def test_single_edge(self):
         graph = BipartiteGraph(ixps={"X1": IxpNode("X1", ["X1"])}, ases={1: AsNode(1)})
-        add_membership(graph, MembershipEdge("X1", 1))
-        assert graph.num_edges == 1
+        assert add_membership(graph, MembershipEdge("X1", 1)).num_edges == 1
+        assert graph.num_edges == 0  # the graph it was given is not changed
 
     def test_readd_merges_sources(self):
         graph = BipartiteGraph(ixps={"X1": IxpNode("X1", ["X1"])}, ases={1: AsNode(1)})
-        add_membership(graph, MembershipEdge("X1", 1, sources={Source.PDB}))
-        add_membership(graph, MembershipEdge("X1", 1, sources={Source.PCH}))
+        graph = add_membership(graph, MembershipEdge("X1", 1, sources={Source.PDB}))
+        graph = add_membership(graph, MembershipEdge("X1", 1, sources={Source.PCH}))
         assert graph.num_edges == 1
         assert graph.edges[("X1", 1)].sources == {Source.PDB, Source.PCH}
 
     def test_existing_member_ip_wins(self):
         graph = BipartiteGraph(ixps={"X1": IxpNode("X1", ["X1"])}, ases={1: AsNode(1)})
-        add_membership(graph, MembershipEdge("X1", 1, member_ip="192.0.2.1"))
-        add_membership(graph, MembershipEdge("X1", 1, member_ip="192.0.2.2"))
+        graph = add_membership(graph, MembershipEdge("X1", 1, member_ip="192.0.2.1"))
+        graph = add_membership(graph, MembershipEdge("X1", 1, member_ip="192.0.2.2"))
         assert graph.edges[("X1", 1)].member_ip == "192.0.2.1"
 
     def test_unknown_endpoint(self, g0):
@@ -183,7 +183,7 @@ class TestAddMembership:
         graph = BipartiteGraph(
             ixps={"X1": IxpNode("X1", ["X1"])}, ases={1: AsNode(1), 2: AsNode(2)}
         )
-        add_membership(graph, MembershipEdge("X1", 2))
+        graph = add_membership(graph, MembershipEdge("X1", 2))
         assert graph.members("X1") == {2}
         assert graph.memberships(2) == {"X1"}
 
@@ -218,11 +218,10 @@ class TestDegree:
 
 class TestGiantComponent:
     def test_disconnected_pair_discarded(self):
-        graph = make_g0()
-        graph.ixps["X9"] = IxpNode("X9", ["X9"])
-        graph.ases[9] = AsNode(9)
-        graph = BipartiteGraph(ixps=graph.ixps, ases=graph.ases, edges=graph.edges)
-        add_membership(graph, MembershipEdge("X9", 9))
+        g0 = make_g0()
+        graph = BipartiteGraph(ixps={**g0.ixps, "X9": IxpNode("X9", ["X9"])},
+                               ases={**g0.ases, 9: AsNode(9)}, edges=g0.edges)
+        graph = add_membership(graph, MembershipEdge("X9", 9))
         result = giant_component(graph)
         assert graph.num_nodes - result.num_nodes == 2
         assert graph.num_edges - result.num_edges == 1

@@ -52,8 +52,8 @@ class TestProjectG0:
         assert index_edges(graph, NodeClass.IXP) == {}
 
     def test_isolated_nodes_retained(self, g0):
-        g0.ixps["X4"] = IxpNode("X4", ["X4"])
-        graph = BipartiteGraph(ixps=g0.ixps, ases=g0.ases, edges=g0.edges)
+        graph = BipartiteGraph(ixps={**g0.ixps, "X4": IxpNode("X4", ["X4"])}, ases=g0.ases,
+                               edges=g0.edges)
         nodes, _, reach = index(graph, NodeClass.IXP)
         assert nodes[3] == "X4" and reach[3] == 1 << 3
         assert index(graph, NodeClass.AS)[1]["X4"] == 0
