@@ -18,6 +18,7 @@ import argparse
 import csv
 import gc
 import json
+import math
 import re
 import sys
 from itertools import accumulate
@@ -180,14 +181,16 @@ def _parse_targets(spec: str) -> list[int] | None:
 
 
 def _read_map_file(path, expected_header, key_parse) -> dict:
-    """A two-column CSV mapping parsed keys to decimal values; a key that
-    parses to one seen before is an error."""
+    """A two-column CSV mapping parsed keys to finite positive decimal
+    values; a key that parses to one seen before is an error."""
     out = {}
     for row in _read_csv(path, expected_header):
         if len(row) != 2:
             raise ValueError(f"{path}: expected 2 columns, got {len(row)}")
         try:
             key, value = key_parse(row[0]), _parse_decimal(row[1], real=True)
+            if not 0 < value < math.inf:
+                raise ValueError(f"not a finite positive number: {row[1]!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if key in out:

@@ -10,7 +10,9 @@ PCH-style), sharing the header::
 as_prefix_count may be empty. Attribute files are ``asn,as_type`` and
 ``ixp_id,country,city,lat,lon``.
 
-The cleaning pipeline runs in a fixed order: inactive-IXP removal, then
+A build is one path: parse both files, ``sanitize`` their records together
+(it unifies their IXP identities first), then ``attach_attributes``. The
+cleaning pipeline runs in a fixed order: inactive-IXP removal, then
 IP-consistency filtering, then cross-source duplicate collapsing, then
 giant-component extraction. The order is part of the contract; running
 the giant-component step earlier can change the result.
@@ -99,7 +101,6 @@ class ParseResult(NamedTuple):
 class IxpIdentity(NamedTuple):
     """An IXP unified across sources, with merged attributes."""
 
-    ixp_id: str
     source_keys: frozenset[tuple[Source, str]]
     names: tuple[str, ...]
     peering_prefixes: tuple[str, ...]
@@ -181,10 +182,9 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def merge_ixp_lists(
-    pdb: Sequence[MembershipRecord], pch: Sequence[MembershipRecord]
-) -> dict[str, IxpIdentity]:
-    """Unify source-local IXPs across the two datasets.
+def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentity]:
+    """Unify the source-local IXPs that ``records``, of either source, name,
+    keyed by unified id.
 
     Two IXPs become one node when a peering prefix is identical or nested,
     or when their normalized names match; unification is the transitive
@@ -206,7 +206,7 @@ def merge_ixp_lists(
     statuses: dict[tuple[Source, str], set[IxpStatus]] = {}
     canonical: dict[str, str] = {}  # prefix text as given -> canonical CIDR text
     prefix_keys: dict[str, tuple[int, int, int]] = {}
-    for record in list(pdb) + list(pch):
+    for record in records:
         key = (record.source, record.ixp_key)
         names.setdefault(key, set()).add(record.ixp_name)
         for prefix in record.ixp_prefixes:
@@ -242,13 +242,11 @@ def merge_ixp_lists(
     width = max(4, len(str(len(groups))))
     identities = {}
     for seq, group in enumerate(groups.values(), start=1):
-        ixp_id = f"IXP{seq:0{width}d}"
         group_names = sorted(set().union(*(names[k] for k in group)))
         # Canonical texts map one-to-one to keys: sorting by key sorts networks.
         group_nets = sorted(set().union(*(prefixes[k] for k in group)), key=prefix_keys.get)
         status = max(set().union(*(statuses[k] for k in group)), key=_STATUS_SEVERITY.get)
-        identities[ixp_id] = IxpIdentity(
-            ixp_id=ixp_id,
+        identities[f"IXP{seq:0{width}d}"] = IxpIdentity(
             source_keys=frozenset(group),
             names=tuple(group_names),
             peering_prefixes=tuple(group_nets),
@@ -264,34 +262,33 @@ def _record_priority(record: MembershipRecord) -> tuple:
 
 
 def sanitize(
-    records: Sequence[MembershipRecord],
-    identities: dict[str, IxpIdentity],
-    parse_errors: int = 0,
+    records: Sequence[MembershipRecord], parse_errors: int = 0
 ) -> tuple[BipartiteGraph, DiscardReport]:
-    """Run the fixed cleaning pipeline and build the final graph.
+    """Build the final graph from the records of both sources, and count what
+    was dropped; ``parse_errors`` is how many rows their parse rejected.
 
-    Steps, in order: (1) drop IXPs flagged Inactive or NotApproved by any
-    source, with their edges; (2) drop edges whose member_ip falls outside
-    every peering prefix of the unified IXP; (3) collapse duplicate
-    (ixp, asn) edges across sources, merging their sources sets; (4) keep
-    only the giant component. Steps 1-3 are one pass over the rows in
-    priority order (PDB first), and a row's fate is the first of them that
-    drops it. An edge takes the first member_ip given among its kept rows;
-    an AS the first as_type and prefix count given among all of its rows.
-    Each step tallies the edges it drops, and a node under the step that
-    drops its last edge; malformed rows count as ParseError edges. A reason
-    is in the report when either of its tallies is non-zero.
+    The records' IXPs are unified by ``merge_ixp_lists`` first, and each
+    record joins the unified IXP of its (source, key). Then, in order: (1)
+    drop IXPs flagged Inactive or NotApproved by any source, with their
+    edges; (2) drop edges whose member_ip falls outside every peering prefix
+    of the unified IXP; (3) collapse duplicate (ixp, asn) edges across
+    sources, merging their sources sets; (4) keep only the giant component.
+    Steps 1-3 are one pass over the rows in priority order (PDB first), and
+    a row's fate is the first of them that drops it. An edge takes the first
+    member_ip given among its kept rows; an AS the first as_type and prefix
+    count given among all of its rows. Each step tallies the edges it drops,
+    and a node under the step that drops its last edge; malformed rows count
+    as ParseError edges. A reason is in the report when either of its
+    tallies is non-zero.
     """
+    identities = merge_ixp_lists(records)
     key_to_uid = {key: uid for uid, ident in identities.items() for key in ident.source_keys}
     rows = []  # (unified IXP id, record)
     for record in records:
-        uid = key_to_uid.get((record.source, record.ixp_key))
-        if uid is None:
-            raise ValueError(f"record references unmerged IXP key {record.ixp_key!r}")
         if record.member_addr is None and record.member_ip is not None:
             ip = ipaddress.ip_address(record.member_ip)
             record = record._replace(member_addr=(ip.version, int(ip)))
-        rows.append((uid, record))
+        rows.append((key_to_uid[record.source, record.ixp_key], record))
     rows.sort(key=lambda row: _record_priority(row[1]))
 
     bad_uids = {uid for uid, ident in identities.items() if ident.status is not IxpStatus.ACTIVE}
@@ -361,6 +358,21 @@ def sanitize(
     return giant, DiscardReport(nodes_total_pre, len(records) + parse_errors, reasons)
 
 
+def _as_type_row(row: list[str]) -> tuple[int, str, AsType]:
+    asn_raw, type_raw = row
+    return _parse_asn(asn_raw), "as_type", _by_value(AsType, type_raw)
+
+
+def _location_row(row: list[str]) -> tuple[str, str, Location]:
+    ixp_id, country, city, lat_raw, lon_raw = row
+    return ixp_id, "location", Location(
+        country=country,
+        city=city,
+        lat=_parse_decimal(lat_raw, real=True) if lat_raw else None,
+        lon=_parse_decimal(lon_raw, real=True) if lon_raw else None,
+    )
+
+
 def attach_attributes(
     graph: BipartiteGraph,
     as_types_path=None,
@@ -377,34 +389,20 @@ def attach_attributes(
     warnings = 0
     ases = dict(graph.ases)
     ixps = dict(graph.ixps)
-
-    if as_types_path is not None:
-        typed = set()
-        for row in _read_csv(as_types_path, AS_TYPES_HEADER):
+    for path, header, nodes, parse_row in (
+        (as_types_path, AS_TYPES_HEADER, ases, _as_type_row),
+        (locations_path, LOCATIONS_HEADER, ixps, _location_row),
+    ):
+        if path is None:
+            continue
+        done = set()
+        for row in _read_csv(path, header):
             try:
-                asn_raw, type_raw = row
-                asn = _parse_asn(asn_raw)
-                if asn in typed:
-                    raise ValueError(f"AS {asn} typed by an earlier row")
-                ases[asn] = ases[asn]._replace(as_type=_by_value(AsType, type_raw))
-                typed.add(asn)
-            except (KeyError, ValueError):
-                warnings += 1
-
-    if locations_path is not None:
-        located = set()
-        for row in _read_csv(locations_path, LOCATIONS_HEADER):
-            try:
-                ixp_id, country, city, lat_raw, lon_raw = row
-                if ixp_id in located:
-                    raise ValueError(f"IXP {ixp_id} located by an earlier row")
-                ixps[ixp_id] = ixps[ixp_id]._replace(location=Location(
-                    country=country,
-                    city=city,
-                    lat=_parse_decimal(lat_raw, real=True) if lat_raw else None,
-                    lon=_parse_decimal(lon_raw, real=True) if lon_raw else None,
-                ))
-                located.add(ixp_id)
+                key, field, value = parse_row(row)
+                if key in done:
+                    raise ValueError(f"{key} set by an earlier row")
+                nodes[key] = nodes[key]._replace(**{field: value})
+                done.add(key)
             except (KeyError, ValueError):
                 warnings += 1
 
@@ -423,15 +421,10 @@ def build_from_files(
     as_types_path=None,
     locations_path=None,
 ) -> BuildResult:
-    """Full pipeline: parse both datasets, merge IXP identities, sanitize,
-    and optionally attach attributes."""
+    """Full pipeline: parse both datasets, sanitize their records together
+    (merging their IXP identities), and optionally attach attributes."""
     pdb = parse_dataset(pdb_path, Source.PDB)
     pch = parse_dataset(pch_path, Source.PCH)
-    identities = merge_ixp_lists(pdb.records, pch.records)
-    graph, report = sanitize(
-        pdb.records + pch.records,
-        identities,
-        parse_errors=pdb.parse_errors + pch.parse_errors,
-    )
+    graph, report = sanitize(pdb.records + pch.records, pdb.parse_errors + pch.parse_errors)
     graph, warnings = attach_attributes(graph, as_types_path, locations_path)
     return BuildResult(graph=graph, report=report, attribute_warnings=warnings)

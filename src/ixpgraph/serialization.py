@@ -35,7 +35,6 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
-_CACHE_FORMAT = b"ixpgraph graph cache 2"
 _str = json.encoder.encode_basestring_ascii  # json.dumps's escaper by default
 
 
@@ -225,11 +224,10 @@ def _cache_path(path, st: os.stat_result) -> Path | None:
 @functools.cache
 def _code_hash():
     """A SHA-256 over what a cache entry's validity rests on apart from the
-    graph bytes: the cache format, the interpreter's cache tag and marshal
-    version, and the source of the reading and checking code; ``None`` when
-    that source cannot be read."""
-    digest = hashlib.sha256(_CACHE_FORMAT)
-    digest.update(f"\0{sys.implementation.cache_tag}\0{marshal.version}".encode())
+    graph bytes: the interpreter's cache tag and marshal version, and the
+    source of the reading and checking code, which defines the cache's payload
+    too; ``None`` when that source cannot be read."""
+    digest = hashlib.sha256(f"{sys.implementation.cache_tag}\0{marshal.version}".encode())
     try:
         for name in (model.__file__, __file__):
             source = Path(name).read_bytes()

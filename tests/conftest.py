@@ -150,11 +150,11 @@ def _merge_prefix(rng: random.Random) -> str:
     return str(ipaddress.ip_network(f"{base}/{length}", strict=False))
 
 
-def merge_test_lists(seed: int = 5, count: int = 300) -> list[tuple[list, list]]:
-    """Random (pdb, pch) record lists for the IXP merge. A source key has one
-    to three records, each with zero to two prefixes and a name that is
-    either shared in some spelling or the key's own; some keys hold no
-    prefix at all."""
+def merge_test_lists(seed: int = 5, count: int = 300) -> list[list]:
+    """Random record lists for the IXP merge, PDB records first. A source
+    key has one to three records, each with zero to two prefixes and a name
+    that is either shared in some spelling or the key's own; some keys hold
+    no prefix at all."""
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
@@ -174,12 +174,13 @@ def merge_test_lists(seed: int = 5, count: int = 300) -> list[tuple[list, list]]
                     member_ip=None,
                     status=rng.choice(list(IxpStatus)),
                 ))
-        cases.append((lists[Source.PDB], lists[Source.PCH]))
+        cases.append(lists[Source.PDB] + lists[Source.PCH])
     return cases
 
 
-def sanitize_test_sets(seed: int = 7, count: int = 200) -> list[tuple[list, list, int]]:
-    """Random (pdb, pch, parse_errors) inputs for the cleaning path.
+def sanitize_test_sets(seed: int = 7, count: int = 200) -> list[tuple[list, int]]:
+    """Random (records, parse_errors) inputs for the cleaning path, PDB
+    records first.
 
     Core IXPs k share a pool of ASes; IXP k's LAN is 10.k.0.0/24 and
     2001:db8:k::/48, or one of them, or none. Member addresses are absent,
@@ -236,7 +237,7 @@ def sanitize_test_sets(seed: int = 7, count: int = 200) -> list[tuple[list, list
         pdb, pch = ([r._replace(as_type=attributes.choice(types),
                                 as_prefix_count=attributes.choice((None, attributes.randint(0, 9))))
                      for r in part] for part in (pdb, pch))
-        cases.append((pdb, pch, rng.choice((0, 0, rng.randint(1, 5)))))
+        cases.append((pdb + pch, rng.choice((0, 0, rng.randint(1, 5)))))
     return cases
 
 

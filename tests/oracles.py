@@ -184,7 +184,7 @@ def _prefixes_overlap(nets_a, nets_b) -> bool:
     return False
 
 
-def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
+def bf_merge_ixp_lists(records) -> dict[str, IxpIdentity]:
     """``ingest.merge_ixp_lists`` by comparing every pair of source keys'
     prefix sets with ``ipaddress``'s own ``subnet_of``: keys are joined by
     networkx's connected components, one edge per name match or prefix
@@ -192,7 +192,7 @@ def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
     names: dict = {}
     prefixes: dict = {}
     statuses: dict = {}
-    for record in list(pdb) + list(pch):
+    for record in records:
         key = (record.source, record.ixp_key)
         names.setdefault(key, set()).add(record.ixp_name)
         prefixes.setdefault(key, set()).update(
@@ -215,13 +215,11 @@ def bf_merge_ixp_lists(pdb, pch) -> dict[str, IxpIdentity]:
     width = max(4, len(str(len(ordered))))
     identities = {}
     for seq, group in enumerate(ordered, start=1):
-        ixp_id = f"IXP{seq:0{width}d}"
         group_nets = sorted(
             set().union(*(prefixes[k] for k in group)),
             key=lambda n: (n.version, int(n.network_address), n.prefixlen),
         )
-        identities[ixp_id] = IxpIdentity(
-            ixp_id=ixp_id,
+        identities[f"IXP{seq:0{width}d}"] = IxpIdentity(
             source_keys=frozenset(group),
             names=tuple(sorted(set().union(*(names[k] for k in group)))),
             peering_prefixes=tuple(str(n) for n in group_nets),
@@ -241,15 +239,18 @@ def nx_giant_component(nodes, edges) -> set:
                key=lambda c: (-len(c), -sum(1 for x, _ in edges if x in c), min(map(str, c))))
 
 
-def bf_discard_report(records, identities, parse_errors: int = 0) -> DiscardReport:
+def bf_discard_report(records, parse_errors: int = 0) -> DiscardReport:
     """``ingest.sanitize(...)[1]`` by applying the four stages one
-    at a time to a plain list of (unified IXP id, record) edges.
+    at a time to a plain list of (unified IXP id, record) edges, the IXPs
+    unified by ``bf_merge_ixp_lists``.
 
     Each stage's edge tally is the edges it drops; its node tally is the
     vertices that had an edge before it and none after it (for the giant
     component: that are outside it). So every vertex is tallied under the
     stage that drops its last edge, given that each starts with an edge,
     as merged identities and their records do."""
+    identities = bf_merge_ixp_lists(records)
+
     def uid(record):
         return next(u for u, ident in identities.items()
                     if (record.source, record.ixp_key) in ident.source_keys)
@@ -289,15 +290,18 @@ def bf_discard_report(records, identities, parse_errors: int = 0) -> DiscardRepo
     )
 
 
-def bf_sanitized_graph(records, identities) -> BipartiteGraph:
+def bf_sanitized_graph(records) -> BipartiteGraph:
     """``ingest.sanitize(...)[0]`` by applying the four stages one at a time
-    to a plain list of (unified IXP id, record) edges.
+    to a plain list of (unified IXP id, record) edges, the IXPs unified by
+    ``bf_merge_ixp_lists``.
 
     Rows are read in (PDB first, member_ip) order, a row without an address
     first among its source's, ties in input order. Each edge left after
     stage 4 takes the first member_ip among its rows left after stage 2 and
     the union of their sources. Each AS left takes the first known as_type
     and the first known prefix count among all its rows, dropped or not."""
+    identities = bf_merge_ixp_lists(records)
+
     def uid(record):
         return next(u for u, ident in identities.items()
                     if (record.source, record.ixp_key) in ident.source_keys)

@@ -461,13 +461,15 @@ class TestPlace:
                    flag, str(path)) == (1, "", f"error: {path}: expected 2 columns, got 3\n")
 
     @pytest.mark.parametrize("rows, message", [
-        (["4,0"], "weights must be finite and positive"),
+        # The file's own rows are checked as it is read, so the error names it.
+        (["4,0"], "{path}: not a finite positive number: '0'"),
         # Each weight is finite; their sum is not.
         ([f"{a},1{'0' * 308}" for a in (2, 3)], "weights must have a finite sum"),
     ], ids=["zero", "overflowing-sum"])
     def test_bad_weights_are_one_line_error(self, g0_file, tmp_path, capsys, rows, message):
         path = tmp_path / "weights.csv"
         path.write_text("\n".join(["asn,weight", *rows]) + "\n", encoding="utf-8")
+        message = message.format(path=path)
         for problem in (["cover"], ["budget", "--budget", "1"]):
             assert run(capsys, "place", str(g0_file), *problem, "--targets", "all",
                        "--weights", str(path)) == (1, "", f"error: {message}\n")
@@ -767,8 +769,9 @@ class TestAcrossInterpreters:
         for i, exe in enumerate(interpreters):
             workdir = tmp_path / f"run{i}"
             workdir.mkdir()
-            proc = subprocess.run([exe, "-c", self.RUNNER, json.dumps(commands)], cwd=workdir,
-                                  env=subprocess_env(), capture_output=True, text=True)
+            # "-W error": a deprecation on any interpreter fails the test.
+            proc = subprocess.run([exe, "-W", "error", "-c", self.RUNNER, json.dumps(commands)],
+                                  cwd=workdir, env=subprocess_env(), capture_output=True, text=True)
             assert proc.returncode == 0, f"{exe}: {proc.stderr}"
             outputs[exe] = json.loads(proc.stdout)
         reference = outputs.pop(interpreters[0])
@@ -1050,17 +1053,28 @@ class TestUsageErrors:
             assert out == ""
             assert err == f"error: not an AS number: {token}\n"
 
-    @pytest.mark.parametrize("argv, header, row", [
-        (("cover", "--targets", "1", "--costs"), "ixp_id,cost", "X1,1_0"),
-        (("budget", "--targets", "1", "--budget", "5", "--weights"), "asn,weight", "4,1_0"),
-    ], ids=["cover-costs", "budget-weights"])
+    @pytest.mark.parametrize("argv, header, row, message", [
+        (("cover", "--targets", "1", "--costs"), "ixp_id,cost", "X1,1_0",
+         "not a decimal number: '1_0'"),
+        (("budget", "--targets", "1", "--budget", "5", "--weights"), "asn,weight", "4,1_0",
+         "not a decimal number: '1_0'"),
+        (("cover", "--targets", "all", "--costs"), "ixp_id,cost", "X1,0",
+         "not a finite positive number: '0'"),
+        (("cover", "--targets", "1", "--costs"), "ixp_id,cost", "X1,-2.5",
+         "not a finite positive number: '-2.5'"),
+        (("budget", "--targets", "1", "--budget", "5", "--weights"), "asn,weight",
+         "4," + "1" + "0" * 310, f"not a finite positive number: '1{'0' * 310}'"),
+        (("budget", "--targets", "1", "--budget", "5", "--weights"), "asn,weight", "4,-0.0",
+         "not a finite positive number: '-0.0'"),
+    ], ids=["cover-costs", "budget-weights", "zero-cost", "negative-cost", "overflowing-weight",
+            "negative-zero-weight"])
     def test_map_file_is_read_before_the_graph(self, g0_file, tmp_path, capsys,
-                                               argv, header, row):
+                                               argv, header, row, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"{header}\n{row}\n", encoding="utf-8")
         for graph in (g0_file, tmp_path / "missing.json"):
             code, out, err = run(capsys, "place", str(graph), *argv, str(bad))
-            assert (code, out, err) == (1, "", f"error: {bad}: not a decimal number: '1_0'\n")
+            assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
 
     def test_target_file_is_read_before_the_graph(self, tmp_path, capsys):
         targets = tmp_path / "targets.txt"

@@ -158,42 +158,42 @@ class TestNormalizeIxpName:
 def records_for_merge(tmp_path, pdb_rows, pch_rows):
     pdb = parse(tmp_path, pdb_rows, Source.PDB, "p.csv").records
     pch = parse(tmp_path, pch_rows, Source.PCH, "c.csv").records
-    return pdb, pch
+    return pdb + pch
 
 
 class TestMergeIxpLists:
     def test_prefix_containment_unifies(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,de,DE-CIX Frankfurt,80.81.192.0/21,64500,,Active,,"],
             ["PCH,9,decix fra,80.81.192.0/22,64501,,Active,,"],
         )
-        identities = merge_ixp_lists(pdb, pch)
+        identities = merge_ixp_lists(records)
         assert len(identities) == 1
         ident = next(iter(identities.values()))
         assert ident.source_keys == {(Source.PDB, "de"), (Source.PCH, "9")}
         assert ident.peering_prefixes == ("80.81.192.0/21", "80.81.192.0/22")
 
     def test_name_match_with_disjoint_prefixes(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,ams,AMS-IX,10.0.0.0/24,64500,,Active,,"],
             ["PCH,5,ams ix,10.9.0.0/24,64501,,Active,,"],
         )
-        assert len(merge_ixp_lists(pdb, pch)) == 1
+        assert len(merge_ixp_lists(records)) == 1
 
     def test_unrelated_ixps_stay_separate(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,linx,LINX,10.0.0.0/24,64500,,Active,,"],
             ["PCH,fr,France-IX,10.9.0.0/24,64501,,Active,,"],
         )
-        identities = merge_ixp_lists(pdb, pch)
+        identities = merge_ixp_lists(records)
         assert len(identities) == 2
 
     def test_transitive_closure(self, tmp_path):
         # A~B by prefix, B~C by name: all three collapse into one node.
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,a,Alpha West,10.0.0.0/16,64500,,Active,,"],
             [
@@ -201,55 +201,55 @@ class TestMergeIxpLists:
                 "PCH,c,beta,172.16.0.0/24,64502,,Active,,",
             ],
         )
-        assert len(merge_ixp_lists(pdb, pch)) == 1
+        assert len(merge_ixp_lists(records)) == 1
 
     def test_same_version_required_for_prefix_match(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,a,Alpha,0.0.0.0/0,64500,,Active,,"],
             ["PCH,b,Beta,::/0,64501,,Active,,"],
         )
-        assert len(merge_ixp_lists(pdb, pch)) == 2
+        assert len(merge_ixp_lists(records)) == 2
 
     def test_ids_assigned_in_source_key_order(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,zz,Zed,10.0.0.0/24,64500,,Active,,"],
             ["PCH,aa,Ay,10.9.0.0/24,64501,,Active,,"],
         )
-        identities = merge_ixp_lists(pdb, pch)
+        identities = merge_ixp_lists(records)
         # "PCH:aa" sorts before "PDB:zz", so Ay gets the first id.
         assert identities["IXP0001"].names == ("Ay",)
         assert identities["IXP0002"].names == ("Zed",)
 
     def test_status_conflict_resolves_to_worst(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,x,Xchg,10.0.0.0/24,64500,,Active,,"],
             ["PCH,y,xchg,10.0.0.0/24,64501,,Inactive,,"],
         )
-        ident = merge_ixp_lists(pdb, pch)["IXP0001"]
+        ident = merge_ixp_lists(records)["IXP0001"]
         assert ident.status is IxpStatus.INACTIVE
 
     def test_names_and_prefixes_merged_sorted(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path,
             ["PDB,x,Zulu Exchange,192.0.2.0/24,64500,,Active,,"],
             ["PCH,y,zulu exchange,192.0.2.0/25;10.0.0.0/8,64501,,Active,,"],
         )
-        ident = merge_ixp_lists(pdb, pch)["IXP0001"]
+        ident = merge_ixp_lists(records)["IXP0001"]
         assert ident.names == ("Zulu Exchange", "zulu exchange")
         assert ident.peering_prefixes == ("10.0.0.0/8", "192.0.2.0/24", "192.0.2.0/25")
 
     def test_result_type(self, tmp_path):
-        pdb, pch = records_for_merge(
+        records = records_for_merge(
             tmp_path, ["PDB,a,Alpha,10.0.0.0/24,64500,,Active,,"], [])
-        ident = merge_ixp_lists(pdb, pch)["IXP0001"]
+        ident = merge_ixp_lists(records)["IXP0001"]
         assert isinstance(ident, IxpIdentity)
 
     def test_matches_pairwise_oracle_on_random_lists(self):
-        for case, (pdb, pch) in enumerate(merge_test_lists()):
-            assert merge_ixp_lists(pdb, pch) == bf_merge_ixp_lists(pdb, pch), f"case {case}"
+        for case, records in enumerate(merge_test_lists()):
+            assert merge_ixp_lists(records) == bf_merge_ixp_lists(records), f"case {case}"
 
 
 class TestSanitize:
@@ -257,10 +257,7 @@ class TestSanitize:
         pdb_path, pch_path = sanitize_fixture_files(tmp_path)
         pdb = parse_dataset(pdb_path, Source.PDB)
         pch = parse_dataset(pch_path, Source.PCH)
-        records = pdb.records + pch.records
-        identities = merge_ixp_lists(pdb.records, pch.records)
-        return sanitize(records, identities,
-                        parse_errors=pdb.parse_errors + pch.parse_errors)
+        return sanitize(pdb.records + pch.records, pdb.parse_errors + pch.parse_errors)
 
     def test_stage_tallies(self, tmp_path):
         _, report = self.run_fixture(tmp_path)
@@ -312,28 +309,21 @@ class TestSanitize:
             "PDB,k1,Alpha,192.0.2.0/24,64500,,Active,,",
             "PDB,k1,Alpha,192.0.2.0/24,bogus,,Active,,",
         ])
-        identities = merge_ixp_lists(pdb.records, [])
-        _, report = sanitize(pdb.records, identities, parse_errors=pdb.parse_errors)
+        _, report = sanitize(pdb.records, pdb.parse_errors)
         assert report.reasons[DiscardReason.PARSE_ERROR] == ReasonTally(0, 1)
         assert report.edges_total_pre == 2
 
     def test_all_inactive_raises_empty(self, tmp_path):
         pdb = parse(tmp_path, ["PDB,k1,Alpha,192.0.2.0/24,64500,,Inactive,,"])
-        identities = merge_ixp_lists(pdb.records, [])
         with pytest.raises(EmptyGraph):
-            sanitize(pdb.records, identities)
-
-    def test_unmerged_record_rejected(self, tmp_path):
-        pdb = parse(tmp_path, ["PDB,k1,Alpha,192.0.2.0/24,64500,,Active,,"])
-        with pytest.raises(ValueError):
-            sanitize(pdb.records, identities={})
+            sanitize(pdb.records)
 
     def test_absent_member_ip_kept(self, tmp_path):
         pdb = parse(tmp_path, [
             "PDB,k1,Alpha,192.0.2.0/24,64500,,Active,,",
             "PDB,k1,Alpha,192.0.2.0/24,64501,,Active,,",
         ])
-        graph, report = sanitize(pdb.records, merge_ixp_lists(pdb.records, []))
+        graph, report = sanitize(pdb.records)
         assert graph.num_edges == 2
         assert DiscardReason.IP_INCONSISTENT not in report.reasons
 
@@ -347,9 +337,9 @@ class TestSanitize:
         ])
         pch = parse(tmp_path, ["PCH,7,ALPHA,,64501,2001:db8::1,Active,,"],
                     Source.PCH, "pch.csv")
-        identities = merge_ixp_lists(pdb.records, pch.records)
-        assert [i.peering_prefixes for i in identities.values()] == [()]
-        graph, report = sanitize(pdb.records + pch.records, identities)
+        records = pdb.records + pch.records
+        assert [i.peering_prefixes for i in merge_ixp_lists(records).values()] == [()]
+        graph, report = sanitize(records)
         # AS 64500 loses its only row here, so stage 2 counts it as well.
         assert report.reasons[DiscardReason.IP_INCONSISTENT] == ReasonTally(1, 2)
         assert DiscardReason.NOT_IN_GIANT_COMPONENT not in report.reasons
@@ -365,7 +355,7 @@ class TestSanitize:
             "PDB,c,Gamma,203.0.113.0/24,64501,203.0.113.1,Inactive,,",  # only row
             "PDB,d,Delta,,64504,192.0.2.9,Active,,",  # Delta and 64504 both lose it
         ])
-        graph, report = sanitize(pdb.records, merge_ixp_lists(pdb.records, []))
+        graph, report = sanitize(pdb.records)
         assert report.reasons == {
             DiscardReason.INACTIVE_IXP: ReasonTally(2, 1),
             DiscardReason.IP_INCONSISTENT: ReasonTally(3, 2),
@@ -396,7 +386,7 @@ class TestSanitize:
             MembershipRecord(Source.PDB, "k", "Alpha", ("192.0.2.0/24",), 64501, "10.9.9.9",
                              IxpStatus.ACTIVE),
         ]
-        graph, report = sanitize(records, merge_ixp_lists(records, []))
+        graph, report = sanitize(records)
         assert sorted(graph.edges) == [("IXP0001", 64500)]
         assert report.reasons == {DiscardReason.IP_INCONSISTENT: ReasonTally(1, 1)}
 
@@ -413,8 +403,7 @@ class TestSanitize:
             ]
             pch = [MembershipRecord(Source.PCH, "p", "Beta", ("192.0.2.128/25",), 64502,
                                     "192.0.2.200", IxpStatus.ACTIVE)]
-            identities = merge_ixp_lists(records, pch)
-            return identities, sanitize(records + pch, identities)
+            return merge_ixp_lists(records + pch), sanitize(records + pch)
 
         identities, (graph, report) = build("192.0.2.1/24")
         assert (identities, graph, report) == (build("192.0.2.0/24")[0], *build("192.0.2.0/24")[1])
@@ -438,7 +427,7 @@ class TestSanitize:
             records += [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64501 + i, str(ip),
                                          IxpStatus.ACTIVE, member_addr=(ip.version, int(ip)))
                         for i, ip in enumerate(map(ipaddress.ip_address, ips))]
-            graph, _ = sanitize(records, merge_ixp_lists(records, []))
+            graph, _ = sanitize(records)
             nets = [ipaddress.ip_network(p) for p in prefixes]
             expected = {64500} | {
                 64501 + i for i, ip in enumerate(map(ipaddress.ip_address, ips))
@@ -448,20 +437,18 @@ class TestSanitize:
     def test_report_matches_stage_by_stage_oracle(self):
         sets = sanitize_test_sets()
         seen = Counter()
-        for case, (pdb, pch, parse_errors) in enumerate(sets):
-            records, identities = pdb + pch, merge_ixp_lists(pdb, pch)
-            report = sanitize(records, identities, parse_errors)[1]
-            assert report == bf_discard_report(records, identities, parse_errors), f"case {case}"
+        for case, (records, parse_errors) in enumerate(sets):
+            report = sanitize(records, parse_errors)[1]
+            assert report == bf_discard_report(records, parse_errors), f"case {case}"
             seen.update(list(report.reasons))
         # Each reason is in some reports and missing from others.
         assert all(0 < seen[reason] < len(sets) for reason in DiscardReason), seen
 
     def test_graph_matches_stage_by_stage_oracle(self):
         seen = Counter()
-        for case, (pdb, pch, parse_errors) in enumerate(sanitize_test_sets()):
-            records, identities = pdb + pch, merge_ixp_lists(pdb, pch)
-            graph = sanitize(records, identities, parse_errors)[0]
-            assert graph == bf_sanitized_graph(records, identities), f"case {case}"
+        for case, (records, parse_errors) in enumerate(sanitize_test_sets()):
+            graph = sanitize(records, parse_errors)[0]
+            assert graph == bf_sanitized_graph(records), f"case {case}"
             seen.update(len(edge.sources) for edge in graph.edges.values())
             seen.update(node.as_type for node in graph.ases.values())
             seen.update(node.prefix_count is None for node in graph.ases.values())
@@ -502,7 +489,7 @@ class TestAttachAttributes:
             "PDB,k1,Alpha,192.0.2.0/24,64500,,Active,,",
             "PDB,k1,Alpha,192.0.2.0/24,64501,,Active,,",
         ])
-        graph, _ = sanitize(pdb.records, merge_ixp_lists(pdb.records, []))
+        graph, _ = sanitize(pdb.records)
         return graph
 
     def test_types_attached(self, tmp_path):

@@ -642,6 +642,49 @@ class TestGraphCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == [".g.json.ixpgraph", "g.json"]
         assert not any(_cache_of(path).iterdir())
 
+    def _read_without_a_cache(self, path, graph_reads):
+        """Two reads of ``path`` that validate the JSON each time and leave no
+        cache beside it; the graph they give."""
+        graphs = [read_graph(path) for _ in range(2)]
+        assert len(graph_reads) == 2
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        assert graphs[0] == graphs[1]
+        return graphs[0]
+
+    def test_path_that_cannot_be_looked_up_again_gets_no_cache(self, tmp_path, graph_reads,
+                                                                monkeypatch):
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+
+        def lstat(*args, **kwargs):
+            raise PermissionError("lstat refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "lstat", lstat)
+            graph = self._read_without_a_cache(path, graph_reads)
+        assert graph == read_graph(path) == attributed_graph()
+        assert dumps_graph(graph) == path.read_text(encoding="utf-8")
+
+    def test_unreadable_reader_source_gets_no_cache(self, tmp_path, graph_reads, monkeypatch):
+        # The reading code runs from somewhere its source cannot be read
+        # (a zip archive, say): with nothing to key a cache on, there is none.
+        path = tmp_path / "g.json"
+        write_graph(attributed_graph(), path)
+
+        def read_bytes(self):
+            raise OSError(f"cannot read {self}")
+
+        serialization._code_hash.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "read_bytes", read_bytes)
+                assert serialization._code_hash() is None
+                graph = self._read_without_a_cache(path, graph_reads)
+        finally:
+            serialization._code_hash.cache_clear()
+        assert graph == read_graph(path) == attributed_graph()
+        assert dumps_graph(graph) == path.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("mutate, message", [case[1:] for case in LOADER_MESSAGES],
                              ids=[case[0] for case in LOADER_MESSAGES])
     def test_malformed_graph_writes_no_cache(self, tmp_path, mutate, message):
