@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from . import serialization
-from .errors import FormatError, InsufficientData, IxpGraphError
+from .errors import EmptyGraph, FormatError, InsufficientData, IxpGraphError
 from .model import AsType, BipartiteGraph, NodeClass, _parse_asn, _parse_decimal, _read_csv
 
 _CLASS = {"ixp": NodeClass.IXP, "as": NodeClass.AS}
@@ -41,8 +41,8 @@ class MetricOutput(NamedTuple):
 
 
 def _require_types(graph: BipartiteGraph) -> None:
-    # An empty graph goes on to the kernel, which names it empty.
-    if graph.num_nodes and all(node.as_type is AsType.UNKNOWN for node in graph.ases.values()):
+    """Rejects a graph none of whose ASes has a type; one with no AS, too."""
+    if all(node.as_type is AsType.UNKNOWN for node in graph.ases.values()):
         raise InsufficientData(
             "metric needs AS types, but no AS in the graph has one attached"
         )
@@ -279,6 +279,8 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
     if args.sample is not None:
         args.sample = _count_flag("--sample", args.sample)
     graph = serialization.read_graph(args.graph)
+    if graph.num_nodes == 0:
+        raise EmptyGraph("graph has no vertices")
     _print_metric(entry[1](metrics, graph, args), args.json)
     return 0
 

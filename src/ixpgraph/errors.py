@@ -9,10 +9,6 @@ class UnknownNode(IxpGraphError):
     """A node id was not found in the graph."""
 
 
-class UnknownEndpoint(IxpGraphError):
-    """A membership edge references a vertex that is not in the graph."""
-
-
 class UnknownTarget(IxpGraphError):
     """A coverage target ASN is not present in the graph."""
 

@@ -16,7 +16,7 @@ from math import fsum, inf, isfinite, lcm, sqrt
 from operator import or_, sub
 from typing import Iterable, NamedTuple
 
-from .errors import Disconnected, EmptyGraph, InsufficientData
+from .errors import Disconnected, InsufficientData
 from .model import AsType, BipartiteGraph, NodeClass
 from .projection import BIT_FLAGS, bits, counter_add, index
 
@@ -42,8 +42,6 @@ class TypeFractions(NamedTuple):
 
 def degree_distribution(graph: BipartiteGraph, node_class: NodeClass) -> Distribution:
     """Degree histogram over one vertex class of the bipartite graph."""
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
     if node_class is NodeClass.IXP:
         degrees = [len(graph.members(i)) for i in graph.ixps]
     else:
@@ -67,8 +65,6 @@ def member_type_fractions(graph: BipartiteGraph) -> dict[str, TypeFractions]:
     Unknown-typed members count toward the denominator only, so the three
     fractions may sum to less than one.
     """
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
     return {x: _type_fractions(graph, graph.members(x)) for x in graph.ixps}
 
 
@@ -92,8 +88,6 @@ def type_share_by_degree(graph: BipartiteGraph,
     restricts to ASes with degree > t. Shares are typed-count / subset
     size, with Unknown excluded from numerators.
     """
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
     return tuple(
         _type_fractions(graph, graph.ases if t == 0 else
                         [a for a in graph.ases if len(graph.memberships(a)) > t])
@@ -123,14 +117,10 @@ def shortest_path_ixp_counts(
     sample is also a source and counts half from each end; one outside
     counts once. Raises Disconnected if some AS is unreachable from a source.
     """
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
     if sample_size is not None and sample_size <= 0:
         raise ValueError("sample_size must be positive")
     asns, members, reach = index(graph, NodeClass.AS)
     n_as = len(asns)
-    if n_as < 2:
-        return Distribution.from_counts({})
     if sample_size is None or sample_size >= n_as:
         sources = range(n_as)
     else:
@@ -197,8 +187,6 @@ def multiplicity_distribution(graph: BipartiteGraph, node_class: NodeClass) -> D
     multiplicity. Splitting the partners by plane bits, from the top plane
     down, gives (multiplicity, mask) groups, each tallied by a popcount.
     Every pair is counted from both ends and the tallies are halved."""
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
     nodes, masks, _ = index(graph, node_class)
     neighbours = graph.members if node_class is NodeClass.IXP else graph.memberships
     doubled: Counter = Counter()
@@ -227,8 +215,6 @@ def remote_peering_gain_cdf(graph: BipartiteGraph) -> Distribution:
     On the AS reach masks R, the gain of i through j is the ASes j meets
     that i does not, |R_j| - |R_i & R_j|. The intersection is symmetric, so
     one AND and popcount per unordered pair i < j gives both gains."""
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
     _, _, reach = index(graph, NodeClass.AS)
     size = [r.bit_count() for r in reach]
     tally: Counter = Counter()
@@ -320,8 +306,6 @@ def betweenness_centrality(graph: BipartiteGraph, node_class: NodeClass) -> dict
     common multiple; the two parts meet over the product of both multiples.
     """
     nodes, _, reach = index(graph, node_class)
-    if not nodes:
-        raise EmptyGraph("projection has no nodes")
     n = len(nodes)
     nb = [r & ~(1 << i) for i, r in enumerate(reach)]
     full, far = (1 << n) - 1, 0  # far: sources of a pair with no common neighbour
@@ -352,8 +336,6 @@ def clustering_coefficient(graph: BipartiteGraph, node_class: NodeClass) -> dict
     int 0, as networkx's ``clustering`` does.
     """
     nodes, _, reach = index(graph, node_class)
-    if not nodes:
-        raise EmptyGraph("projection has no nodes")
     nb = [r & ~(1 << i) for i, r in enumerate(reach)]
     out = {}
     for v, mask in zip(nodes, nb):

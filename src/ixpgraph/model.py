@@ -16,7 +16,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Union
 
-from .errors import EmptyGraph, FormatError, UnknownEndpoint, UnknownNode
+from .errors import FormatError, UnknownNode
 
 NodeId = Union[str, int]
 MAX_ASN = 2**32 - 1
@@ -218,7 +218,7 @@ class BipartiteGraph:
         memberships = self._as_memberships = {asn: set() for asn in self.ases}
         for (ixp_id, asn), edge in self.edges.items():
             if ixp_id not in members or asn not in memberships:
-                raise UnknownEndpoint(f"edge ({ixp_id!r}, {asn}) references a missing vertex")
+                raise ValueError(f"edge ({ixp_id!r}, {asn}) references a missing vertex")
             if edge.ixp_id != ixp_id or edge.asn != asn:
                 raise ValueError(f"edge keyed ({ixp_id!r}, {asn}) disagrees with its fields")
             members[ixp_id].add(asn)
@@ -264,11 +264,9 @@ def giant_component(graph: BipartiteGraph) -> BipartiteGraph:
 
     Largest by vertex count; ties broken by larger edge count, then by the
     lexicographically smallest contained node label, so the result is
-    deterministic.
+    deterministic. An empty graph's giant component is an empty graph.
     """
-    if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
-    best = best_key = None
+    best, best_key = set(), (0,)  # every component's key sorts before (0,)
     unvisited: set[NodeId] = set(graph.ixps) | set(graph.ases)
     while unvisited:
         start = next(iter(unvisited))
@@ -286,7 +284,7 @@ def giant_component(graph: BipartiteGraph) -> BipartiteGraph:
                         nxt.append(w)
             frontier = nxt
         key = (-len(seen), -degrees, min(str(v) for v in seen))
-        if best is None or key < best_key:
+        if key < best_key:
             best, best_key = seen, key
         unvisited -= seen
     kept_ixps = {i: n for i, n in graph.ixps.items() if i in best}

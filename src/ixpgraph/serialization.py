@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import model
-from .errors import FormatError, UnknownEndpoint
+from .errors import FormatError
 from .model import (
     AsNode,
     AsType,
@@ -85,7 +85,7 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                 raise FormatError(f"duplicate edge {(ixp_id, asn)}")
             edges[ixp_id, asn] = edge
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
-    except (AttributeError, KeyError, TypeError, ValueError, UnknownEndpoint) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph document: {exc}") from exc
 
 

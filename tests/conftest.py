@@ -10,7 +10,6 @@ import random
 import pytest
 
 from ixpgraph import projection, serialization
-from ixpgraph.errors import UnknownEndpoint
 from ixpgraph.ingest import MembershipRecord
 from ixpgraph.model import (
     AsNode,
@@ -41,13 +40,9 @@ def add_membership(graph: BipartiteGraph, edge: MembershipEdge) -> BipartiteGrap
     existing (ixp_id, asn) pair merges the sources sets instead of
     duplicating. ``graph`` itself is not changed.
 
-    Raises UnknownEndpoint if either vertex is absent. When merging, an
-    already recorded member_ip wins over the incoming one.
+    Raises ValueError, as the graph does, if either vertex is absent. When
+    merging, an already recorded member_ip wins over the incoming one.
     """
-    if edge.ixp_id not in graph.ixps:
-        raise UnknownEndpoint(f"unknown IXP {edge.ixp_id!r}")
-    if edge.asn not in graph.ases:
-        raise UnknownEndpoint(f"unknown AS {edge.asn}")
     edges = dict(graph.edges)
     _merge_edge(edges, edge)
     return BipartiteGraph(ixps=graph.ixps, ases=graph.ases, edges=edges)

@@ -60,11 +60,12 @@ def typed_g0_file(tmp_path):
 
 @pytest.fixture
 def located_g0_file(tmp_path):
-    graph = make_g0()
-    for ixp_id, location in (("X1", Location("DE", "Frankfurt")),
-                             ("X2", Location("DE", "Frankfurt")),
-                             ("X3", Location("GR", "Athens"))):
-        graph.ixps[ixp_id] = graph.ixps[ixp_id]._replace(location=location)
+    g0 = make_g0()
+    locations = {"X1": Location("DE", "Frankfurt"), "X2": Location("DE", "Frankfurt"),
+                 "X3": Location("GR", "Athens")}
+    graph = BipartiteGraph(
+        ixps={x: node._replace(location=locations[x]) for x, node in g0.ixps.items()},
+        ases=g0.ases, edges=g0.edges)
     path = tmp_path / "g0_located.json"
     serialization.write_graph(graph, path)
     return path
@@ -326,6 +327,34 @@ class TestMetrics:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_every_metric_on_degenerate_graphs(self, tmp_path, capsys):
+        # No vertex at all is one error for every metric. An IXP without an
+        # AS is a graph, and a metric over its empty class is an empty table.
+        no_types = (1, "", "error: metric needs AS types, but no AS in the graph has one attached\n")
+        one_ixp = {
+            "degree-cdf": {"ixp": (0, "degree,count,cdf\n0,1,1.0\n", ""),
+                           "as": (0, "degree,count,cdf\n", "")},
+            "member-types": no_types,
+            "member-types-cdf": no_types,
+            "table1": no_types,
+            "table2": (0, "ixps_crossed,count,percent\n", ""),
+            "table3": (0, "multiplicity,count,percent\n", ""),
+            "gain-cdf": (0, "gain,count,cdf\n", ""),
+            "correlation": (1, "", "error: need at least 2 ASes with prefix data, have 0\n"),
+            "betweenness": {"ixp": (0, "node,value\nX1,0.0\n", ""), "as": (0, "node,value\n", "")},
+            "clustering": {"ixp": (0, "node,value\nX1,0\n", ""), "as": (0, "node,value\n", "")},
+        }
+        empty, lone = tmp_path / "empty.json", tmp_path / "one-ixp.json"
+        serialization.write_graph(BipartiteGraph(), empty)
+        serialization.write_graph(build_graph([IxpNode("X1", ["X1"])], [], []), lone)
+        for which, expected in one_ixp.items():
+            for node_class in ("ixp", "as"):
+                argv = (which, "--class", node_class)
+                assert run(capsys, "metrics", str(empty), *argv) == (
+                    1, "", "error: graph has no vertices\n"), argv
+                want = expected[node_class] if isinstance(expected, dict) else expected
+                assert run(capsys, "metrics", str(lone), *argv) == want, argv
 
     def test_unknown_metric(self, g0_file, capsys):
         code, _, err = run(capsys, "metrics", str(g0_file), "entropy")
@@ -1244,15 +1273,16 @@ def bench_commands(tmp_path_factory):
     """The paper-scale graph with AS types, prefix counts and locations, and
     the command lines of the paper-suite and reach benchmark workloads on it."""
     rng = random.Random(42)
-    graph = paper_scale_graph()
+    plain = paper_scale_graph()
     metros = [("DE", "Frankfurt"), ("GR", "Athens"), ("NL", "Amsterdam"), ("US", "Ashburn")]
-    for ixp_id, node in graph.ixps.items():
+    ixps = {}
+    for ixp_id, node in plain.ixps.items():
         country, city = rng.choice(metros)
-        graph.ixps[ixp_id] = node._replace(location=Location(
+        ixps[ixp_id] = node._replace(location=Location(
             country, city, round(rng.uniform(-90, 90), 4), round(rng.uniform(-180, 180), 4)))
-    for asn, node in graph.ases.items():
-        graph.ases[asn] = node._replace(as_type=rng.choice(list(AsType)),
-                                        prefix_count=rng.randint(0, 5000))
+    ases = {asn: node._replace(as_type=rng.choice(list(AsType)), prefix_count=rng.randint(0, 5000))
+            for asn, node in plain.ases.items()}
+    graph = BipartiteGraph(ixps=ixps, ases=ases, edges=plain.edges)
     work = tmp_path_factory.mktemp("bench")
     path = work / "graph.json"
     serialization.write_graph(graph, path)

@@ -9,11 +9,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from ixpgraph.errors import (
-    Disconnected,
-    EmptyGraph,
-    InsufficientData,
-)
+from ixpgraph.errors import Disconnected, InsufficientData
 from ixpgraph.metrics import (
     Distribution,
     TypeFractions,
@@ -89,8 +85,8 @@ class TestDegreeDistribution:
         assert degree_distribution(g0, NodeClass.AS).total == len(g0.ases)
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
-            degree_distribution(BipartiteGraph(), NodeClass.AS)
+        for node_class in NodeClass:
+            assert degree_distribution(BipartiteGraph(), node_class) == Distribution((), 0)
 
 
 class TestMemberTypeFractions:
@@ -104,8 +100,9 @@ class TestMemberTypeFractions:
         assert all(f == TypeFractions(0, 0, 0) for f in member_type_fractions(g0).values())
 
     def test_single_content_member(self):
-        graph = graph_of({1: ("X1",)})
-        graph.ases[1] = graph.ases[1]._replace(as_type=AsType.CONTENT)
+        plain = graph_of({1: ("X1",)})
+        graph = BipartiteGraph(ixps=plain.ixps, edges=plain.edges,
+                               ases={1: plain.ases[1]._replace(as_type=AsType.CONTENT)})
         assert member_type_fractions(graph)["X1"] == TypeFractions(1.0, 0.0, 0.0)
 
     def test_fraction_distribution(self, g0_typed):
@@ -129,13 +126,15 @@ class TestTypeShareByDegree:
         assert (row.content, row.enterprise, row.isp) == (0.0, 0.0, 0.0)
 
     def test_fractions_can_sum_below_one(self, g0_typed):
-        g0_typed.ases[4] = g0_typed.ases[4]._replace(as_type=AsType.UNKNOWN)
-        (row,) = type_share_by_degree(g0_typed, [0])
+        graph = BipartiteGraph(
+            ixps=g0_typed.ixps, edges=g0_typed.edges,
+            ases={**g0_typed.ases, 4: g0_typed.ases[4]._replace(as_type=AsType.UNKNOWN)})
+        (row,) = type_share_by_degree(graph, [0])
         assert row.content + row.enterprise + row.isp < 1.0
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
-            type_share_by_degree(BipartiteGraph(), [0])
+        zeros = TypeFractions(0.0, 0.0, 0.0)
+        assert type_share_by_degree(BipartiteGraph(), [0, 1]) == (zeros, zeros)
 
 
 class TestShortestPathIxpCounts:
@@ -242,8 +241,8 @@ class TestShortestPathIxpCounts:
                 shortest_path_ixp_counts(graph, sample_size=k)
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
-            shortest_path_ixp_counts(BipartiteGraph())
+        for sample_size in (None, 3):
+            assert shortest_path_ixp_counts(BipartiteGraph(), sample_size) == Distribution((), 0)
 
 
 def ixp_chain(length: int, cycle: bool = False) -> dict[int, tuple[str, ...]]:
@@ -477,8 +476,7 @@ class TestRemotePeeringGainCdf:
         assert all(0 <= gain <= len(graph.ases) - 2 for gain, _ in dist.values)
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
-            remote_peering_gain_cdf(BipartiteGraph())
+        assert remote_peering_gain_cdf(BipartiteGraph()) == Distribution((), 0)
 
 
 class TestDegreePrefixCorrelation:
@@ -643,15 +641,14 @@ class TestCentralityAndClustering:
         assert 0 < edges < n * (n - 1) // 2
 
     def test_empty_graph(self):
-        for kernel in (betweenness_centrality, clustering_coefficient, multiplicity_distribution):
-            for node_class in NodeClass:
-                with pytest.raises(EmptyGraph):
-                    kernel(BipartiteGraph(), node_class)
+        for node_class in NodeClass:
+            assert multiplicity_distribution(BipartiteGraph(), node_class) == Distribution((), 0)
+            for kernel in (betweenness_centrality, clustering_coefficient):
+                assert kernel(BipartiteGraph(), node_class) == {}
 
     def test_class_without_nodes(self):
         # IXPs but no AS: the AS projection has no node and no pair.
         graph = BipartiteGraph(ixps={"X1": IxpNode("X1", ["X1"])})
         assert multiplicity_distribution(graph, NodeClass.AS).total == 0
         for kernel in (betweenness_centrality, clustering_coefficient):
-            with pytest.raises(EmptyGraph):
-                kernel(graph, NodeClass.AS)
+            assert kernel(graph, NodeClass.AS) == {}

@@ -14,6 +14,7 @@ from ixpgraph.errors import (
 )
 from ixpgraph.model import (
     AsNode,
+    BipartiteGraph,
     IxpNode,
     Location,
     MembershipEdge,
@@ -425,9 +426,9 @@ class TestRankTunnels:
 
 class TestSiteSelectionScore:
     def locate(self, graph, mapping):
-        for ixp_id, (country, city) in mapping.items():
-            graph.ixps[ixp_id] = graph.ixps[ixp_id]._replace(location=Location(country, city))
-        return graph
+        located = {x: graph.ixps[x]._replace(location=Location(*place))
+                   for x, place in mapping.items()}
+        return BipartiteGraph(ixps={**graph.ixps, **located}, ases=graph.ases, edges=graph.edges)
 
     def test_x3_only_location(self, g0):
         graph = self.locate(g0, {

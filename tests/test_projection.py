@@ -59,7 +59,7 @@ class TestProjectG0:
         assert index(graph, NodeClass.AS)[1]["X4"] == 0
 
     def test_empty_graph(self):
-        # The index is empty; the kernels reading it raise EmptyGraph.
+        # The index is empty; the kernels reading it give empty results.
         for node_class in NodeClass:
             assert index(BipartiteGraph(), node_class) == ([], {}, [])
 

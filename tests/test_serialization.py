@@ -429,8 +429,8 @@ def _records(graph: BipartiteGraph) -> list:
         [(key, typed(n), n.location and typed(n.location)) for key, n in graph.ixps.items()],
         [(key, typed(n)) for key, n in graph.ases.items()],
         [(key, typed(e), {type(s) for s in e.sources}) for key, e in graph.edges.items()],
-        [(key, list(v)) for key, v in graph._ixp_members.items()],
-        [(key, list(v)) for key, v in graph._as_memberships.items()],
+        [(key, list(graph.members(key))) for key in graph.ixps],
+        [(key, list(graph.memberships(key))) for key in graph.ases],
     ]
 
 
@@ -477,10 +477,10 @@ class TestGraphCache:
         hit = read_graph(path)
         assert len(graph_reads) == 1
         assert "edges" not in vars(hit)  # made on first use, from the adjacency's own rows
-        assert ([(key, list(v)) for key, v in hit._ixp_members.items()]
-                == [(key, list(v)) for key, v in miss._ixp_members.items()])
-        assert ([(key, list(v)) for key, v in hit._as_memberships.items()]
-                == [(key, list(v)) for key, v in miss._as_memberships.items()])
+        assert ([list(hit.members(x)) for x in hit.ixps]
+                == [list(miss.members(x)) for x in miss.ixps])
+        assert ([list(hit.memberships(a)) for a in hit.ases]
+                == [list(miss.memberships(a)) for a in miss.ases])
         assert hit == miss == graph
         assert _records(hit) == _records(miss)
         assert dumps_graph(hit) == dumps_graph(miss)
