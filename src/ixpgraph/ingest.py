@@ -16,13 +16,22 @@ cleaning pipeline runs in a fixed order: inactive-IXP removal, then
 IP-consistency filtering, then cross-source duplicate collapsing, then
 giant-component extraction. The order is part of the contract; running
 the giant-component step earlier can change the result.
+
+Rows repeat their IXP's and their AS's fields once per membership, so each
+value is validated once: each distinct group of raw IXP fields and of raw AS
+fields once per file, and each distinct member IP and peering prefix once
+per process, through bounded memos that parse, merge and sanitize share.
+The merge gathers each IXP's names and prefixes over those distinct groups,
+not over every record.
 """
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import re
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import model
@@ -107,56 +116,91 @@ class IxpIdentity(NamedTuple):
     status: IxpStatus
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _member_address(text: str) -> tuple[str, tuple[int, int]]:
+    """A member IP's canonical text and (IP version, integer). ``ipaddress``
+    accepts only canonical dotted quads, so an IPv4 address keeps its text."""
+    ip = ipaddress.ip_address(text)
+    return text if ip.version == 4 else str(ip), (ip.version, int(ip))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _prefix(text: str) -> tuple[str, tuple[int, int, int]]:
+    """A CIDR prefix's canonical text, host bits cleared, and its key
+    (IP version, network address as int, length)."""
+    net = ipaddress.ip_network(text, strict=False)
+    return str(net), (net.version, int(net.network_address), net.prefixlen)
+
+
 def _parse_prefixes(raw: str) -> tuple[str, ...]:
-    return tuple(str(ipaddress.ip_network(part, strict=False))
-                 for part in map(str.strip, raw.split(";")) if part)
+    return tuple(_prefix(part)[0] for part in map(str.strip, raw.split(";")) if part)
 
 
-def _parse_row(row: list[str], expected_source: Source,
-               prefix_lists: dict[str, tuple[str, ...]]) -> MembershipRecord:
-    # A row of any other field count fails to unpack with a ValueError.
-    (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
-     ip_raw, status_raw, type_raw, pfx_count_raw) = row
-
+def _ixp_fields(source_raw: str, ixp_key: str, ixp_name: str, prefixes_raw: str,
+                status_raw: str, expected_source: Source) -> tuple:
     source = _by_value(Source, source_raw)
     if source is not expected_source:
         raise ValueError(f"row source {source_raw!r} in a {expected_source.value} file")
     if not ixp_key or not ixp_name:
         raise ValueError("ixp_key and ixp_name must be non-empty")
+    return source, ixp_key, ixp_name, _parse_prefixes(prefixes_raw), _by_value(IxpStatus, status_raw)
+
+
+def _as_fields(asn_raw: str, type_raw: str, pfx_count_raw: str) -> tuple:
     asn = _parse_asn(asn_raw)
     pfx_count = None
     if pfx_count_raw:
         pfx_count = _parse_decimal(pfx_count_raw)
         if pfx_count < 0:
             raise ValueError("as_prefix_count must be non-negative")
-    prefixes = prefix_lists.get(prefixes_raw)
-    if prefixes is None:
-        prefixes = prefix_lists[prefixes_raw] = _parse_prefixes(prefixes_raw)
-    ip = ipaddress.ip_address(ip_raw) if ip_raw else None
-    return MembershipRecord(
-        source=source,
-        ixp_key=ixp_key,
-        ixp_name=ixp_name,
-        ixp_prefixes=prefixes,
-        asn=asn,
-        member_ip=None if ip is None else str(ip),
-        status=_by_value(IxpStatus, status_raw),
-        as_type=_by_value(AsType, type_raw) if type_raw else None,
-        as_prefix_count=pfx_count,
-        member_addr=None if ip is None else (ip.version, int(ip)),
-    )
+    return asn, _by_value(AsType, type_raw) if type_raw else None, pfx_count
+
+
+def _validated(memo: dict, raw: tuple, parse, *context):
+    """``parse(*raw, *context)``, once per distinct ``raw``; a value it
+    rejects is remembered as ``None``."""
+    try:
+        memo[raw] = parsed = parse(*raw, *context)
+    except ValueError:
+        memo[raw] = parsed = None
+    return parsed
 
 
 def parse_dataset(path, source: Source) -> ParseResult:
-    """Parse one membership CSV; malformed rows are counted, not fatal."""
+    """Parse one membership CSV; malformed rows are counted, not fatal.
+
+    Rows repeat their IXP's and their AS's fields, so each distinct group
+    of raw IXP fields and of raw AS fields is validated once per file, and
+    each distinct member IP once per process (a bounded memo)."""
     records = []
     errors = 0
-    prefix_lists: dict[str, tuple[str, ...]] = {}  # raw ixp_prefixes -> canonical tuple
+    ixps: dict[tuple, tuple | None] = {}  # raw IXP fields -> validated, or None
+    ases: dict[tuple, tuple | None] = {}  # raw AS fields -> validated, or None
+    width = len(DATASET_HEADER)
     for row in _read_csv(path, DATASET_HEADER):
-        try:
-            records.append(_parse_row(row, source, prefix_lists))
-        except ValueError:
+        if len(row) != width:
             errors += 1
+            continue
+        (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
+         ip_raw, status_raw, type_raw, pfx_count_raw) = row
+        raw = (source_raw, ixp_key, ixp_name, prefixes_raw, status_raw)
+        ixp = ixps[raw] if raw in ixps else _validated(ixps, raw, _ixp_fields, source)
+        raw = (asn_raw, type_raw, pfx_count_raw)
+        as_ = ases[raw] if raw in ases else _validated(ases, raw, _as_fields)
+        if ixp is None or as_ is None:
+            errors += 1
+            continue
+        member_ip = member_addr = None
+        if ip_raw:
+            try:
+                member_ip, member_addr = _member_address(ip_raw)
+            except ValueError:
+                errors += 1
+                continue
+        row_source, key, name, prefixes, status = ixp
+        asn, as_type, pfx_count = as_
+        records.append(MembershipRecord(row_source, key, name, prefixes, asn, member_ip, status,
+                                        as_type, pfx_count, member_addr))
     return ParseResult(records=records, parse_errors=errors)
 
 
@@ -204,18 +248,19 @@ def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentit
     names: dict[tuple[Source, str], set[str]] = {}
     prefixes: dict[tuple[Source, str], set[str]] = {}
     statuses: dict[tuple[Source, str], set[IxpStatus]] = {}
-    canonical: dict[str, str] = {}  # prefix text as given -> canonical CIDR text
-    prefix_keys: dict[str, tuple[int, int, int]] = {}
-    for record in records:
-        key = (record.source, record.ixp_key)
-        names.setdefault(key, set()).add(record.ixp_name)
-        for prefix in record.ixp_prefixes:
-            if prefix not in canonical:
-                net = ipaddress.ip_network(prefix, strict=False)
-                canonical[prefix] = text = str(net)
-                prefix_keys[text] = (net.version, int(net.network_address), net.prefixlen)
-        prefixes.setdefault(key, set()).update(map(canonical.get, record.ixp_prefixes))
-        statuses.setdefault(key, set()).add(record.status)
+    prefix_keys: dict[str, tuple[int, int, int]] = {}  # canonical CIDR text -> key
+    # Records repeat their IXP's fields once per member: gather them over the
+    # distinct field groups, in first-seen order.
+    for source, ixp_key, name, group_prefixes, status in dict.fromkeys(
+            (r.source, r.ixp_key, r.ixp_name, tuple(r.ixp_prefixes), r.status) for r in records):
+        key = (source, ixp_key)
+        names.setdefault(key, set()).add(name)
+        texts = prefixes.setdefault(key, set())
+        for prefix in group_prefixes:
+            text, net_key = _prefix(prefix)
+            prefix_keys[text] = net_key
+            texts.add(text)
+        statuses.setdefault(key, set()).add(status)
 
     keys = sorted(names)
     uf = _UnionFind(keys)
@@ -255,12 +300,6 @@ def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentit
     return identities
 
 
-def _record_priority(record: MembershipRecord) -> tuple:
-    # PDB data wins over PCH, for an edge's member_ip and for an AS's
-    # attributes; a row without a member_ip comes first within its source.
-    return (0 if record.source is Source.PDB else 1, record.member_ip or "")
-
-
 def sanitize(
     records: Sequence[MembershipRecord], parse_errors: int = 0
 ) -> tuple[BipartiteGraph, DiscardReport]:
@@ -276,33 +315,41 @@ def sanitize(
     Steps 1-3 are one pass over the rows in priority order (PDB first), and
     a row's fate is the first of them that drops it. An edge takes the first
     member_ip given among its kept rows; an AS the first as_type and prefix
-    count given among all of its rows. Each step tallies the edges it drops,
+    count given among all of its rows. A record without ``member_addr`` (one
+    built in Python) gets it, and the canonical text of its member_ip, as
+    the row parser would have given them. Each step tallies the edges it drops,
     and a node under the step that drops its last edge; malformed rows count
     as ParseError edges. A reason is in the report when either of its
     tallies is non-zero.
     """
     identities = merge_ixp_lists(records)
     key_to_uid = {key: uid for uid, ident in identities.items() for key in ident.source_keys}
-    rows = []  # (unified IXP id, record)
+    rows = []  # (priority, unified IXP id, record)
     for record in records:
-        if record.member_addr is None and record.member_ip is not None:
-            ip = ipaddress.ip_address(record.member_ip)
-            record = record._replace(member_addr=(ip.version, int(ip)))
-        rows.append((key_to_uid[record.source, record.ixp_key], record))
-    rows.sort(key=lambda row: _record_priority(row[1]))
+        member_ip = record.member_ip
+        if record.member_addr is None and member_ip is not None:
+            member_ip, member_addr = _member_address(member_ip)
+            record = record._replace(member_ip=member_ip, member_addr=member_addr)
+        # PDB data wins over PCH, for an edge's member_ip and for an AS's
+        # attributes; a row without a member_ip comes first within its source.
+        priority = (record.source is not Source.PDB, member_ip or "")
+        rows.append((priority, key_to_uid[record.source, record.ixp_key], record))
+    rows.sort(key=itemgetter(0))
 
     bad_uids = {uid for uid, ident in identities.items() if ident.status is not IxpStatus.ACTIVE}
-    nets = {
-        uid: [(net.version, int(net.network_address), int(net.netmask))
-              for net in map(ipaddress.ip_network, ident.peering_prefixes)]
-        for uid, ident in identities.items()
-    }
+    lans = {}  # unified IXP id -> (version, network as int, netmask as int) per prefix
+    for uid, ident in identities.items():
+        lans[uid] = nets = []
+        for prefix in ident.peering_prefixes:
+            version, network, length = _prefix(prefix)[1]
+            bits = 32 if version == 4 else 128
+            nets.append((version, network, (1 << bits) - (1 << bits - length)))
     edge_tally = dict.fromkeys(DiscardReason, 0) | {DiscardReason.PARSE_ERROR: parse_errors}
     linked = set()  # vertices with an edge left after (1)
-    edges: dict[tuple[str, int], MembershipEdge] = {}
+    kept: dict[tuple[str, int], list] = {}  # (uid, asn) -> [member_ip, sources]
     as_types: dict[int, AsType | None] = {}
     pfx_counts: dict[int, int | None] = {}
-    for uid, record in rows:
+    for _, uid, record in rows:
         asn = record.asn
         # Every row, kept or dropped, feeds its AS: the first known value wins.
         if as_types.get(asn) is None:
@@ -317,19 +364,25 @@ def sanitize(
         # (2) member IPs outside the unified IXP's peering LAN
         if record.member_addr is not None:
             version, ip = record.member_addr
-            if not any(version == v and ip & mask == net for v, net, mask in nets[uid]):
+            for net_version, network, mask in lans[uid]:
+                if net_version == version and ip & mask == network:
+                    break
+            else:
                 edge_tally[DiscardReason.IP_INCONSISTENT] += 1
                 continue
         # (3) duplicate collapse across sources
-        edge = edges.get((uid, asn))
+        edge = kept.get((uid, asn))
         if edge is None:
-            edges[uid, asn] = MembershipEdge(uid, asn, record.member_ip, {record.source})
+            kept[uid, asn] = [record.member_ip, {record.source}]
             continue
         edge_tally[DiscardReason.DUPLICATE_COLLAPSED] += 1
-        member_ip = record.member_ip if edge.member_ip is None else edge.member_ip
-        edges[uid, asn] = MembershipEdge(uid, asn, member_ip, edge.sources | {record.source})
-    if not edges:
+        if edge[0] is None:
+            edge[0] = record.member_ip
+        edge[1].add(record.source)
+    if not kept:
         raise EmptyGraph("no membership edges survive sanitization")
+    edges = {pair: MembershipEdge(*pair, member_ip, sources)
+             for pair, (member_ip, sources) in kept.items()}
 
     as_nodes = {
         asn: AsNode(asn=asn, as_type=AsType.UNKNOWN if as_type is None else as_type,

@@ -8,7 +8,8 @@ kernel must match bit for bit; networkx's float version is a second,
 near-equal oracle. The clustering oracle is networkx's, matched value for
 value. The graph-file oracle is the plain writer: a dict of the graph
 through ``json.dumps(sort_keys=True, indent=2)``. The placement greedy's
-oracle rescans every candidate on each pick.
+oracle rescans every candidate on each pick. The parse oracle validates
+every row's fields afresh, with no memo.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ import networkx as nx
 from ixpgraph.errors import Uncoverable
 from ixpgraph.ingest import (
     _STATUS_SEVERITY,
+    DATASET_HEADER,
     DiscardReason,
     DiscardReport,
     IxpIdentity,
+    MembershipRecord,
+    ParseResult,
     ReasonTally,
     normalize_ixp_name,
 )
@@ -42,6 +46,7 @@ from ixpgraph.model import (
     NodeClass,
     Source,
 )
+from ixpgraph.model import _by_value, _parse_asn, _parse_decimal, _read_csv
 from ixpgraph.placement import CoverageInstance, PlacementSolution
 from ixpgraph.serialization import FORMAT_VERSION
 
@@ -172,6 +177,52 @@ def bf_gain_cdf(graph: BipartiteGraph) -> Counter:
             if a != b and ixps_of[a] & ixps_of[b]:
                 tally[bf_gain(graph, a, b)] += 1
     return tally
+
+
+def _bf_parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
+    # A row of any other field count fails to unpack with a ValueError.
+    (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
+     ip_raw, status_raw, type_raw, pfx_count_raw) = row
+    source = _by_value(Source, source_raw)
+    if source is not expected_source:
+        raise ValueError(f"row source {source_raw!r} in a {expected_source.value} file")
+    if not ixp_key or not ixp_name:
+        raise ValueError("ixp_key and ixp_name must be non-empty")
+    asn = _parse_asn(asn_raw)
+    pfx_count = None
+    if pfx_count_raw:
+        pfx_count = _parse_decimal(pfx_count_raw)
+        if pfx_count < 0:
+            raise ValueError("as_prefix_count must be non-negative")
+    prefixes = tuple(str(ipaddress.ip_network(part, strict=False))
+                     for part in map(str.strip, prefixes_raw.split(";")) if part)
+    ip = ipaddress.ip_address(ip_raw) if ip_raw else None
+    return MembershipRecord(
+        source=source,
+        ixp_key=ixp_key,
+        ixp_name=ixp_name,
+        ixp_prefixes=prefixes,
+        asn=asn,
+        member_ip=None if ip is None else str(ip),
+        status=_by_value(IxpStatus, status_raw),
+        as_type=_by_value(AsType, type_raw) if type_raw else None,
+        as_prefix_count=pfx_count,
+        member_addr=None if ip is None else (ip.version, int(ip)),
+    )
+
+
+def bf_parse_dataset(path, source: Source) -> ParseResult:
+    """``ingest.parse_dataset`` one row at a time: every field of every row
+    validated afresh, and every member IP parsed and printed by
+    ``ipaddress``."""
+    records = []
+    errors = 0
+    for row in _read_csv(path, DATASET_HEADER):
+        try:
+            records.append(_bf_parse_row(row, source))
+        except ValueError:
+            errors += 1
+    return ParseResult(records=records, parse_errors=errors)
 
 
 def _prefixes_overlap(nets_a, nets_b) -> bool:

@@ -120,6 +120,23 @@ class TestBuild:
         assert repr(out) in err and ".tmp" not in err, err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_independent_of_hash_seed(self, tmp_path):
+        # Sources and IXP keys hash differently per interpreter; the merge
+        # and the edge order must not follow set order.
+        pdb, pch, _ = cross_version_inputs(tmp_path)
+        outputs = []
+        for hash_seed in ("1", "2"):
+            workdir = tmp_path / f"seed{hash_seed}"
+            workdir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "ixpgraph.cli", "build", str(pdb), str(pch), "g.json"],
+                cwd=workdir, env=subprocess_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+                check=True,
+            )
+            outputs.append((proc.stdout, (workdir / "g.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b"DuplicateCollapsed" in outputs[0][0] and b"2001:db8:6::" in outputs[0][1]
+
     def test_json_report(self, tmp_path, capsys):
         pdb, pch = sanitize_fixture_files(tmp_path)
         code, out, _ = run(capsys, "build", str(pdb), str(pch),
@@ -721,7 +738,10 @@ def cross_version_inputs(dirpath) -> tuple:
     """Membership CSVs for a seeded small graph: every edge once in the PDB
     file under a /24 per IXP, and the even IXPs' edges again in the PCH file
     under their own keys and a nested /25, so that build merges IXPs and
-    collapses duplicates. Also the graph's highest-degree AS."""
+    collapses duplicates. One more IXP is IPv6-only, in both files, its
+    member IPs spelled non-canonically and differently in each, so each
+    edge's IP goes through canonical text. (No IPv4-mapped address: 3.13
+    prints those in another form.) Also the graph's highest-degree AS."""
     graph = paper_scale_graph(seed=42, n_ixp=40, n_as=300)
     types = ["Content", "Enterprise", "ISP", ""]
     pdb, pch = [], []
@@ -731,6 +751,11 @@ def cross_version_inputs(dirpath) -> tuple:
             pdb.append(f"PDB,{ixp_id},{ixp_id} Exchange,10.0.{k}.0/24,{asn},{tail}")
             if k % 2 == 0:
                 pch.append(f"PCH,p{k},{ixp_id}-exchange,10.0.{k}.0/25,{asn},{tail}")
+    for i, asn in enumerate(sorted(graph.ases)[::25]):
+        spellings = [f"2001:DB8:6::{asn:X}", f"2001:db8:6:0:0:0:0:{asn:x}"]
+        tail = f"Active,{types[asn % 4]},{asn * 7 % 100 or ''}"
+        pdb.append(f"PDB,v6,IPv6 Exchange,2001:db8:6::/48,{asn},{spellings[i % 2]},{tail}")
+        pch.append(f"PCH,p-v6,IPv6-exchange,2001:DB8:6::/64,{asn},{spellings[1 - i % 2]},{tail}")
     return (write_membership_csv(dirpath / "pdb.csv", pdb),
             write_membership_csv(dirpath / "pch.csv", pch),
             max(graph.ases, key=lambda a: (len(graph.memberships(a)), -a)))

@@ -10,6 +10,7 @@ import pytest
 from ixpgraph.cli import main
 from ixpgraph.errors import EmptyGraph, FormatError
 from ixpgraph.ingest import (
+    _member_address,
     DiscardReason,
     IxpIdentity,
     MembershipRecord,
@@ -29,11 +30,43 @@ from conftest import (
     sanitize_test_sets,
     write_membership_csv,
 )
-from oracles import bf_discard_report, bf_merge_ixp_lists, bf_sanitized_graph
+from oracles import bf_discard_report, bf_merge_ixp_lists, bf_parse_dataset, bf_sanitized_graph
 
 
 def parse(tmp_path, rows, source=Source.PDB, name="data.csv"):
     return parse_dataset(write_membership_csv(tmp_path / name, rows), source)
+
+
+def random_membership_rows(rng, source: str, n: int) -> list[str]:
+    """Rows drawn from small pools of IXP fields (key, name, prefixes,
+    status), AS fields (asn, as_type, prefix count) and member IPs, so that
+    good and bad groups repeat; a few rows name the other source or have a
+    field too few or too many."""
+    ixps = [
+        ("k1", "Alpha", "192.0.2.0/24", "Active"),
+        ("k1", "Alpha IX", "192.0.2.7/24; 2001:db8::/32", "Active"),
+        ("k2", "Beta", "", "NotApproved"),
+        ("k3", "Gamma", "2001:DB8:1::/48", "Inactive"),
+        ("k4", "Delta", "192.0.2.0/33", "Active"),    # bad prefix list
+        ("k5", "Epsilon", "10.0.0.0/8", "Sometimes"),  # bad status
+        ("", "Zeta", "10.0.0.0/8", "Active"),          # empty key
+    ]
+    ases = [("64500", "ISP", "42"), ("64501", "", ""), ("4200000000", "Content", "0"),
+            ("abc", "ISP", ""),         # bad asn
+            ("64502", "Methane", ""),   # bad as_type
+            ("64503", "", "-3")]        # negative count
+    ips = ["", "192.0.2.1", "10.1.2.3", "2001:DB8::0:1", "2001:db8::1", "FE80::0:1%eth0",
+           "::ffff:192.0.2.1", "999.1.2.3", "192.0.2.01"]
+    rows = []
+    for _ in range(n):
+        key, name, prefixes, status = rng.choice(ixps)
+        asn, as_type, count = rng.choice(ases)
+        row_source = source if rng.random() < 0.95 else "PCH" if source == "PDB" else "PDB"
+        row = [row_source, key, name, prefixes, asn, rng.choice(ips), status, as_type, count]
+        if rng.random() < 0.03:
+            row = row[:-1] if rng.random() < 0.5 else row + [""]
+        rows.append(",".join(row))
+    return rows
 
 
 class TestParseDataset:
@@ -127,6 +160,48 @@ class TestParseDataset:
         ])
         with pytest.raises(FormatError, match=r"big\.csv, line 3: field larger than field limit"):
             parse_dataset(path, Source.PDB)
+
+    def test_matches_row_oracle_on_random_files(self, tmp_path):
+        # The parser validates each distinct group of IXP fields and of AS
+        # fields once per file, and each member IP once for both files; the
+        # oracle validates every row. A rejected group still costs each of
+        # its rows a parse error.
+        seen = Counter()
+        for seed in range(6):
+            rng = random.Random(seed)
+            for source in (Source.PDB, Source.PCH):
+                path = write_membership_csv(tmp_path / f"{source.value}{seed}.csv",
+                                            random_membership_rows(rng, source.value, 150))
+                result, expected = parse_dataset(path, source), bf_parse_dataset(path, source)
+                assert result == expected, (seed, source)
+                seen["errors"] += result.parse_errors
+                seen.update(r.member_ip for r in result.records)
+        assert seen["errors"] and seen["2001:db8::1"] and seen["fe80::1%eth0"], seen
+        assert seen[str(ipaddress.ip_address("::ffff:192.0.2.1"))], seen
+
+    def test_accepted_ipv4_text_is_canonical(self):
+        # A member IP that ipaddress reads as IPv4 keeps its own text, which
+        # holds only while ipaddress accepts nothing but canonical dotted
+        # quads: no leading zero, no other script's digit, no sign or base.
+        octets = ["0", "00", "000", "1", "01", "001", "10", "010", "99", "100", "199", "255",
+                  "256", "0255", "1000", "", "\u0663", "\uff11", "+1", "0x1", " 1"]
+        rng = random.Random(7)
+        corpus = {"192.0.2.1", "0.0.0.0", "255.255.255.255", "192.0.2.01", "256.1.1.1",
+                  "1000.1.1.1", "1.2.3", "1.2.3.4.5", "1..2.3", "\u0663.1.1.1", "\uff11.1.1.1",
+                  "+1.1.1.1", "0x1.1.1.1"}
+        corpus.update(".".join(rng.choice(octets) for _ in range(rng.randint(3, 5)))
+                      for _ in range(5000))
+        corpus.update(".".join(str(rng.randrange(256)) for _ in range(4)) for _ in range(500))
+        accepted = 0
+        for text in sorted(corpus):
+            try:
+                ip = ipaddress.ip_address(text)
+            except ValueError:
+                continue
+            assert ip.version == 4 and str(ip) == text, text
+            assert _member_address(text) == (text, (4, int(ip)))
+            accepted += 1
+        assert 0 < accepted < len(corpus)
 
     def test_shared_prefix_lists_are_immutable(self, tmp_path):
         # Rows with the same raw ixp_prefixes share one parsed value, so it
@@ -411,6 +486,20 @@ class TestSanitize:
             ("192.0.2.0/24", "192.0.2.128/25")]
         assert sorted(graph.edges) == [("IXP0001", 64500), ("IXP0001", 64502)]
         assert report.reasons == {DiscardReason.IP_INCONSISTENT: ReasonTally(1, 1)}
+
+    def test_hand_built_member_ip_is_canonicalized(self, tmp_path):
+        # A record built in Python without member_addr gets the member_ip
+        # text the row parser would have given it, as well as the integer.
+        rows = ["PDB,k,Alpha,2001:db8::/32,64500,2001:DB8::0:1,Active,,",
+                "PDB,k,Alpha,2001:db8::/32,64501,2001:db8:0::2,Active,,",
+                "PDB,k,Alpha,2001:db8::/32,64501,2001:db8::1:0,Active,,"]
+        parsed = parse(tmp_path, rows).records
+        hand_built = [MembershipRecord(Source.PDB, "k", "Alpha", ("2001:db8::/32",), int(asn), ip,
+                                       IxpStatus.ACTIVE)
+                      for asn, ip in (row.split(",")[4:6] for row in rows)]
+        graph = sanitize(parsed)[0]
+        assert sanitize(hand_built)[0] == graph
+        assert [e.member_ip for e in graph.edges.values()] == ["2001:db8::1", "2001:db8::1:0"]
 
     def test_ip_consistency_matches_ipaddress_containment(self):
         # Stage 2 tests each member address against its LAN by integer
