@@ -17,12 +17,13 @@ IP-consistency filtering, then cross-source duplicate collapsing, then
 giant-component extraction. The order is part of the contract; running
 the giant-component step earlier can change the result.
 
-Rows repeat their IXP's and their AS's fields once per membership, so each
-value is validated once: each distinct group of raw IXP fields and of raw AS
-fields once per file, and each distinct member IP and peering prefix once
-per process, through bounded memos that parse, merge and sanitize share.
-The merge gathers each IXP's names and prefixes over those distinct groups,
-not over every record.
+A ``MembershipRecord`` is a validated row, whether parsed or built in
+Python. Rows repeat their IXP's and their AS's fields once per membership,
+so each value is validated once: each distinct group of raw IXP fields and
+of raw AS fields once per file (memos made per ``parse_dataset`` call), and
+each distinct member IP and peering prefix once per process (bounded memos
+that parse, merge and sanitize share). The merge gathers each IXP's names
+and prefixes over the distinct IXP groups, not over every record.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import functools
 import ipaddress
 import re
 from enum import Enum
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import model
@@ -87,7 +87,8 @@ class DiscardReport(NamedTuple):
 
 
 class MembershipRecord(NamedTuple):
-    """One validated row of a membership dataset."""
+    """One validated row of a membership dataset; ``member_ip`` is the
+    address's canonical text (see ``_member_address``)."""
 
     source: Source
     ixp_key: str
@@ -98,8 +99,6 @@ class MembershipRecord(NamedTuple):
     status: IxpStatus
     as_type: AsType | None = None
     as_prefix_count: int | None = None
-    # member_ip as (IP version, integer): set by the row parser, else by sanitize.
-    member_addr: tuple[int, int] | None = None
 
 
 class ParseResult(NamedTuple):
@@ -116,12 +115,22 @@ class IxpIdentity(NamedTuple):
     status: IxpStatus
 
 
+def _ip_text(ip: ipaddress.IPv4Address | ipaddress.IPv6Address) -> str:
+    """``str(ip)`` as Python 3.10-3.12 print it: an IPv4-mapped address in
+    hex (``::ffff:c000:201``), where 3.13 prints ``::ffff:192.0.2.1``."""
+    n = int(ip)
+    if n >> 32 != 0xFFFF:  # not IPv4-mapped
+        return str(ip)
+    scope = f"%{ip.scope_id}" if ip.scope_id else ""
+    return f"::ffff:{n >> 16 & 0xFFFF:x}:{n & 0xFFFF:x}{scope}"
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _member_address(text: str) -> tuple[str, tuple[int, int]]:
     """A member IP's canonical text and (IP version, integer). ``ipaddress``
     accepts only canonical dotted quads, so an IPv4 address keeps its text."""
     ip = ipaddress.ip_address(text)
-    return text if ip.version == 4 else str(ip), (ip.version, int(ip))
+    return text if ip.version == 4 else _ip_text(ip), (ip.version, int(ip))
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -129,21 +138,19 @@ def _prefix(text: str) -> tuple[str, tuple[int, int, int]]:
     """A CIDR prefix's canonical text, host bits cleared, and its key
     (IP version, network address as int, length)."""
     net = ipaddress.ip_network(text, strict=False)
-    return str(net), (net.version, int(net.network_address), net.prefixlen)
+    address = net.network_address
+    return f"{_ip_text(address)}/{net.prefixlen}", (net.version, int(address), net.prefixlen)
 
 
-def _parse_prefixes(raw: str) -> tuple[str, ...]:
-    return tuple(_prefix(part)[0] for part in map(str.strip, raw.split(";")) if part)
-
-
-def _ixp_fields(source_raw: str, ixp_key: str, ixp_name: str, prefixes_raw: str,
-                status_raw: str, expected_source: Source) -> tuple:
+def _ixp_fields(expected_source: Source, source_raw: str, ixp_key: str, ixp_name: str,
+                prefixes_raw: str, status_raw: str) -> tuple:
     source = _by_value(Source, source_raw)
     if source is not expected_source:
         raise ValueError(f"row source {source_raw!r} in a {expected_source.value} file")
     if not ixp_key or not ixp_name:
         raise ValueError("ixp_key and ixp_name must be non-empty")
-    return source, ixp_key, ixp_name, _parse_prefixes(prefixes_raw), _by_value(IxpStatus, status_raw)
+    prefixes = tuple(_prefix(part)[0] for part in map(str.strip, prefixes_raw.split(";")) if part)
+    return source, ixp_key, ixp_name, prefixes, _by_value(IxpStatus, status_raw)
 
 
 def _as_fields(asn_raw: str, type_raw: str, pfx_count_raw: str) -> tuple:
@@ -156,51 +163,31 @@ def _as_fields(asn_raw: str, type_raw: str, pfx_count_raw: str) -> tuple:
     return asn, _by_value(AsType, type_raw) if type_raw else None, pfx_count
 
 
-def _validated(memo: dict, raw: tuple, parse, *context):
-    """``parse(*raw, *context)``, once per distinct ``raw``; a value it
-    rejects is remembered as ``None``."""
-    try:
-        memo[raw] = parsed = parse(*raw, *context)
-    except ValueError:
-        memo[raw] = parsed = None
-    return parsed
-
-
 def parse_dataset(path, source: Source) -> ParseResult:
     """Parse one membership CSV; malformed rows are counted, not fatal.
 
     Rows repeat their IXP's and their AS's fields, so each distinct group
-    of raw IXP fields and of raw AS fields is validated once per file, and
-    each distinct member IP once per process (a bounded memo)."""
+    of raw IXP fields and of raw AS fields is validated once per file (a
+    rejected group again on each of its rows), and each distinct member IP
+    once per process (a bounded memo)."""
     records = []
     errors = 0
-    ixps: dict[tuple, tuple | None] = {}  # raw IXP fields -> validated, or None
-    ases: dict[tuple, tuple | None] = {}  # raw AS fields -> validated, or None
-    width = len(DATASET_HEADER)
+    ixp_fields = functools.cache(functools.partial(_ixp_fields, source))
+    as_fields = functools.cache(_as_fields)
     for row in _read_csv(path, DATASET_HEADER):
-        if len(row) != width:
+        try:
+            # A row of any other field count fails to unpack.
+            (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
+             ip_raw, status_raw, type_raw, pfx_count_raw) = row
+            row_source, key, name, prefixes, status = ixp_fields(
+                source_raw, ixp_key, ixp_name, prefixes_raw, status_raw)
+            asn, as_type, pfx_count = as_fields(asn_raw, type_raw, pfx_count_raw)
+            member_ip = _member_address(ip_raw)[0] if ip_raw else None
+        except ValueError:
             errors += 1
-            continue
-        (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
-         ip_raw, status_raw, type_raw, pfx_count_raw) = row
-        raw = (source_raw, ixp_key, ixp_name, prefixes_raw, status_raw)
-        ixp = ixps[raw] if raw in ixps else _validated(ixps, raw, _ixp_fields, source)
-        raw = (asn_raw, type_raw, pfx_count_raw)
-        as_ = ases[raw] if raw in ases else _validated(ases, raw, _as_fields)
-        if ixp is None or as_ is None:
-            errors += 1
-            continue
-        member_ip = member_addr = None
-        if ip_raw:
-            try:
-                member_ip, member_addr = _member_address(ip_raw)
-            except ValueError:
-                errors += 1
-                continue
-        row_source, key, name, prefixes, status = ixp
-        asn, as_type, pfx_count = as_
-        records.append(MembershipRecord(row_source, key, name, prefixes, asn, member_ip, status,
-                                        as_type, pfx_count, member_addr))
+        else:
+            records.append(MembershipRecord(row_source, key, name, prefixes, asn, member_ip,
+                                            status, as_type, pfx_count))
     return ParseResult(records=records, parse_errors=errors)
 
 
@@ -231,12 +218,13 @@ def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentit
     keyed by unified id.
 
     Two IXPs become one node when a peering prefix is identical or nested,
-    or when their normalized names match; unification is the transitive
-    closure of those matches. Unified ids are "IXP" plus a zero-padded
-    sequence number, assigned in order of each group's smallest (source,
-    key) pair, so the numbering is reproducible. A ``Source`` compares by
-    its value and no value is a prefix of another, so the pairs sort as
-    their "source:key" texts do.
+    or when their normalized names match; a name that normalizes to nothing
+    (such as "-") matches no other. Unification is the transitive closure
+    of those matches. Unified ids are "IXP" plus a zero-padded sequence
+    number, assigned in order of each group's smallest (source, key) pair,
+    so the numbering is reproducible. A ``Source`` compares by its value and
+    no value is a prefix of another, so the pairs sort as their "source:key"
+    texts do.
 
     Prefixes are matched by lookup, not pairwise. Each distinct prefix (its
     canonical CIDR text, host bits cleared as ``parse_dataset`` does) is keyed as
@@ -248,18 +236,13 @@ def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentit
     names: dict[tuple[Source, str], set[str]] = {}
     prefixes: dict[tuple[Source, str], set[str]] = {}
     statuses: dict[tuple[Source, str], set[IxpStatus]] = {}
-    prefix_keys: dict[str, tuple[int, int, int]] = {}  # canonical CIDR text -> key
     # Records repeat their IXP's fields once per member: gather them over the
     # distinct field groups, in first-seen order.
     for source, ixp_key, name, group_prefixes, status in dict.fromkeys(
             (r.source, r.ixp_key, r.ixp_name, tuple(r.ixp_prefixes), r.status) for r in records):
         key = (source, ixp_key)
         names.setdefault(key, set()).add(name)
-        texts = prefixes.setdefault(key, set())
-        for prefix in group_prefixes:
-            text, net_key = _prefix(prefix)
-            prefix_keys[text] = net_key
-            texts.add(text)
+        prefixes.setdefault(key, set()).update(_prefix(prefix)[0] for prefix in group_prefixes)
         statuses.setdefault(key, set()).add(status)
 
     keys = sorted(names)
@@ -268,10 +251,10 @@ def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentit
     first_named: dict[str, tuple[Source, str]] = {}  # normalized name -> first key with it
     holders: dict[tuple[int, int, int], list] = {}  # prefix key -> keys holding it
     for key in keys:
-        for name in names[key]:
-            uf.union(first_named.setdefault(normalize_ixp_name(name), key), key)
+        for name in filter(None, map(normalize_ixp_name, names[key])):
+            uf.union(first_named.setdefault(name, key), key)
         for prefix in prefixes[key]:
-            holders.setdefault(prefix_keys[prefix], []).append(key)
+            holders.setdefault(_prefix(prefix)[1], []).append(key)
     for (version, address, length), group in holders.items():
         bits = 32 if version == 4 else 128
         for outer in range(length + 1):
@@ -289,7 +272,7 @@ def merge_ixp_lists(records: Sequence[MembershipRecord]) -> dict[str, IxpIdentit
     for seq, group in enumerate(groups.values(), start=1):
         group_names = sorted(set().union(*(names[k] for k in group)))
         # Canonical texts map one-to-one to keys: sorting by key sorts networks.
-        group_nets = sorted(set().union(*(prefixes[k] for k in group)), key=prefix_keys.get)
+        group_nets = sorted(set().union(*(prefixes[k] for k in group)), key=lambda p: _prefix(p)[1])
         status = max(set().union(*(statuses[k] for k in group)), key=_STATUS_SEVERITY.get)
         identities[f"IXP{seq:0{width}d}"] = IxpIdentity(
             source_keys=frozenset(group),
@@ -315,26 +298,21 @@ def sanitize(
     Steps 1-3 are one pass over the rows in priority order (PDB first), and
     a row's fate is the first of them that drops it. An edge takes the first
     member_ip given among its kept rows; an AS the first as_type and prefix
-    count given among all of its rows. A record without ``member_addr`` (one
-    built in Python) gets it, and the canonical text of its member_ip, as
-    the row parser would have given them. Each step tallies the edges it drops,
-    and a node under the step that drops its last edge; malformed rows count
-    as ParseError edges. A reason is in the report when either of its
-    tallies is non-zero.
+    count given among all of its rows. Every record's member_ip is read as
+    its canonical text and integer through ``_member_address``, so a record
+    built in Python is treated as the row parser would have made it. Each
+    step tallies the edges it drops, and a node under the step that drops
+    its last edge; malformed rows count as ParseError edges. A reason is in
+    the report when either of its tallies is non-zero.
     """
     identities = merge_ixp_lists(records)
     key_to_uid = {key: uid for uid, ident in identities.items() for key in ident.source_keys}
-    rows = []  # (priority, unified IXP id, record)
-    for record in records:
-        member_ip = record.member_ip
-        if record.member_addr is None and member_ip is not None:
-            member_ip, member_addr = _member_address(member_ip)
-            record = record._replace(member_ip=member_ip, member_addr=member_addr)
+
+    def priority(record: MembershipRecord) -> tuple[bool, str]:
         # PDB data wins over PCH, for an edge's member_ip and for an AS's
         # attributes; a row without a member_ip comes first within its source.
-        priority = (record.source is not Source.PDB, member_ip or "")
-        rows.append((priority, key_to_uid[record.source, record.ixp_key], record))
-    rows.sort(key=itemgetter(0))
+        text = record.member_ip
+        return record.source is not Source.PDB, "" if text is None else _member_address(text)[0]
 
     bad_uids = {uid for uid, ident in identities.items() if ident.status is not IxpStatus.ACTIVE}
     lans = {}  # unified IXP id -> (version, network as int, netmask as int) per prefix
@@ -349,7 +327,8 @@ def sanitize(
     kept: dict[tuple[str, int], list] = {}  # (uid, asn) -> [member_ip, sources]
     as_types: dict[int, AsType | None] = {}
     pfx_counts: dict[int, int | None] = {}
-    for _, uid, record in rows:
+    for record in sorted(records, key=priority):
+        uid = key_to_uid[record.source, record.ixp_key]
         asn = record.asn
         # Every row, kept or dropped, feeds its AS: the first known value wins.
         if as_types.get(asn) is None:
@@ -362,8 +341,9 @@ def sanitize(
             continue
         linked.update((uid, asn))
         # (2) member IPs outside the unified IXP's peering LAN
-        if record.member_addr is not None:
-            version, ip = record.member_addr
+        member_ip = record.member_ip
+        if member_ip is not None:
+            member_ip, (version, ip) = _member_address(member_ip)
             for net_version, network, mask in lans[uid]:
                 if net_version == version and ip & mask == network:
                     break
@@ -373,11 +353,11 @@ def sanitize(
         # (3) duplicate collapse across sources
         edge = kept.get((uid, asn))
         if edge is None:
-            kept[uid, asn] = [record.member_ip, {record.source}]
+            kept[uid, asn] = [member_ip, {record.source}]
             continue
         edge_tally[DiscardReason.DUPLICATE_COLLAPSED] += 1
         if edge[0] is None:
-            edge[0] = record.member_ip
+            edge[0] = member_ip
         edge[1].add(record.source)
     if not kept:
         raise EmptyGraph("no membership edges survive sanitization")

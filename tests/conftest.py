@@ -136,7 +136,9 @@ MERGE_BASES = {
     6: ["::", "2001:db8::", "2001:db8:0:1::", "2001:db8:1::1", "fe80::", "ffff::"],
 }
 MERGE_LENGTHS = {4: [0, 1, 8, 16, 23, 24, 25, 31, 32], 6: [0, 1, 32, 48, 63, 64, 127, 128]}
-MERGE_NAMES = ["Metro One", "metro-one", "METRO  ONE", "Metro Two", "metro_two", "Lone IX"]
+# "-" and " . " normalize to "", which matches no other name.
+MERGE_NAMES = ["Metro One", "metro-one", "METRO  ONE", "Metro Two", "metro_two", "Lone IX",
+               "-", " . "]
 
 
 def _merge_prefix(rng: random.Random) -> str:
@@ -240,8 +242,7 @@ def _record(source, key, name, prefixes, asn, ip, status) -> MembershipRecord:
     """A record as the row parser makes it from these fields."""
     addr = None if ip is None else ipaddress.ip_address(ip)
     return MembershipRecord(source, key, name, tuple(prefixes), asn,
-                            None if addr is None else str(addr), status,
-                            member_addr=None if addr is None else (addr.version, int(addr)))
+                            None if addr is None else str(addr), status)
 
 
 def giant_test_graphs(seed: int = 13, count: int = 300) -> list[BipartiteGraph]:

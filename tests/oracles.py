@@ -179,6 +179,19 @@ def bf_gain_cdf(graph: BipartiteGraph) -> Counter:
     return tally
 
 
+def _hex_mapped(ip) -> str:
+    """``str(ip)`` as Python 3.10-3.12 print it: 3.13 prints an IPv4-mapped
+    address with a dotted quad, they in hex."""
+    if ip.version == 4 or ip.ipv4_mapped is None:
+        return str(ip)
+    high, low = divmod(int(ip.ipv4_mapped), 1 << 16)
+    return f"::ffff:{high:x}:{low:x}" + (f"%{ip.scope_id}" if ip.scope_id else "")
+
+
+def _bf_network_text(net) -> str:
+    return f"{_hex_mapped(net.network_address)}/{net.prefixlen}"
+
+
 def _bf_parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
     # A row of any other field count fails to unpack with a ValueError.
     (source_raw, ixp_key, ixp_name, prefixes_raw, asn_raw,
@@ -194,27 +207,26 @@ def _bf_parse_row(row: list[str], expected_source: Source) -> MembershipRecord:
         pfx_count = _parse_decimal(pfx_count_raw)
         if pfx_count < 0:
             raise ValueError("as_prefix_count must be non-negative")
-    prefixes = tuple(str(ipaddress.ip_network(part, strict=False))
+    prefixes = tuple(_bf_network_text(ipaddress.ip_network(part, strict=False))
                      for part in map(str.strip, prefixes_raw.split(";")) if part)
-    ip = ipaddress.ip_address(ip_raw) if ip_raw else None
     return MembershipRecord(
         source=source,
         ixp_key=ixp_key,
         ixp_name=ixp_name,
         ixp_prefixes=prefixes,
         asn=asn,
-        member_ip=None if ip is None else str(ip),
+        member_ip=_hex_mapped(ipaddress.ip_address(ip_raw)) if ip_raw else None,
         status=_by_value(IxpStatus, status_raw),
         as_type=_by_value(AsType, type_raw) if type_raw else None,
         as_prefix_count=pfx_count,
-        member_addr=None if ip is None else (ip.version, int(ip)),
     )
 
 
 def bf_parse_dataset(path, source: Source) -> ParseResult:
     """``ingest.parse_dataset`` one row at a time: every field of every row
     validated afresh, and every member IP parsed and printed by
-    ``ipaddress``."""
+    ``ipaddress`` (an IPv4-mapped one, and a prefix of one, in hex on every
+    interpreter)."""
     records = []
     errors = 0
     for row in _read_csv(path, DATASET_HEADER):
@@ -252,7 +264,8 @@ def bf_merge_ixp_lists(records) -> dict[str, IxpIdentity]:
         if key not in statuses or _STATUS_SEVERITY[record.status] > _STATUS_SEVERITY[statuses[key]]:
             statuses[key] = record.status
 
-    normalized = {key: {normalize_ixp_name(n) for n in ns} for key, ns in names.items()}
+    # A name that normalizes to "" (punctuation only) matches no other.
+    normalized = {key: {normalize_ixp_name(n) for n in ns} - {""} for key, ns in names.items()}
     keys = list(names)
     g = nx.Graph()
     g.add_nodes_from(keys)
@@ -273,7 +286,7 @@ def bf_merge_ixp_lists(records) -> dict[str, IxpIdentity]:
         identities[f"IXP{seq:0{width}d}"] = IxpIdentity(
             source_keys=frozenset(group),
             names=tuple(sorted(set().union(*(names[k] for k in group)))),
-            peering_prefixes=tuple(str(n) for n in group_nets),
+            peering_prefixes=tuple(map(_bf_network_text, group_nets)),
             status=max((statuses[k] for k in group), key=_STATUS_SEVERITY.get),
         )
     return identities

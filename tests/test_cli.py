@@ -3,6 +3,7 @@
 import ast
 import gc
 import importlib
+import ipaddress
 import json
 import os
 import random
@@ -136,6 +137,7 @@ class TestBuild:
             outputs.append((proc.stdout, (workdir / "g.json").read_bytes()))
         assert outputs[0] == outputs[1]
         assert b"DuplicateCollapsed" in outputs[0][0] and b"2001:db8:6::" in outputs[0][1]
+        assert b'"::ffff:0:0/96"' in outputs[0][1] and b'"::ffff:a06:9"' in outputs[0][1]
 
     def test_json_report(self, tmp_path, capsys):
         pdb, pch = sanitize_fixture_files(tmp_path)
@@ -738,10 +740,11 @@ def cross_version_inputs(dirpath) -> tuple:
     """Membership CSVs for a seeded small graph: every edge once in the PDB
     file under a /24 per IXP, and the even IXPs' edges again in the PCH file
     under their own keys and a nested /25, so that build merges IXPs and
-    collapses duplicates. One more IXP is IPv6-only, in both files, its
+    collapses duplicates. Two more IXPs are IPv6-only, in both files, their
     member IPs spelled non-canonically and differently in each, so each
-    edge's IP goes through canonical text. (No IPv4-mapped address: 3.13
-    prints those in another form.) Also the graph's highest-degree AS."""
+    edge's IP goes through canonical text: one on 2001:db8:6::/48, one on
+    ::ffff:0:0/96 with IPv4-mapped member IPs, which 3.13 prints in another
+    form than 3.10-3.12. Also the graph's highest-degree AS."""
     graph = paper_scale_graph(seed=42, n_ixp=40, n_as=300)
     types = ["Content", "Enterprise", "ISP", ""]
     pdb, pch = [], []
@@ -756,6 +759,15 @@ def cross_version_inputs(dirpath) -> tuple:
         tail = f"Active,{types[asn % 4]},{asn * 7 % 100 or ''}"
         pdb.append(f"PDB,v6,IPv6 Exchange,2001:db8:6::/48,{asn},{spellings[i % 2]},{tail}")
         pch.append(f"PCH,p-v6,IPv6-exchange,2001:DB8:6::/64,{asn},{spellings[1 - i % 2]},{tail}")
+    for i, asn in enumerate(sorted(graph.ases)[7::25]):
+        # Mapped addresses with and without zero hextets, in dotted and hex form.
+        v4 = [f"10.6.{i}.{asn % 250 + 1}", f"0.0.0.{i + 1}", f"0.{i + 1}.0.0"][i % 3]
+        n = int(ipaddress.IPv4Address(v4))
+        spellings = [f"::ffff:{v4}", f"0:0:0:0:0:FFFF:{n >> 16:X}:{n & 0xFFFF:04X}"]
+        tail = f"Active,{types[asn % 4]},{asn * 7 % 100 or ''}"
+        pdb.append(f"PDB,v4m,Mapped Exchange,::ffff:0:0/96,{asn},{spellings[i % 2]},{tail}")
+        pch.append(f"PCH,p-v4m,Mapped-exchange,::FFFF:0.0.0.0/96,{asn},"
+                   f"{spellings[1 - i % 2]},{tail}")
     return (write_membership_csv(dirpath / "pdb.csv", pdb),
             write_membership_csv(dirpath / "pch.csv", pch),
             max(graph.ases, key=lambda a: (len(graph.memberships(a)), -a)))

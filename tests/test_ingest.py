@@ -3,6 +3,7 @@
 import ipaddress
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from ixpgraph.cli import main
 from ixpgraph.errors import EmptyGraph, FormatError
 from ixpgraph.ingest import (
     _member_address,
+    _prefix,
     DiscardReason,
     IxpIdentity,
     MembershipRecord,
@@ -177,7 +179,7 @@ class TestParseDataset:
                 seen["errors"] += result.parse_errors
                 seen.update(r.member_ip for r in result.records)
         assert seen["errors"] and seen["2001:db8::1"] and seen["fe80::1%eth0"], seen
-        assert seen[str(ipaddress.ip_address("::ffff:192.0.2.1"))], seen
+        assert seen["::ffff:c000:201"], seen
 
     def test_accepted_ipv4_text_is_canonical(self):
         # A member IP that ipaddress reads as IPv4 keeps its own text, which
@@ -202,6 +204,36 @@ class TestParseDataset:
             assert _member_address(text) == (text, (4, int(ip)))
             accepted += 1
         assert 0 < accepted < len(corpus)
+
+    def test_mapped_ipv4_text_is_hex_on_every_interpreter(self):
+        # Python 3.13 prints an IPv4-mapped address as ::ffff:192.0.2.1 and
+        # 3.10-3.12 as ::ffff:c000:201; a member IP takes the older text, so
+        # a graph file does not change with the interpreter.
+        cases = {
+            "::ffff:192.0.2.1": "::ffff:c000:201",
+            "::FFFF:C000:0201": "::ffff:c000:201",
+            "0:0:0:0:0:ffff:a00:1": "::ffff:a00:1",
+            "::ffff:0.0.0.0": "::ffff:0:0",
+            "::ffff:0.0.0.1": "::ffff:0:1",
+            "::ffff:0.1.0.0": "::ffff:1:0",
+            "::ffff:255.255.255.255": "::ffff:ffff:ffff",
+            "::ffff:192.0.2.1%eth0": "::ffff:c000:201%eth0",
+            # Not mapped: printed by ipaddress as before.
+            "::fffe:c000:201": "::fffe:c000:201",
+            "1::ffff:c000:201": "1::ffff:c000:201",
+            "::c000:201": "::c000:201",
+        }
+        for text, canonical in cases.items():
+            assert _member_address(text) == (canonical, (6, int(ipaddress.ip_address(text)))), text
+        # A peering prefix in the mapped range is spelled the same way.
+        assert _prefix("::FFFF:192.0.2.1/120") == ("::ffff:c000:200/120", (6, 0xFFFFC0000200, 120))
+        assert _prefix("::ffff:0.0.0.0/96")[0] == "::ffff:0:0/96"
+        if sys.version_info < (3, 13):  # the text these interpreters print
+            rng = random.Random(11)
+            values = [rng.getrandbits(32) for _ in range(3000)]
+            values += [rng.getrandbits(16) << 16 * rng.randint(0, 1) for _ in range(1000)]
+            for text in (f"::ffff:{ipaddress.IPv4Address(n)}" for n in values):
+                assert _member_address(text)[0] == str(ipaddress.ip_address(text)), text
 
     def test_shared_prefix_lists_are_immutable(self, tmp_path):
         # Rows with the same raw ixp_prefixes share one parsed value, so it
@@ -315,6 +347,23 @@ class TestMergeIxpLists:
         ident = merge_ixp_lists(records)["IXP0001"]
         assert ident.names == ("Zulu Exchange", "zulu exchange")
         assert ident.peering_prefixes == ("10.0.0.0/8", "192.0.2.0/24", "192.0.2.0/25")
+
+    def test_punctuation_only_names_match_no_other(self, tmp_path):
+        # "-" and "." both normalize to "": that matches no other name, so
+        # IXPs with disjoint prefixes stay apart, and a shared prefix still
+        # unifies them.
+        def merged(pch_lan):
+            return merge_ixp_lists(records_for_merge(
+                tmp_path,
+                ["PDB,a,-,192.0.2.0/24,64500,,Active,,", "PDB,b,-,10.0.0.0/24,64501,,Active,,"],
+                [f"PCH,c,.,{pch_lan},64502,,Active,,"],
+            ))
+
+        apart = merged("198.51.100.0/24")
+        assert [ident.names for ident in apart.values()] == [(".",), ("-",), ("-",)]
+        joined = merged("192.0.2.128/25")
+        assert [(ident.names, len(ident.source_keys)) for ident in joined.values()] == [
+            (("-", "."), 2), (("-",), 1)]
 
     def test_result_type(self, tmp_path):
         records = records_for_merge(
@@ -447,14 +496,10 @@ class TestSanitize:
             "PDB,k1,Alpha,192.0.2.0/24,64501,2001:DB8::0:1,Active,,",
             "PDB,k1,Alpha,192.0.2.0/24,64502,,Active,,",
         ])
-        assert [(r.member_ip, r.member_addr) for r in pdb.records] == [
-            ("192.0.2.7", (4, 0xC0000207)),
-            ("2001:db8::1", (6, 0x20010DB8 << 96 | 1)),
-            (None, None),
-        ]
+        assert [r.member_ip for r in pdb.records] == ["192.0.2.7", "2001:db8::1", None]
 
     def test_hand_built_record_off_the_lan_dropped(self):
-        # A record built without member_addr is checked by its member_ip.
+        # A record built in Python is checked by its member_ip.
         records = [
             MembershipRecord(Source.PDB, "k", "Alpha", ("192.0.2.0/24",), 64500, "192.0.2.5",
                              IxpStatus.ACTIVE),
@@ -488,8 +533,8 @@ class TestSanitize:
         assert report.reasons == {DiscardReason.IP_INCONSISTENT: ReasonTally(1, 1)}
 
     def test_hand_built_member_ip_is_canonicalized(self, tmp_path):
-        # A record built in Python without member_addr gets the member_ip
-        # text the row parser would have given it, as well as the integer.
+        # A record built in Python gets the member_ip text the row parser
+        # would have given it.
         rows = ["PDB,k,Alpha,2001:db8::/32,64500,2001:DB8::0:1,Active,,",
                 "PDB,k,Alpha,2001:db8::/32,64501,2001:db8:0::2,Active,,",
                 "PDB,k,Alpha,2001:db8::/32,64501,2001:db8::1:0,Active,,"]
@@ -503,7 +548,7 @@ class TestSanitize:
 
     def test_ip_consistency_matches_ipaddress_containment(self):
         # Stage 2 tests each member address against its LAN by integer
-        # masks, reading the member_addr the row parser sets.
+        # masks, reading each member IP's integer from _member_address.
         rng = random.Random(3)
         lans = ["192.0.2.0/24", "192.0.2.128/25", "10.0.0.0/8", "0.0.0.0/0",
                 "2001:db8::/32", "2001:db8:1::/48", "::/0", "198.51.100.7/32"]
@@ -514,7 +559,7 @@ class TestSanitize:
             records = [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64500, None,
                                         IxpStatus.ACTIVE)]
             records += [MembershipRecord(Source.PDB, "k1", "Alpha", prefixes, 64501 + i, str(ip),
-                                         IxpStatus.ACTIVE, member_addr=(ip.version, int(ip)))
+                                         IxpStatus.ACTIVE)
                         for i, ip in enumerate(map(ipaddress.ip_address, ips))]
             graph, _ = sanitize(records)
             nets = [ipaddress.ip_network(p) for p in prefixes]
