@@ -25,8 +25,8 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from . import serialization
-from .errors import EmptyGraph, FormatError, InsufficientData, IxpGraphError
-from .model import AsType, BipartiteGraph, NodeClass, _parse_asn, _parse_decimal, _read_csv
+from .model import AsType, BipartiteGraph, IxpGraphError, NodeClass
+from .model import _parse_asn, _parse_decimal, _read_csv
 
 _CLASS = {"ixp": NodeClass.IXP, "as": NodeClass.AS}
 _TYPE = {"content": AsType.CONTENT, "enterprise": AsType.ENTERPRISE, "isp": AsType.ISP}
@@ -43,9 +43,7 @@ class MetricOutput(NamedTuple):
 def _require_types(graph: BipartiteGraph) -> None:
     """Rejects a graph none of whose ASes has a type; one with no AS, too."""
     if all(node.as_type is AsType.UNKNOWN for node in graph.ases.values()):
-        raise InsufficientData(
-            "metric needs AS types, but no AS in the graph has one attached"
-        )
+        raise IxpGraphError("metric needs AS types, but no AS in the graph has one attached")
 
 
 def _cdf_output(column: str, dist: metrics.Distribution) -> MetricOutput:
@@ -172,7 +170,7 @@ def _parse_targets(spec: str) -> list[int] | None:
             try:
                 tokens = fh.read().split()
             except UnicodeDecodeError as exc:
-                raise FormatError(f"{spec[1:]}: not UTF-8 text: {exc}") from None
+                raise IxpGraphError(f"{spec[1:]}: not UTF-8 text: {exc}") from None
     else:
         tokens = [t for t in spec.split(",") if t.strip()]
     if not tokens:
@@ -280,7 +278,7 @@ def cmd_metrics(args, parser: argparse.ArgumentParser) -> int:
         args.sample = _count_flag("--sample", args.sample)
     graph = serialization.read_graph(args.graph)
     if graph.num_nodes == 0:
-        raise EmptyGraph("graph has no vertices")
+        raise IxpGraphError("graph has no vertices")
     _print_metric(entry[1](metrics, graph, args), args.json)
     return 0
 

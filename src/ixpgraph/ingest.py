@@ -35,11 +35,11 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import model
-from .errors import EmptyGraph
 from .model import (
     AsNode,
     AsType,
     BipartiteGraph,
+    IxpGraphError,
     IxpNode,
     IxpStatus,
     Location,
@@ -360,7 +360,7 @@ def sanitize(
             edge[0] = member_ip
         edge[1].add(record.source)
     if not kept:
-        raise EmptyGraph("no membership edges survive sanitization")
+        raise IxpGraphError("no membership edges survive sanitization")
     edges = {pair: MembershipEdge(*pair, member_ip, sources)
              for pair, (member_ip, sources) in kept.items()}
 

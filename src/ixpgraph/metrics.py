@@ -16,8 +16,7 @@ from math import fsum, inf, isfinite, lcm, sqrt
 from operator import or_, sub
 from typing import Iterable, NamedTuple
 
-from .errors import Disconnected, InsufficientData
-from .model import AsType, BipartiteGraph, NodeClass
+from .model import AsType, BipartiteGraph, IxpGraphError, NodeClass
 from .projection import BIT_FLAGS, bits, counter_add, index
 
 
@@ -115,7 +114,7 @@ def shortest_path_ixp_counts(
     first reached at level k crosses k IXPs, and each level's new ASes are
     counted with a popcount scaled by the class size. A target inside the
     sample is also a source and counts half from each end; one outside
-    counts once. Raises Disconnected if some AS is unreachable from a source.
+    counts once. Raises ``IxpGraphError`` if some AS is unreachable from a source.
     """
     if sample_size is not None and sample_size <= 0:
         raise ValueError("sample_size must be positive")
@@ -171,9 +170,7 @@ def shortest_path_ixp_counts(
             # A ring past its last is already in ``reached``.
             new = reduce(or_, [r[crossed] for r in own if crossed < len(r)], 0) & ~reached
         if reached != everyone:
-            raise Disconnected(
-                f"{n_as - reached.bit_count()} AS nodes unreachable from AS {asn}"
-            )
+            raise IxpGraphError(f"{n_as - reached.bit_count()} AS nodes unreachable from AS {asn}")
         doubled[1] -= size  # each source reaches itself through its own IXPs
     return Distribution.from_counts({k: c // 2 for k, c in doubled.items()})
 
@@ -238,7 +235,7 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     ]
     n = len(points)
     if n < 2:
-        raise InsufficientData(f"need at least 2 ASes with prefix data, have {n}")
+        raise IxpGraphError(f"need at least 2 ASes with prefix data, have {n}")
     try:
         xs, ys = [float(x) for x, _ in points], [float(y) for _, y in points]
         xbar, ybar = fsum(xs) / n, fsum(ys) / n
@@ -247,9 +244,9 @@ def degree_prefix_correlation(graph: BipartiteGraph) -> float:
     except (OverflowError, ValueError):  # past the float range; fsum of inf and -inf
         spread = inf
     if not isfinite(spread):
-        raise InsufficientData("prefix counts too large to correlate in floating point")
+        raise IxpGraphError("prefix counts too large to correlate in floating point")
     if not spread:
-        raise InsufficientData("at least one of the inputs is constant")
+        raise IxpGraphError("at least one of the inputs is constant")
     return sxy / spread
 
 

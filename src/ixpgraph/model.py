@@ -16,10 +16,12 @@ from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Union
 
-from .errors import FormatError, UnknownNode
-
 NodeId = Union[str, int]
 MAX_ASN = 2**32 - 1
+
+
+class IxpGraphError(Exception):
+    """A domain error: bad input data, or a graph a command cannot answer for."""
 
 
 class AsType(str, Enum):
@@ -79,24 +81,24 @@ def _read_csv(path, expected_header: list[str]) -> Iterable[list[str]]:
     """The rows after the header, each field stripped of surrounding
     whitespace; a row whose fields are all empty (a blank line, say) is
     skipped. A row the reader cannot split (a field over the csv module's
-    size limit, say) ends the file with a ``FormatError``: the reader cannot
+    size limit, say) ends the file with an ``IxpGraphError``: the reader cannot
     resume after it. So does a byte that is not UTF-8."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
-                raise FormatError(f"{path}: empty file, expected header {','.join(expected_header)}")
+                raise IxpGraphError(f"{path}: empty file, expected header {','.join(expected_header)}")
             if [h.strip().lower() for h in header] != expected_header:
-                raise FormatError(f"{path}: unrecognized header {','.join(header)!r}")
+                raise IxpGraphError(f"{path}: unrecognized header {','.join(header)!r}")
             for row in reader:
                 row = [field.strip() for field in row]
                 if any(row):
                     yield row
         except csv.Error as exc:
-            raise FormatError(f"{path}, line {reader.line_num}: {exc}") from None
+            raise IxpGraphError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+            raise IxpGraphError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 # Records are namedtuple subclasses whose __new__ tests each field inline,
@@ -249,14 +251,14 @@ class BipartiteGraph:
         try:
             return self._ixp_members[ixp_id]
         except KeyError:
-            raise UnknownNode(f"unknown IXP {ixp_id!r}") from None
+            raise IxpGraphError(f"unknown IXP {ixp_id!r}") from None
 
     def memberships(self, asn: int) -> set[str]:
         """IXP ids the given AS is a member of: the graph's own set, not to be changed."""
         try:
             return self._as_memberships[asn]
         except KeyError:
-            raise UnknownNode(f"unknown AS {asn}") from None
+            raise IxpGraphError(f"unknown AS {asn}") from None
 
 
 def giant_component(graph: BipartiteGraph) -> BipartiteGraph:

@@ -12,8 +12,7 @@ import math
 from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import NoLocationData, Uncoverable, UnknownNode, UnknownTarget
-from .model import BipartiteGraph, NodeClass
+from .model import BipartiteGraph, IxpGraphError, NodeClass
 from .projection import bits, index
 
 
@@ -71,7 +70,7 @@ def build_instance(
     universe = frozenset(targets)
     missing = sorted(a for a in universe if a not in graph.ases)
     if missing:
-        raise UnknownTarget(f"targets not in graph: {', '.join(map(str, missing))}")
+        raise IxpGraphError(f"targets not in graph: {', '.join(map(str, missing))}")
     costs = dict(costs or {})
     weights = dict(weights or {})
     candidates = {}
@@ -129,7 +128,8 @@ def greedy_set_cover(instance: CoverageInstance) -> PlacementSolution:
     solution = _greedy(instance, lambda cost, new_weight: cost / new_weight, math.inf)
     residue = instance.universe - solution.covered
     if residue:
-        raise Uncoverable(residue)
+        raise IxpGraphError("universe not coverable; uncovered: "
+                            + ", ".join(map(str, sorted(residue))))
     if math.isinf(solution.total_cost):  # finite costs, but too many of them
         raise ValueError("costs of the chosen IXPs must have a finite sum")
     return solution
@@ -163,7 +163,7 @@ def rank_tunnels(graph: BipartiteGraph, asn: int) -> list[tuple[int, int]]:
     sorted by descending gain, then ascending ASN.
     """
     if asn not in graph.ases:
-        raise UnknownNode(f"unknown AS {asn}")
+        raise IxpGraphError(f"unknown AS {asn}")
     asns, _, reach = index(graph, NodeClass.AS)
     i = asns.index(asn)
     missing = ~reach[i]  # a partner's gain: the ASes it meets that asn does not
@@ -188,7 +188,7 @@ def site_selection_score(graph: BipartiteGraph, location: tuple[str, str]) -> fl
         if node.location is not None
     }
     if not ixp_locations:
-        raise NoLocationData("no IXP has location data")
+        raise IxpGraphError("no IXP has location data")
 
     target = norm(location)
     local_ixps = [i for i, loc in ixp_locations.items() if norm(loc) == target]

@@ -21,11 +21,11 @@ import sys
 from pathlib import Path
 
 from . import model
-from .errors import FormatError
 from .model import (
     AsNode,
     AsType,
     BipartiteGraph,
+    IxpGraphError,
     IxpNode,
     IxpStatus,
     Location,
@@ -41,52 +41,69 @@ _str = json.encoder.encode_basestring_ascii  # json.dumps's escaper by default
 def graph_from_dict(data: dict) -> BipartiteGraph:
     """The graph a parsed document describes. Each record checks its own fields;
     this maps keys onto records and checks what needs the whole document: its
-    shape and version, duplicates, and the names in each edge's ``sources``."""
+    shape and version, duplicates, the names in each edge's ``sources``, and
+    that each object holds exactly the keys ``dumps_graph`` writes."""
     if not isinstance(data, dict):
-        raise FormatError("graph document must be a JSON object")
+        raise IxpGraphError("graph document must be a JSON object")
     version = data.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise FormatError(f"unsupported graph format version {version!r}")
+        raise IxpGraphError(f"unsupported graph format version {version!r}")
     for key in ("ixps", "ases", "edges"):
         if not isinstance(data.get(key), list):
-            raise FormatError(f"graph document missing array {key!r}")
+            raise IxpGraphError(f"graph document missing array {key!r}")
+    if len(data) != 4:
+        raise _unknown_keys(data, ("version", "ixps", "ases", "edges"), "graph document")
     try:
         ixps = {}
         for item in data["ixps"]:
-            loc = item.get("location")
-            if loc is not None:
-                loc = Location(loc["country"], loc["city"], loc.get("lat"), loc.get("lon"))
-            node = IxpNode(item["ixp_id"], item["names"], item.get("peering_prefixes", []), loc,
-                           _by_value(IxpStatus, item.get("status", "Active")))
+            loc = item["location"]
+            location = None if loc is None else Location(loc["country"], loc["city"],
+                                                         loc["lat"], loc["lon"])
+            node = IxpNode(item["ixp_id"], item["names"], item["peering_prefixes"], location,
+                           _by_value(IxpStatus, item["status"]))
+            if len(item) != 5:
+                raise _unknown_keys(item, IxpNode._fields, f"IXP {node.ixp_id!r}")
+            if loc is not None and len(loc) != 4:
+                raise _unknown_keys(loc, Location._fields, f"location of IXP {node.ixp_id!r}")
             if node.ixp_id in ixps:
-                raise FormatError(f"duplicate IXP {node.ixp_id!r}")
+                raise IxpGraphError(f"duplicate IXP {node.ixp_id!r}")
             ixps[node.ixp_id] = node
         ases = {}
         for item in data["ases"]:
             asn = item["asn"]
-            node = AsNode(asn, _by_value(AsType, item.get("as_type", "Unknown")),
-                          item.get("prefix_count"))
+            node = AsNode(asn, _by_value(AsType, item["as_type"]), item["prefix_count"])
+            if len(item) != 3:
+                raise _unknown_keys(item, AsNode._fields, f"AS {asn}")
             if asn in ases:
-                raise FormatError(f"duplicate AS {asn}")
+                raise IxpGraphError(f"duplicate AS {asn}")
             ases[asn] = node
         edges = {}
         source_sets: dict[tuple[str, ...], frozenset] = {}  # a few distinct lists
         for item in data["edges"]:
-            names = item.get("sources", ["Other"])
+            names = item["sources"]
             try:
                 sources = source_sets[tuple(names) if type(names) is list else None]
             except (KeyError, TypeError):  # unseen, not a list, or holding an unhashable item
                 if type(names) is not list or not all(type(name) is str for name in names):
-                    raise FormatError(f"sources must be a list of strings, got {names!r}") from None
+                    raise IxpGraphError(
+                        f"sources must be a list of strings, got {names!r}") from None
                 sources = source_sets[tuple(names)] = frozenset(map(Source, names))
             ixp_id, asn = item["ixp_id"], item["asn"]
-            edge = MembershipEdge(ixp_id, asn, item.get("member_ip"), sources)
+            edge = MembershipEdge(ixp_id, asn, item["member_ip"], sources)
+            if len(item) != 4:
+                raise _unknown_keys(item, MembershipEdge._fields, f"edge {(ixp_id, asn)}")
             if (ixp_id, asn) in edges:
-                raise FormatError(f"duplicate edge {(ixp_id, asn)}")
+                raise IxpGraphError(f"duplicate edge {(ixp_id, asn)}")
             edges[ixp_id, asn] = edge
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed graph document: {exc}") from exc
+        raise IxpGraphError(f"malformed graph document: {exc}") from exc
+
+
+def _unknown_keys(item: dict, keys: tuple[str, ...], record: str) -> IxpGraphError:
+    """The error for ``record``, whose ``item`` holds every one of ``keys`` and more."""
+    extra = ", ".join(repr(key) for key in item if key not in keys)
+    return IxpGraphError(f"{record} has unknown keys: {extra}")
 
 
 def _array(items: list[str], pad: str) -> str:
@@ -191,9 +208,9 @@ def read_graph(path) -> BipartiteGraph:
     try:  # decoded as a text-mode read would: UTF-8 only, universal newlines
         data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except ValueError as exc:  # bad JSON, not UTF-8, or an int past the digit limit
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        raise IxpGraphError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
-        raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
+        raise IxpGraphError(f"{path}: not valid JSON: nested too deeply") from None
     graph = graph_from_dict(data)
     if cache is not None:
         try:

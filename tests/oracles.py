@@ -24,7 +24,6 @@ from itertools import combinations
 
 import networkx as nx
 
-from ixpgraph.errors import Uncoverable
 from ixpgraph.ingest import (
     _STATUS_SEVERITY,
     DATASET_HEADER,
@@ -40,6 +39,7 @@ from ixpgraph.model import (
     AsNode,
     AsType,
     BipartiteGraph,
+    IxpGraphError,
     IxpNode,
     IxpStatus,
     MembershipEdge,
@@ -437,8 +437,14 @@ def exhaustive_cover_oracle(
             if best_key is None or key < best_key:
                 best, best_key = sol, key
     if best is None:
-        raise Uncoverable(instance.universe - frozenset().union(*instance.candidates.values()))
+        raise _uncoverable(instance.universe - frozenset().union(*instance.candidates.values()))
     return best
+
+
+def _uncoverable(residue) -> IxpGraphError:
+    """The program's error for a universe ``residue`` that no candidate covers."""
+    return IxpGraphError("universe not coverable; uncovered: "
+                         + ", ".join(map(str, sorted(residue))))
 
 
 def _bf_solution(instance: CoverageInstance, chosen) -> PlacementSolution:
@@ -454,7 +460,7 @@ def _bf_solution(instance: CoverageInstance, chosen) -> PlacementSolution:
 def scan_greedy(instance: CoverageInstance, budget: float | None = None) -> PlacementSolution:
     """The coverage greedy by a full rescan of every candidate per pick.
 
-    Without a budget: the cost-per-new-weight cover, raising Uncoverable
+    Without a budget: the cost-per-new-weight cover, raising ``IxpGraphError``
     for what no candidate covers. With one: the new-weight-per-cost greedy
     within it, or the heaviest affordable single candidate (lowest id on
     ties) when that weighs strictly more. New weights are ``fsum``s, each
@@ -483,7 +489,7 @@ def scan_greedy(instance: CoverageInstance, budget: float | None = None) -> Plac
     greedy = _bf_solution(instance, chosen)
     if budget is None:
         if greedy.covered != instance.universe:
-            raise Uncoverable(instance.universe - greedy.covered)
+            raise _uncoverable(instance.universe - greedy.covered)
         return greedy
     singles = [_bf_solution(instance, [c]) for c in sorted(instance.candidates)
                if instance.cost[c] <= budget]

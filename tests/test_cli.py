@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
 import ast
+import copy
 import gc
 import importlib
 import ipaddress
@@ -16,7 +17,7 @@ import pytest
 
 from ixpgraph import serialization
 from ixpgraph.cli import _parse_asn_token, _read_map_file, main
-from ixpgraph.ingest import attach_attributes, parse_dataset
+from ixpgraph.ingest import attach_attributes, build_from_files, parse_dataset
 from ixpgraph.model import (
     AsNode,
     AsType,
@@ -775,19 +776,20 @@ def cross_version_inputs(dirpath) -> tuple:
 
 class TestAcrossInterpreters:
     """Every command whose bytes hold across Python versions gives the same
-    stdout on each installed interpreter the package supports. ``place
-    budget`` and ``place site`` are left out: their float sums still round
-    differently from 3.12 on. The prefix counts of the inputs are ones whose
-    ``statistics.correlation`` differs in the last digit on 3.12 and 3.13."""
+    exit code, stdout and stderr on each installed interpreter the package
+    supports, failing commands too. ``place budget`` and ``place site`` are
+    left out: their float sums still round differently from 3.12 on. The
+    prefix counts of the inputs are ones whose ``statistics.correlation``
+    differs in the last digit on 3.12 and 3.13."""
 
     RUNNER = ("import contextlib, io, json, sys\n"
               "from ixpgraph.cli import main\n"
               "outputs = []\n"
               "for argv in json.loads(sys.argv[1]):\n"
-              "    buf = io.StringIO()\n"
-              "    with contextlib.redirect_stdout(buf):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
               "        code = main(argv)\n"
-              "    outputs.append([argv, code, buf.getvalue()])\n"
+              "    outputs.append([argv, code, out.getvalue(), err.getvalue()])\n"
               "print(json.dumps(outputs))\n")
 
     def test_same_bytes_on_every_interpreter(self, tmp_path):
@@ -831,6 +833,30 @@ class TestAcrossInterpreters:
             ["place", graph, "tunnels", "--as", str(asn)],
             ["place", graph, "cover", "--targets", "all"],
         ]
+        # Failing commands, on copies of the seeded graph written here.
+        seeded = graph_to_dict(build_from_files(pdb, pch).graph)
+        absent = max(node["asn"] for node in seeded["ases"]) + 1
+
+        def variant(name, mutate):
+            doc = copy.deepcopy(seeded)
+            mutate(doc)
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+            return str(tmp_path / name)
+
+        def no_prefix_counts(doc):
+            for node in doc["ases"]:
+                node["prefix_count"] = None
+
+        failures = {
+            ("export", variant("misspelled.json", _rename("ixps", "status", "stauts")),
+             "--format", "json"): "malformed graph document: 'status'",
+            ("export", variant("extra.json", lambda doc: doc.update(comment="x")),
+             "--format", "json"): "graph document has unknown keys: 'comment'",
+            ("place", graph, "tunnels", "--as", str(absent)): f"unknown AS {absent}",
+            ("metrics", variant("no-prefix-counts.json", no_prefix_counts), "correlation"):
+                "need at least 2 ASes with prefix data, have 0",
+        }
+        commands += map(list, failures)
         outputs = {}
         for i, exe in enumerate(interpreters):
             workdir = tmp_path / f"run{i}"
@@ -841,7 +867,10 @@ class TestAcrossInterpreters:
             assert proc.returncode == 0, f"{exe}: {proc.stderr}"
             outputs[exe] = json.loads(proc.stdout)
         reference = outputs.pop(interpreters[0])
-        assert all(code == 0 and out for _, code, out in reference)
+        passing = reference[:len(commands) - len(failures)]
+        assert all(code == 0 and out for _, code, out, _ in passing)
+        assert [tuple(result[1:]) for result in reference[len(passing):]] == [
+            (1, "", f"error: {message}\n") for message in failures.values()]
         for exe, got in outputs.items():
             for want, have in zip(reference, got):
                 assert have == want, f"{exe} differs from {interpreters[0]} on {want[0]}"
@@ -850,6 +879,12 @@ class TestAcrossInterpreters:
 def _set(section, key, value):
     def mutate(doc):
         doc[section][0][key] = value
+    return mutate
+
+
+def _rename(section, old, new):
+    def mutate(doc):
+        doc[section][0][new] = doc[section][0].pop(old)
     return mutate
 
 
@@ -896,6 +931,101 @@ class TestGraphValidation:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_rename("ixps", "status", "stauts"), "malformed graph document: 'status'"),
+        (_rename("ases", "as_type", "as_tpye"), "malformed graph document: 'as_type'"),
+        (_rename("edges", "member_ip", "member-ip"), "malformed graph document: 'member_ip'"),
+        (_rename("edges", "sources", "source"), "malformed graph document: 'sources'"),
+        (lambda doc: doc.update(comment="x"), "graph document has unknown keys: 'comment'"),
+        (_set("ixps", "note", 1), "IXP 'X1' has unknown keys: 'note'"),
+        (_location(region="EU", zone=1), "location of IXP 'X1' has unknown keys: 'region', 'zone'"),
+        (_set("ases", "note", 1), "AS 1 has unknown keys: 'note'"),
+        (_set("edges", "note", 1), "edge ('X1', 1) has unknown keys: 'note'"),
+    ], ids=["stauts", "as_tpye", "member-ip", "source", "top-level", "ixp", "location", "as",
+            "edge"])
+    def test_key_the_writer_does_not_write_is_one_line_error(self, tmp_path, capsys, mutate,
+                                                            message):
+        doc = graph_to_dict(make_g0())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = run(capsys, "export", str(path), "--format", "json")
+        assert result == (1, "", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # no cache written
+
+
+def _mutations(doc: dict, count: int, seed: int):
+    """``count`` seeded mutations of the graph document ``doc``, each a kind
+    and the mutated copy: drop a key, rename a key by one character, retype a
+    value, or replace an array item with a scalar or a list. Each picks the
+    document, an IXP, an IXP's location, an AS or an edge at random."""
+    rng = random.Random(seed)
+    values = [None, True, 0, -7, 2.5, "", "PDB", [], ["PDB"], {}, {"asn": 1}]
+    for _ in range(count):
+        # New arrays, holding a copy of the one IXP, AS and edge a mutation may touch.
+        new = {key: value[:] if type(value) is list else value for key, value in doc.items()}
+        picked = []
+        for section in ("ixps", "ases", "edges"):
+            k = rng.randrange(len(new[section]))
+            new[section][k] = copy.deepcopy(new[section][k])
+            picked.append(new[section][k])
+        ixp, as_, edge = picked
+        kind = rng.choice(["drop", "rename", "retype", "item"])
+        if kind == "item":
+            array = rng.choice([new["ixps"], new["ases"], new["edges"], ixp["names"],
+                                ixp["peering_prefixes"] or ixp["names"], edge["sources"]])
+            array[rng.randrange(len(array))] = rng.choice([7, "x", None, True, [], ["PDB"]])
+            yield kind, new
+            continue
+        obj = rng.choice([new, ixp, ixp["location"] or ixp, as_, edge])
+        key = rng.choice(sorted(obj))
+        if kind == "drop":
+            del obj[key]
+        elif kind == "retype":
+            obj[key] = rng.choice([v for v in values if type(v) is not type(obj[key])])
+        else:
+            renamed = key
+            while renamed in obj:
+                at = rng.randrange(len(key) + 1)
+                char = rng.choice("abcdefghijklmnopqrstuvwxyz_-")
+                renamed = rng.choice([key[:at] + char + key[at + 1:], key[:at] + char + key[at:],
+                                      key[:at] + key[at + 1:]])
+            obj[renamed] = obj.pop(key)
+        yield kind, new
+
+
+class TestBoundaryFuzz:
+    def test_seeded_graph_mutations(self, tmp_path, capsys):
+        """Every mutation of a built graph's document exits 0 or 1 on export,
+        a metric and a placement, with one error line on 1. A dropped or
+        renamed key is always refused, and every accepted export re-reads to
+        the graph the file holds."""
+        pdb, pch, asn = cross_version_inputs(tmp_path)
+        doc = graph_to_dict(build_from_files(pdb, pch).graph)
+        for ixp, city in zip(doc["ixps"][:3], ["Frankfurt", "Berlin", "Athens"]):
+            ixp["location"] = {"country": "DE", "city": city, "lat": 50.11, "lon": None}
+        path = tmp_path / "g.json"
+        commands = [["export", str(path), "--format", "json"],
+                    ["metrics", str(path), "degree-cdf"],
+                    ["place", str(path), "tunnels", "--as", str(asn)]]
+        kinds = []
+        for kind, mutated in _mutations(doc, count=200, seed=42):
+            kinds.append(kind)
+            path.write_text(json.dumps(mutated), encoding="utf-8")
+            for argv in commands:
+                code, out, err = run(capsys, *argv)
+                assert code in (0, 1), (kind, argv, err)
+                if code == 1:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+                else:
+                    assert err == "", err
+                if kind in ("drop", "rename"):
+                    assert code == 1, (kind, argv, mutated)
+                if code == 0 and argv[0] == "export":
+                    assert serialization.graph_from_dict(json.loads(out)) == \
+                        serialization.read_graph(path)
+        assert all(kinds.count(kind) >= 30 for kind in ("drop", "rename", "retype", "item"))
 
 
 class TestInputEncoding:
@@ -1168,7 +1298,7 @@ class TestCommandStartUp:
     """What every command pays before its own work: the modules it imports,
     and the cyclic collector, which is off while a command runs."""
 
-    BASE = {"ixpgraph", "ixpgraph.cli", "ixpgraph.errors", "ixpgraph.model",
+    BASE = {"ixpgraph", "ixpgraph.cli", "ixpgraph.model",
             "ixpgraph.serialization"}
     PRELUDE = ("import json, sys; from ixpgraph.cli import main; code = main(sys.argv[1:]); "
                "print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")

@@ -3,13 +3,13 @@
 import ipaddress
 import json
 import random
+import re
 import sys
 from collections import Counter
 
 import pytest
 
 from ixpgraph.cli import main
-from ixpgraph.errors import EmptyGraph, FormatError
 from ixpgraph.ingest import (
     _member_address,
     _prefix,
@@ -24,7 +24,7 @@ from ixpgraph.ingest import (
     parse_dataset,
     sanitize,
 )
-from ixpgraph.model import AsType, IxpStatus, Source
+from ixpgraph.model import AsType, IxpGraphError, IxpStatus, Source
 
 from conftest import (
     merge_test_lists,
@@ -142,13 +142,15 @@ class TestParseDataset:
     def test_unrecognized_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("who,what\nx,y\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(IxpGraphError,
+                           match=rf"^{re.escape(str(path))}: unrecognized header 'who,what'$"):
             parse_dataset(path, Source.PDB)
 
     def test_file_without_header(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(IxpGraphError,
+                           match=rf"^{re.escape(str(path))}: empty file, expected header "):
             parse_dataset(path, Source.PDB)
 
     def test_missing_file(self, tmp_path):
@@ -160,7 +162,7 @@ class TestParseDataset:
             "PDB,k1,Alpha,,64500,,Active,,",
             "PDB,k1," + "x" * 140_000 + ",,64501,,Active,,",
         ])
-        with pytest.raises(FormatError, match=r"big\.csv, line 3: field larger than field limit"):
+        with pytest.raises(IxpGraphError, match=r"big\.csv, line 3: field larger than field limit"):
             parse_dataset(path, Source.PDB)
 
     def test_matches_row_oracle_on_random_files(self, tmp_path):
@@ -439,7 +441,7 @@ class TestSanitize:
 
     def test_all_inactive_raises_empty(self, tmp_path):
         pdb = parse(tmp_path, ["PDB,k1,Alpha,192.0.2.0/24,64500,,Inactive,,"])
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(IxpGraphError, match=r"^no membership edges survive sanitization$"):
             sanitize(pdb.records)
 
     def test_absent_member_ip_kept(self, tmp_path):
@@ -698,7 +700,7 @@ class TestAttachAttributes:
         path = tmp_path / "attrs.csv"
         header = "asn,as_type" if kind == "as_types_path" else "ixp_id,country,city,lat,lon"
         path.write_text(f"{header}\n\"{'x' * 140_000}\",ISP\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r"attrs\.csv, line 2"):
+        with pytest.raises(IxpGraphError, match=r"attrs\.csv, line 2"):
             attach_attributes(graph, **{kind: path})
 
     def test_unknown_rows_warned(self, tmp_path):
@@ -757,7 +759,7 @@ class TestAttachAttributes:
         graph = self.build(tmp_path)
         types = tmp_path / "types.csv"
         types.write_text("asn,flavor\n64500,Content\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(IxpGraphError, match=r"types\.csv: unrecognized header 'asn,flavor'$"):
             attach_attributes(graph, as_types_path=types)
 
 

@@ -9,7 +9,6 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from ixpgraph.errors import Disconnected, InsufficientData
 from ixpgraph.metrics import (
     Distribution,
     TypeFractions,
@@ -28,6 +27,7 @@ from ixpgraph.model import (
     AsNode,
     AsType,
     BipartiteGraph,
+    IxpGraphError,
     IxpNode,
     MembershipEdge,
     NodeClass,
@@ -205,28 +205,28 @@ class TestShortestPathIxpCounts:
 
     def test_disconnected_raises(self):
         graph = graph_of({1: ("X1",), 2: ("X2",)})
-        with pytest.raises(Disconnected):
+        with pytest.raises(IxpGraphError, match=r"^1 AS nodes unreachable from AS 1$"):
             shortest_path_ixp_counts(graph)
 
     def test_two_components_raise_when_sampled(self):
         graph = graph_of({1: ("X1",), 2: ("X1",), 3: ("X2",), 4: ("X2",)})
-        for seed in range(4):
-            with pytest.raises(Disconnected):
+        for seed, source in enumerate([4, 2, 1, 2]):
+            with pytest.raises(IxpGraphError, match=rf"^2 AS nodes unreachable from AS {source}$"):
                 shortest_path_ixp_counts(graph, sample_size=1, seed=seed)
 
     def test_as_without_membership_raises(self):
         graph = graph_of({1: ("X1",), 2: ("X1",), 3: ()})
-        with pytest.raises(Disconnected):
+        with pytest.raises(IxpGraphError, match=r"^1 AS nodes unreachable from AS 1$"):
             shortest_path_ixp_counts(graph)
-        for seed in range(4):
-            with pytest.raises(Disconnected):
+        for seed, source in enumerate([2, 1, 1, 1]):
+            with pytest.raises(IxpGraphError, match=rf"^1 AS nodes unreachable from AS {source}$"):
                 shortest_path_ixp_counts(graph, sample_size=1, seed=seed)
 
     def test_unreachable_count_excludes_the_source(self):
         # AS 1 is at no IXP; its reach mask still holds itself, so the two
         # ASes at X1 are all it cannot reach.
         graph = graph_of({1: (), 2: ("X1",), 3: ("X1",)})
-        with pytest.raises(Disconnected, match=r"^2 AS nodes unreachable from AS 1$"):
+        with pytest.raises(IxpGraphError, match=r"^2 AS nodes unreachable from AS 1$"):
             shortest_path_ixp_counts(graph)
 
     def test_single_as_is_empty(self):
@@ -321,7 +321,7 @@ class TestShortestPathIxpRings:
     def test_disconnected_message(self, graph, sample, message):
         graph = graph_of(graph)
         kwargs = {} if sample is None else {"sample_size": sample[0], "seed": sample[1]}
-        with pytest.raises(Disconnected, match=f"^{message}$"):
+        with pytest.raises(IxpGraphError, match=f"^{message}$"):
             shortest_path_ixp_counts(graph, **kwargs)
 
 
@@ -503,12 +503,12 @@ class TestDegreePrefixCorrelation:
 
     def test_too_few_points(self):
         graph = graph_of({1: ("X1",), 2: ("X1",)}, prefix_counts={1: 10})
-        with pytest.raises(InsufficientData):
+        with pytest.raises(IxpGraphError, match=r"^need at least 2 ASes with prefix data, have 1$"):
             degree_prefix_correlation(graph)
 
     def test_constant_variable(self):
         graph = graph_of({1: ("X1",), 2: ("X1",)}, prefix_counts={1: 10, 2: 20})
-        with pytest.raises(InsufficientData):
+        with pytest.raises(IxpGraphError, match=r"^at least one of the inputs is constant$"):
             degree_prefix_correlation(graph)
 
 

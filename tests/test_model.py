@@ -3,11 +3,11 @@
 import networkx as nx
 import pytest
 
-from ixpgraph.errors import UnknownNode
 from ixpgraph.model import (
     AsNode,
     AsType,
     BipartiteGraph,
+    IxpGraphError,
     IxpNode,
     IxpStatus,
     Location,
@@ -134,9 +134,9 @@ class TestBipartiteGraph:
     def test_members_and_memberships(self, g0):
         assert g0.members("X1") == {1, 2, 3}
         assert g0.memberships(1) == {"X1", "X3"}
-        with pytest.raises(UnknownNode):
+        with pytest.raises(IxpGraphError, match=r"^unknown IXP 'X9'$"):
             g0.members("X9")
-        with pytest.raises(UnknownNode):
+        with pytest.raises(IxpGraphError, match=r"^unknown AS 99$"):
             g0.memberships(99)
 
     def test_equality_with_another_type_is_not_implemented(self, g0):
@@ -199,9 +199,9 @@ class TestDegree:
         assert len(graph.memberships(1)) == 0
 
     def test_unknown_node(self, g0):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(IxpGraphError, match=r"^unknown IXP 'X9'$"):
             g0.members("X9")
-        with pytest.raises(UnknownNode):
+        with pytest.raises(IxpGraphError, match=r"^unknown AS 9$"):
             g0.memberships(9)
 
     def test_degree_sum_identity(self, g0):

@@ -6,15 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ixpgraph.errors import (
-    NoLocationData,
-    Uncoverable,
-    UnknownNode,
-    UnknownTarget,
-)
 from ixpgraph.model import (
     AsNode,
     BipartiteGraph,
+    IxpGraphError,
     IxpNode,
     Location,
     MembershipEdge,
@@ -165,9 +160,8 @@ class TestBuildInstance:
         assert instance.candidates == {"X2": frozenset({4})}
 
     def test_unknown_target_lists_missing(self, g0):
-        with pytest.raises(UnknownTarget) as info:
+        with pytest.raises(IxpGraphError, match=r"^targets not in graph: 42, 99$"):
             build_instance(g0, [1, 99, 42])
-        assert "42" in str(info.value) and "99" in str(info.value)
 
     def test_explicit_costs_and_weights(self, g0):
         instance = build_instance(g0, [1, 4], costs={"X2": 5.0}, weights={4: 2.0})
@@ -194,10 +188,8 @@ class TestGreedySetCover:
             cost={"X1": 1.0},
             weight={1: 1.0, 2: 1.0, 9: 1.0},
         )
-        with pytest.raises(Uncoverable) as info:
+        with pytest.raises(IxpGraphError, match=r"^universe not coverable; uncovered: 9$"):
             greedy_set_cover(instance)
-        assert info.value.residue == {9}
-        assert "9" in str(info.value)
 
     def test_cost_effectiveness_pick(self):
         # X2 covers less but is far cheaper per element.
@@ -314,7 +306,7 @@ class TestExhaustiveOracle:
             cost={"X1": 1.0},
             weight={1: 1.0, 2: 1.0},
         )
-        with pytest.raises(Uncoverable):
+        with pytest.raises(IxpGraphError, match=r"^universe not coverable; uncovered: 2$"):
             exhaustive_cover_oracle(instance)
 
     def test_greedy_never_beats_oracle(self):
@@ -386,7 +378,7 @@ class TestRankTunnels:
         assert rank_tunnels(graph, 1) == []
 
     def test_unknown_as(self, g0):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(IxpGraphError, match=r"^unknown AS 99$"):
             rank_tunnels(g0, 99)
 
     def test_matches_pairwise_gains(self, g0):
@@ -456,7 +448,7 @@ class TestSiteSelectionScore:
         assert site_selection_score(graph, ("GR", "athens")) == pytest.approx(1 / 3)
 
     def test_no_location_data(self, g0):
-        with pytest.raises(NoLocationData):
+        with pytest.raises(IxpGraphError, match=r"^no IXP has location data$"):
             site_selection_score(g0, ("DE", "Frankfurt"))
 
     def test_explicit_location_map(self, g0):
