@@ -9,13 +9,15 @@ Exit codes: 0 success, 1 domain error (bad data, unknown metric,
 uncoverable instance), 2 command-line usage error.
 
 Handlers import ``ingest``, ``metrics`` and ``placement`` only where they run
-them. The cyclic collector is off during a command: only argparse makes cycles.
+them. The cyclic collector is off during a command: only argparse makes cycles,
+and it builds its parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import json
 import math
@@ -337,7 +339,9 @@ def cmd_export(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ixpgraph",
         description="Build and analyze the IXP-AS bipartite graph of the Internet.",

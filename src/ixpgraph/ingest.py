@@ -300,7 +300,8 @@ def sanitize(
     member_ip given among its kept rows; an AS the first as_type and prefix
     count given among all of its rows. Every record's member_ip is read as
     its canonical text and integer through ``_member_address``, so a record
-    built in Python is treated as the row parser would have made it. Each
+    built in Python is treated as the row parser would have made it. The
+    graph iterates in the order ``dumps_graph`` writes. Each
     step tallies the edges it drops, and a node under the step that drops
     its last edge; malformed rows count as ParseError edges. A reason is in
     the report when either of its tallies is non-zero.
@@ -324,7 +325,7 @@ def sanitize(
             nets.append((version, network, (1 << bits) - (1 << bits - length)))
     edge_tally = dict.fromkeys(DiscardReason, 0) | {DiscardReason.PARSE_ERROR: parse_errors}
     linked = set()  # vertices with an edge left after (1)
-    kept: dict[tuple[str, int], list] = {}  # (uid, asn) -> [member_ip, sources]
+    kept: dict[str, dict[int, list]] = {uid: {} for uid in identities}  # asn -> [ip, sources]
     as_types: dict[int, AsType | None] = {}
     pfx_counts: dict[int, int | None] = {}
     for record in sorted(records, key=priority):
@@ -351,23 +352,28 @@ def sanitize(
                 edge_tally[DiscardReason.IP_INCONSISTENT] += 1
                 continue
         # (3) duplicate collapse across sources
-        edge = kept.get((uid, asn))
+        edge = kept[uid].get(asn)
         if edge is None:
-            kept[uid, asn] = [member_ip, {record.source}]
+            kept[uid][asn] = [member_ip, {record.source}]
             continue
         edge_tally[DiscardReason.DUPLICATE_COLLAPSED] += 1
         if edge[0] is None:
             edge[0] = member_ip
         edge[1].add(record.source)
-    if not kept:
+    # Edges by (uid, asn), uids being zero-padded; one frozenset per sources set.
+    sets: dict[frozenset, frozenset] = {}
+    edges = {}
+    for uid, row in kept.items():
+        for asn in sorted(row):
+            member_ip, sources = row[asn][0], frozenset(row[asn][1])
+            edges[uid, asn] = MembershipEdge(uid, asn, member_ip, sets.setdefault(sources, sources))
+    if not edges:
         raise IxpGraphError("no membership edges survive sanitization")
-    edges = {pair: MembershipEdge(*pair, member_ip, sources)
-             for pair, (member_ip, sources) in kept.items()}
 
     as_nodes = {
-        asn: AsNode(asn=asn, as_type=AsType.UNKNOWN if as_type is None else as_type,
+        asn: AsNode(asn=asn, as_type=AsType.UNKNOWN if as_types[asn] is None else as_types[asn],
                     prefix_count=pfx_counts[asn])
-        for asn, as_type in as_types.items()
+        for asn in sorted(as_types)
     }
     ixp_nodes = {
         uid: IxpNode(uid, list(ident.names), list(ident.peering_prefixes), status=ident.status)
@@ -439,7 +445,9 @@ def attach_attributes(
             except (KeyError, ValueError):
                 warnings += 1
 
-    return BipartiteGraph(ixps=ixps, ases=ases, edges=graph.edges), warnings
+    # Attributes never touch edges: the edges and adjacency sets carry over.
+    return BipartiteGraph._from_checked(ixps, ases, graph._ixp_members, graph._as_memberships,
+                                        graph.edges), warnings
 
 
 class BuildResult(NamedTuple):

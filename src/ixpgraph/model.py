@@ -226,10 +226,20 @@ class BipartiteGraph:
             members[ixp_id].add(asn)
             memberships[asn].add(ixp_id)
 
+    @classmethod
+    def _from_checked(cls, ixps, ases, members, memberships, edges) -> BipartiteGraph:
+        """A graph of records and adjacency sets already checked against each
+        other, skipping ``__init__``'s per-edge loop; ``edges`` is the edge
+        dict or a ``_make_edges`` that makes it when first read."""
+        graph = cls.__new__(cls)
+        vars(graph).update(ixps=ixps, ases=ases, _ixp_members=members, _as_memberships=memberships)
+        vars(graph)["edges" if isinstance(edges, dict) else "_make_edges"] = edges
+        return graph
+
     @functools.cached_property
     def edges(self) -> dict[tuple[str, int], MembershipEdge]:
         """Set by ``__init__``. A graph that ``serialization.read_graph``
-        rebuilds from its cache skips ``__init__``: it is given its adjacency
+        rebuilds from its cache is made by ``_from_checked`` with its adjacency
         and a ``_make_edges`` that makes its edge records here, when first read."""
         return self.__dict__.pop("_make_edges")()
 
@@ -289,8 +299,10 @@ def giant_component(graph: BipartiteGraph) -> BipartiteGraph:
         if key < best_key:
             best, best_key = seen, key
         unvisited -= seen
-    kept_ixps = {i: n for i, n in graph.ixps.items() if i in best}
-    kept_ases = {a: n for a, n in graph.ases.items() if a in best}
-    # An edge is in the component exactly when its IXP is.
-    kept_edges = {key: e for key, e in graph.edges.items() if key[0] in best}
-    return BipartiteGraph(ixps=kept_ixps, ases=kept_ases, edges=kept_edges)
+    # A component holds every neighbour of its nodes, so the records and
+    # adjacency sets carry over, and an edge is in it exactly when its IXP is.
+    ixps = {i: n for i, n in graph.ixps.items() if i in best}
+    ases = {a: n for a, n in graph.ases.items() if a in best}
+    return BipartiteGraph._from_checked(
+        ixps, ases, {i: graph.members(i) for i in ixps}, {a: graph.memberships(a) for a in ases},
+        {key: e for key, e in graph.edges.items() if key[0] in best})

@@ -44,7 +44,11 @@ def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, lis
     neighbours as a bitmask over those indices, and each node's reach mask:
     its own bit OR its neighbours' masks, so it always holds the node. Node
     i's projection neighbours are ``reach[i] & ~(1 << i)``, and the parallel
-    edges of a pair are the masks holding both bits."""
+    edges of a pair are the masks holding both bits. Built once per graph and
+    class, and kept in the graph's ``__dict__``: callers must not change it."""
+    key = "_index_" + node_class.value
+    if key in vars(graph):
+        return vars(graph)[key]
     if node_class is NodeClass.IXP:
         nodes, others = sorted(graph.ixps), graph.ases
         of_node, of_other = graph.members, graph.memberships
@@ -54,4 +58,5 @@ def index(graph: BipartiteGraph, node_class: NodeClass) -> tuple[list, dict, lis
     bit = {v: 1 << i for i, v in enumerate(nodes)}
     masks = {o: sum(map(bit.__getitem__, of_other(o))) for o in others}
     reach = [reduce(or_, map(masks.get, of_node(v)), bit[v]) for v in nodes]
-    return nodes, masks, reach
+    vars(graph)[key] = result = nodes, masks, reach
+    return result

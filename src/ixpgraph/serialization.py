@@ -96,8 +96,30 @@ def graph_from_dict(data: dict) -> BipartiteGraph:
                 raise IxpGraphError(f"duplicate edge {(ixp_id, asn)}")
             edges[ixp_id, asn] = edge
         return BipartiteGraph(ixps=ixps, ases=ases, edges=edges)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # only an object's lookup of a key it lacks raises one
+        raise IxpGraphError(_missing_key(data, exc.args[0])) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
         raise IxpGraphError(f"malformed graph document: {exc}") from exc
+
+
+def _missing_key(data: dict, key: str) -> str:
+    """The message for the first object in ``data`` that lacks ``key``, one of
+    its record's fields; every object before it held all of its fields."""
+    for array, fields, name_of in (
+            ("ixps", IxpNode._fields, lambda obj: f"IXP {obj['ixp_id']!r}"),
+            ("ases", AsNode._fields, lambda obj: f"AS {obj['asn']}"),
+            ("edges", MembershipEdge._fields, lambda obj: f"edge {(obj['ixp_id'], obj['asn'])}")):
+        for i, item in enumerate(data[array]):
+            loc = item.get("location") if array == "ixps" else None
+            if key in fields and key not in item or (
+                    type(loc) is dict and key in Location._fields and key not in loc):
+                try:  # named by its id, else by its place in its array
+                    name = name_of(item)
+                except KeyError:
+                    name = f"{array}[{i}]"
+                part = "location of " if key in Location._fields else ""
+                return f"{part}{name}: missing key {key!r}"
+    return f"malformed graph document: {key!r}"
 
 
 def _unknown_keys(item: dict, keys: tuple[str, ...], record: str) -> IxpGraphError:
@@ -303,12 +325,9 @@ def _load_cache(cache: Path, key: bytes) -> BipartiteGraph | None:
     ixps = {row[0]: new(IxpNode, (*row[:3], row[3] and new(Location, row[3]), status[row[4]]))
             for row in ixp_rows}
     ases = {asn: new(AsNode, (asn, as_type[kind], count)) for asn, kind, count in as_rows}
-    graph = BipartiteGraph.__new__(BipartiteGraph)
-    vars(graph).update(ixps=ixps, ases=ases,
-                       _ixp_members=dict(zip(ixps, map(set, members))),
-                       _as_memberships=dict(zip(ases, map(set, memberships))),
-                       _make_edges=functools.partial(_edges, edge_section))
-    return graph
+    return BipartiteGraph._from_checked(ixps, ases, dict(zip(ixps, map(set, members))),
+                                        dict(zip(ases, map(set, memberships))),
+                                        functools.partial(_edges, edge_section))
 
 
 def _edges(section: bytes) -> dict[tuple[str, int], MembershipEdge]:
@@ -322,6 +341,7 @@ def _edges(section: bytes) -> dict[tuple[str, int], MembershipEdge]:
 
 
 def membership_edgelist(graph: BipartiteGraph) -> str:
-    """Bipartite edges as TSV lines "ixp_id<TAB>asn", sorted."""
-    lines = [f"{ixp_id}\t{asn}" for ixp_id, asn in sorted(graph.edges)]
+    """Bipartite edges as TSV lines "ixp_id<TAB>asn", sorted, off the adjacency."""
+    lines = [f"{ixp_id}\t{asn}" for ixp_id in sorted(graph.ixps)
+             for asn in sorted(graph.members(ixp_id))]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -58,6 +58,18 @@ def build_graph(ixps, ases, memberships) -> BipartiteGraph:
                           edges=edges)
 
 
+def assert_rebuilds_equal(graph: BipartiteGraph) -> None:
+    """``graph``, which a stage made from checked parts without re-checking
+    them, equals the graph ``BipartiteGraph.__init__`` checks and builds from
+    its dicts: the same records, every ``members()`` and ``memberships()``
+    set, no adjacency entry for a node it lacks, and no index."""
+    fresh = BipartiteGraph(ixps=dict(graph.ixps), ases=dict(graph.ases), edges=dict(graph.edges))
+    assert graph == fresh
+    assert graph._ixp_members == fresh._ixp_members
+    assert graph._as_memberships == fresh._as_memberships
+    assert not [key for key in vars(graph) if key.startswith("_index")]
+
+
 # G0: the hand-checked toy fixture. IXPs X1..X3, ASes 1..4; A1 is at X1 and
 # X3, A2 and A3 at X1 and X2, A4 at X2 only.
 G0_MEMBERSHIPS = {1: ("X1", "X3"), 2: ("X1", "X2"), 3: ("X1", "X2"), 4: ("X2",)}

@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import argparse
 import ast
 import copy
 import gc
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ixpgraph import serialization
+from ixpgraph import metrics, placement, serialization
 from ixpgraph.cli import _parse_asn_token, _read_map_file, main
 from ixpgraph.ingest import attach_attributes, build_from_files, parse_dataset
 from ixpgraph.model import (
@@ -25,6 +26,7 @@ from ixpgraph.model import (
     IxpNode,
     Location,
     MembershipEdge,
+    NodeClass,
     Source,
 )
 
@@ -849,7 +851,7 @@ class TestAcrossInterpreters:
 
         failures = {
             ("export", variant("misspelled.json", _rename("ixps", "status", "stauts")),
-             "--format", "json"): "malformed graph document: 'status'",
+             "--format", "json"): "IXP 'IXP0001': missing key 'status'",
             ("export", variant("extra.json", lambda doc: doc.update(comment="x")),
              "--format", "json"): "graph document has unknown keys: 'comment'",
             ("place", graph, "tunnels", "--as", str(absent)): f"unknown AS {absent}",
@@ -933,10 +935,10 @@ class TestGraphValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mutate, message", [
-        (_rename("ixps", "status", "stauts"), "malformed graph document: 'status'"),
-        (_rename("ases", "as_type", "as_tpye"), "malformed graph document: 'as_type'"),
-        (_rename("edges", "member_ip", "member-ip"), "malformed graph document: 'member_ip'"),
-        (_rename("edges", "sources", "source"), "malformed graph document: 'sources'"),
+        (_rename("ixps", "status", "stauts"), "IXP 'X1': missing key 'status'"),
+        (_rename("ases", "as_type", "as_tpye"), "AS 1: missing key 'as_type'"),
+        (_rename("edges", "member_ip", "member-ip"), "edge ('X1', 1): missing key 'member_ip'"),
+        (_rename("edges", "sources", "source"), "edge ('X1', 1): missing key 'sources'"),
         (lambda doc: doc.update(comment="x"), "graph document has unknown keys: 'comment'"),
         (_set("ixps", "note", 1), "IXP 'X1' has unknown keys: 'note'"),
         (_location(region="EU", zone=1), "location of IXP 'X1' has unknown keys: 'region', 'zone'"),
@@ -1389,8 +1391,9 @@ class TestCommandStartUp:
     ], ids=["export", "degree-cdf", "table3", "cover", "tunnels"])
     def test_command_leaves_little_cyclic_garbage(self, paper_scale_file, capsys, argv):
         # With the collector off, what a command leaves in reference cycles
-        # stays until the caller collects: a few hundred argparse objects,
-        # not a share of the graph's 5.2k nodes and 15.6k edges.
+        # stays until the caller collects: at most the argparse objects of
+        # the parser, built once per process, not a share of the graph's 5.2k
+        # nodes and 15.6k edges.
         path, asn = paper_scale_file
         argv = [a.format(graph=path, asn=asn) for a in argv]
         was = gc.isenabled()
@@ -1403,6 +1406,31 @@ class TestCommandStartUp:
             if was:
                 gc.enable()
         assert garbage < 1000
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "{graph}", "--format", "edgelist"],
+        ["metrics", "{graph}", "degree-cdf", "--class", "router"],
+        ["metrics", "{graph}", "no-such-metric"],
+        ["place", "{graph}", "tunnels"],
+        ["--help"],
+        ["metrics", "--help"],
+    ], ids=["ok", "usage-error", "unknown-metric", "missing-flag", "help", "metrics-help"])
+    def test_one_parser_prints_what_a_fresh_process_prints(self, g0_file, capsys, monkeypatch,
+                                                         argv):
+        argv = [a.format(graph=g0_file) for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap to the terminal's width
+        proc = subprocess.run([sys.executable, "-m", "ixpgraph.cli", *argv],
+                              env=subprocess_env(COLUMNS="80"), capture_output=True, text=True)
+        parsers, parse_args = [], argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, *a: parsers.append(self) or parse_args(self, *a))
+        for _ in range(2):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr)
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def traced_targets() -> list[tuple[str, str]]:
@@ -1476,13 +1504,40 @@ def bench_commands(tmp_path_factory):
                   + [["place", str(path), *p] for p in places])
 
 
+class TestIndexPerGraph:
+    def test_one_index_build_per_class_per_graph(self, tmp_path, capsys, monkeypatch):
+        # Commands that share one graph object, as commands run in one process
+        # on one load would, build each class's index once, and print what
+        # they print on a graph of their own.
+        graph = paper_scale_graph(n_ixp=60, n_as=500)
+        path = tmp_path / "g.json"
+        serialization.write_graph(graph, path)
+        asns = sorted(graph.ases, key=lambda a: -len(graph.memberships(a)))[:2]
+        commands = [["metrics", str(path), "table2"],
+                    ["metrics", str(path), "table3", "--class", "as"],
+                    ["metrics", str(path), "gain-cdf"],
+                    *(["place", str(path), "tunnels", "--as", str(a)] for a in asns)]
+        alone = [run(capsys, *argv) for argv in commands]
+        shared = serialization.read_graph(path)
+        monkeypatch.setattr(serialization, "read_graph", lambda name: shared)
+        built = {}
+        for module in (metrics, placement):
+            def spy(g, node_class, index=module.index):
+                result = index(g, node_class)
+                assert g is shared and built.setdefault(node_class, result) is result
+                return result
+            monkeypatch.setattr(module, "index", spy)
+        assert [run(capsys, *argv) for argv in commands] == alone
+        assert set(built) == set(NodeClass)
+
+
 class TestGraphCache:
     """A command prints the same from a cached graph as from its JSON."""
 
     def test_every_bench_command_prints_the_same_cold_and_warm(self, bench_commands, capsys,
                                                                monkeypatch):
-        # A warm read makes no edge record until one is read: no metric or
-        # placement does, and both exports do.
+        # A warm read makes no edge record until one is read: of every
+        # metric, placement and export, only the JSON export does.
         path, commands = bench_commands
         exports = [["export", str(path), "--format", fmt] for fmt in ("json", "edgelist")]
         validated, validate = [], serialization.graph_from_dict
@@ -1498,7 +1553,7 @@ class TestGraphCache:
             assert cache.is_file()
             warm = run(capsys, *argv)
             assert cold == warm and cold[0] == 0 and cold[2] == "", argv
-            assert ("edges" in vars(graphs[-1])) == (argv in exports), argv
+            assert ("edges" in vars(graphs[-1])) == (argv == exports[0]), argv
         assert len(validated) == len(commands) + len(exports)  # each warm run read the cache
 
     def test_unwritable_cache_path_changes_nothing(self, g0_file, capsys):

@@ -9,6 +9,8 @@ from collections import Counter
 
 import pytest
 
+import oracles
+
 from ixpgraph.cli import main
 from ixpgraph.ingest import (
     _member_address,
@@ -24,9 +26,12 @@ from ixpgraph.ingest import (
     parse_dataset,
     sanitize,
 )
-from ixpgraph.model import AsType, IxpGraphError, IxpStatus, Source
+from ixpgraph.model import AsType, IxpGraphError, IxpStatus, NodeClass, Source
+from ixpgraph.projection import index
+from ixpgraph.serialization import dumps_graph
 
 from conftest import (
+    assert_rebuilds_equal,
     merge_test_lists,
     sanitize_fixture_files,
     sanitize_test_sets,
@@ -594,6 +599,31 @@ class TestSanitize:
                 for asn in graph.ases)
         assert all(seen[k] for k in (1, 2, True, False, "conflict", *AsType)), seen
 
+    def test_graph_iterates_in_canonical_order(self):
+        # The order dumps_graph writes: IXPs by id, ASes by number, edges by
+        # (ixp_id, asn); equal sources sets are one object.
+        shared = 0
+        for case, (records, parse_errors) in enumerate(sanitize_test_sets()):
+            graph = sanitize(records, parse_errors)[0]
+            assert list(graph.ixps) == sorted(graph.ixps), f"case {case}"
+            assert list(graph.ases) == sorted(graph.ases), f"case {case}"
+            assert list(graph.edges) == sorted(graph.edges), f"case {case}"
+            sets = {}
+            for edge in graph.edges.values():
+                assert sets.setdefault(edge.sources, edge.sources) is edge.sources
+            shared += len(sets) < graph.num_edges
+            assert dumps_graph(graph) == oracles.dumps_graph(graph), f"case {case}"
+        assert shared
+
+    def test_more_than_9999_ixps_keep_canonical_order(self):
+        # Ids widen to five digits together, so text order stays number order.
+        records = [MembershipRecord(Source.PDB, f"k{i}", f"Exchange {i}", (), 64500, None,
+                                    IxpStatus.ACTIVE) for i in range(10_001)]
+        graph = sanitize(records)[0]
+        assert list(graph.ixps) == sorted(graph.ixps)
+        assert list(graph.edges) == sorted(graph.edges)
+        assert list(graph.ixps)[-1] == "IXP10001"
+
     def test_report_dict_shape(self, tmp_path, capsys):
         # The CLI shapes the report; its JSON carries sanitize's tallies as-is.
         _, report = self.run_fixture(tmp_path)
@@ -743,6 +773,23 @@ class TestAttachAttributes:
         assert graph.ixps["IXP0001"].location.city == "Frankfurt"
         assert warnings == 2
 
+    def test_result_equals_a_checked_rebuild(self, tmp_path):
+        # Attributes never touch edges, so the edges and adjacency sets carry
+        # over unchecked; the result starts with no index of its own.
+        graph = self.build(tmp_path)
+        index(graph, NodeClass.AS)
+        types = tmp_path / "types.csv"
+        types.write_text("asn,as_type\n64500,Content\n", encoding="utf-8")
+        locs = tmp_path / "locs.csv"
+        locs.write_text("ixp_id,country,city,lat,lon\nIXP0001,DE,Frankfurt,50.1,8.68\n",
+                        encoding="utf-8")
+        for paths in ({}, {"as_types_path": types}, {"as_types_path": types,
+                                                     "locations_path": locs}):
+            attached, _ = attach_attributes(graph, **paths)
+            assert_rebuilds_equal(attached)
+        assert attached.ases[64500].as_type is AsType.CONTENT
+        assert attached.ixps["IXP0001"].location.city == "Frankfurt"
+
     def test_no_files_is_identity(self, tmp_path):
         graph = self.build(tmp_path)
         attached, warnings = attach_attributes(graph)
@@ -775,17 +822,21 @@ class TestBuildFromFiles:
         assert result.attribute_warnings == 1
         assert sum(tally.nodes for tally in result.report.reasons.values()) == 3
 
-    def test_deterministic_output(self, tmp_path):
-        from ixpgraph.serialization import dumps_graph
+    def test_built_graph_writes_the_oracle_bytes(self, tmp_path):
+        pdb_path, pch_path = sanitize_fixture_files(tmp_path)
+        types = tmp_path / "types.csv"
+        types.write_text("asn,as_type\n65003,ISP\n65001,Content\n", encoding="utf-8")
+        graph = build_from_files(pdb_path, pch_path, as_types_path=types).graph
+        assert_rebuilds_equal(graph)
+        assert dumps_graph(graph) == oracles.dumps_graph(graph)
 
+    def test_deterministic_output(self, tmp_path):
         pdb_path, pch_path = sanitize_fixture_files(tmp_path)
         first = dumps_graph(build_from_files(pdb_path, pch_path).graph)
         second = dumps_graph(build_from_files(pdb_path, pch_path).graph)
         assert first == second
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
-        from ixpgraph.serialization import dumps_graph
-
         pdb_path, pch_path = sanitize_fixture_files(tmp_path)
         bom_path = tmp_path / "pdb_bom.csv"
         bom_path.write_bytes(b"\xef\xbb\xbf" + pdb_path.read_bytes())

@@ -17,8 +17,15 @@ from ixpgraph.model import (
     _by_value,
     giant_component,
 )
+from ixpgraph.projection import index
 
-from conftest import add_membership, build_graph, giant_test_graphs, make_g0
+from conftest import (
+    add_membership,
+    assert_rebuilds_equal,
+    build_graph,
+    giant_test_graphs,
+    make_g0,
+)
 from oracles import bf_degree, nx_giant_component
 
 
@@ -261,6 +268,18 @@ class TestGiantComponent:
 
     def test_empty_graph(self):
         assert giant_component(BipartiteGraph()) == BipartiteGraph()
+
+    def test_result_equals_a_checked_rebuild(self):
+        # The component carries its records and adjacency sets over from the
+        # graph, unchecked, and starts with no index of its own.
+        dropped = 0
+        for graph in giant_test_graphs():
+            for node_class in NodeClass:
+                index(graph, node_class)
+            result = giant_component(graph)
+            assert_rebuilds_equal(result)
+            dropped += result.num_nodes < graph.num_nodes
+        assert dropped
 
     def test_matches_networkx_components_and_tie_break(self):
         ties = set()

@@ -15,6 +15,7 @@ import pytest
 import oracles
 
 from ixpgraph import model, serialization
+from ixpgraph.ingest import sanitize
 from ixpgraph.model import (
     AsNode,
     AsType,
@@ -34,7 +35,7 @@ from ixpgraph.serialization import (
     write_graph,
 )
 
-from conftest import build_graph, make_g0, paper_scale_graph
+from conftest import build_graph, make_g0, paper_scale_graph, sanitize_test_sets
 from oracles import graph_to_dict
 
 
@@ -266,7 +267,16 @@ LOADER_MESSAGES = [
      "malformed graph document: 'Bogus' is not a valid IxpStatus"),
     ("list-status", _ixp("status", ["Active"]),
      "malformed graph document: ['Active'] is not a valid IxpStatus"),
-    ("missing-edge-asn", lambda doc: doc["edges"][0].pop("asn"), "malformed graph document: 'asn'"),
+    ("missing-edge-asn", lambda doc: doc["edges"][0].pop("asn"), "edges[0]: missing key 'asn'"),
+    ("missing-ixp-id", lambda doc: doc["ixps"][2].pop("ixp_id"), "ixps[2]: missing key 'ixp_id'"),
+    ("missing-status", lambda doc: doc["ixps"][1].pop("status"), "IXP 'X2': missing key 'status'"),
+    ("missing-lat", _ixp("location", {"country": "DE", "city": "Berlin", "lon": None}),
+     "location of IXP 'X1': missing key 'lat'"),
+    ("missing-as-type", lambda doc: doc["ases"][3].pop("as_type"), "AS 4: missing key 'as_type'"),
+    ("missing-sources", lambda doc: doc["edges"][-1].pop("sources"),
+     "edge ('X3', 1): missing key 'sources'"),
+    ("missing-id-of-bad-ixp", lambda doc: doc["ixps"][0].update(ixp_id=7, status=None)
+     or doc["ixps"][0].pop("names"), "IXP 7: missing key 'names'"),
     ("edge-to-missing-as", _edge("asn", 99),
      "malformed graph document: edge ('X1', 99) references a missing vertex"),
     ("int-ixp-item", lambda doc: doc.update(ixps=[1], ases=[], edges=[]),
@@ -383,7 +393,7 @@ class TestFormatErrors:
     def test_malformed_node_entry(self):
         data = graph_to_dict(make_g0())
         del data["ases"][0]["asn"]
-        with pytest.raises(IxpGraphError, match=r"^malformed graph document: 'asn'$"):
+        with pytest.raises(IxpGraphError, match=r"^ases\[0\]: missing key 'asn'$"):
             graph_from_dict(data)
 
     def test_edge_to_missing_vertex(self):
@@ -414,6 +424,28 @@ class TestEdgelists:
         assert len(lines) == 7
         assert lines == sorted(lines)
         assert lines[0] == "X1\t1"
+
+    def test_membership_edgelist_is_the_sorted_edges(self, tmp_path):
+        # Read off the adjacency, the lines are those of sorted(graph.edges):
+        # on built graphs, on a graph with a member-less IXP, and on graphs
+        # read from the cache, where the edge list makes no edge record.
+        def from_edges(graph):
+            return "".join(f"{ixp_id}\t{asn}\n" for ixp_id, asn in sorted(graph.edges))
+
+        g0 = make_g0()
+        lone = BipartiteGraph(ixps={**g0.ixps, "X0": IxpNode("X0", ["X0"])}, ases=g0.ases,
+                              edges=g0.edges)
+        graphs = [lone, paper_scale_graph(n_ixp=60, n_as=500)]
+        graphs += [sanitize(records, errors)[0] for records, errors in sanitize_test_sets(count=20)]
+        path = tmp_path / "g.json"
+        for case, graph in enumerate(graphs):
+            assert membership_edgelist(graph) == from_edges(graph), f"case {case}"
+            write_graph(graph, path)
+            read_graph(path)
+            cached = read_graph(path)
+            assert "_make_edges" in vars(cached), f"case {case}"  # a cache hit
+            assert membership_edgelist(cached) == from_edges(graph), f"case {case}"
+            assert "edges" not in vars(cached), f"case {case}"
 
     def test_membership_edgelist_empty_graph(self):
         from ixpgraph.model import BipartiteGraph
